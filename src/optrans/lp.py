@@ -40,7 +40,6 @@ class LPInstance:
     Vmat: np.ndarray
     Umat: np.ndarray
     n_rows: int
-    rank_estimate: int
     solution: Optional[SimplexResult] = None
     policy: str = "dantzig"
 
@@ -48,12 +47,20 @@ class LPInstance:
     def n_vars(self) -> int:
         return int(self.c.size)
 
+    @property
+    def rank_estimate(self) -> Optional[int]:
+        """Rank of the constraint matrix: rows the simplex kept (None until
+        the LP is solved)."""
+        if self.solution is None:
+            return None
+        return self.n_rows - len(self.solution.dropped_rows)
+
     def dims(self) -> dict:
         return {
             "mass_variables": int(self.n_mass),
             "slack_variables": int(self.slack_rows.size),
             "rows": int(self.n_rows),
-            "rank_estimate": int(self.rank_estimate),
+            "rank_estimate": self.rank_estimate,
         }
 
 
@@ -158,9 +165,6 @@ def build_lp(problem: Problem, *, size_limit: int = DEFAULT_SIZE_LIMIT) -> LPIns
     A = sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, c.size))
     b = np.concatenate([problem.prior, np.zeros(ny)])
 
-    gram = (A @ A.T).toarray()
-    rank = int(np.linalg.matrix_rank(gram, tol=1e-9 * max(1.0, np.abs(gram).max())))
-
     return LPInstance(
         problem=problem,
         A=A,
@@ -173,14 +177,13 @@ def build_lp(problem: Problem, *, size_limit: int = DEFAULT_SIZE_LIMIT) -> LPIns
         Vmat=Vmat,
         Umat=Umat,
         n_rows=n_rows,
-        rank_estimate=rank,
     )
 
 
 def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, float]:
     """Solve the LP; returns the outcome and the optimal objective."""
     try:
-        res = solve_standard_form(lp.A, lp.b, lp.c, policy=policy)
+        res = solve_standard_form(lp.A, lp.b, lp.c, start=_crash_basis(lp), policy=policy)
     except Infeasible as exc:
         raise Infeasible(
             f"{exc}; the obedience rows admit no exact transport at this "
@@ -194,6 +197,50 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
     np.maximum(mass, 0.0, out=mass)
     outcome = outcome_from_mass(lp.problem, mass)
     return outcome, float(res.objective)
+
+
+def _crash_basis(lp: LPInstance) -> np.ndarray:
+    """Starting basis from full disclosure: one LP column per row, -1 where a
+    row keeps its artificial.
+
+    Each state x is sent to the highest-V kept cell where it is obeyed on its
+    own: u = 0 under equality obedience; u >= 0, or any cell of a free bottom
+    row, under inequality obedience.  Each action row holds its slack or one
+    of the free surplus columns (inequality obedience), or else its kept cell
+    of largest |u| at level zero.  The basis is block triangular, hence
+    nonsingular, and carries the prior, hence primal feasible.
+    """
+    pb = lp.problem
+    ny, nx = pb.n_actions, pb.n_states
+    cell = np.full((ny, nx), -1)
+    cell[lp.col_y, lp.col_x] = np.arange(lp.n_mass)
+    kept = cell >= 0
+    start = np.full(nx + ny, -1)
+
+    if pb.obedience == "inequality":
+        obeyed = kept & (lp.Umat >= 0)
+        if not pb.constrain_bottom_row:
+            obeyed[0] = kept[0]
+    else:
+        obeyed = kept & (lp.Umat == 0)
+    has = obeyed.any(axis=0)
+    best = np.argmax(np.where(obeyed, lp.Vmat, -np.inf), axis=0)
+    start[:nx][has] = cell[best[has], np.nonzero(has)[0]]
+
+    if pb.obedience == "inequality":
+        start[nx + lp.slack_rows] = lp.n_mass + np.arange(lp.slack_rows.size)
+        if not pb.constrain_bottom_row:
+            # row 0's free surplus columns +e and -e: take the one whose level,
+            # minus or plus row 0's obedience sum, is nonnegative
+            states = np.nonzero(has & (best == 0))[0]
+            level = float(lp.Umat[0, states] @ pb.prior[states])
+            start[nx] = lp.c.size - 1 if level >= 0 else lp.c.size - 2
+    else:
+        moving = kept & (lp.Umat != 0)
+        rows = np.nonzero(moving.any(axis=1))[0]
+        pick = np.argmax(np.where(moving, np.abs(lp.Umat), -1.0), axis=1)
+        start[nx + rows] = cell[rows, pick[rows]]
+    return start
 
 
 def _q_from_row(problem: Problem, outcome: Outcome, iy: int) -> float:
@@ -244,13 +291,9 @@ def solve_dual(lp: LPInstance, primal: Optional[Outcome] = None, *, policy: Opti
         degenerate = True
         q_fix = q.copy()
         for iy in primal.support_rows(MASS_TOL):
-            den_ok = True
-            try:
-                q_fix[iy] = _q_from_row(lp.problem, primal, int(iy))
-            except ZeroDivisionError:
-                den_ok = False
-            if not den_ok:
-                continue
+            val = _q_from_row(lp.problem, primal, int(iy))
+            if np.isfinite(val):
+                q_fix[iy] = val
         resid_fix = feas_residual(q_fix)
         if resid_fix >= -DUAL_FEAS_TOL and abs(dual_obj - primal_obj) <= GAP_TOL * (1.0 + abs(primal_obj)):
             q, resid = q_fix, resid_fix

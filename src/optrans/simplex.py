@@ -1,12 +1,16 @@
 """Revised primal simplex for LPs in standard equality form.
 
 Maximizes c'x subject to A x = b, x >= 0, with A given as a CSC sparse
-matrix.  Two-phase start with artificial variables; the basis inverse is a
-dense LU factorization refreshed every ``refactor_every`` pivots and patched
-with product-form eta updates in between.  Pivot selection is Dantzig by
-default; Bland's rule is available as a policy and kicks in automatically
-after a run of degenerate pivots, which makes the method anti-cycling.
-All tie-breaks are deterministic, so identical inputs give identical bases.
+matrix.  The caller may propose a starting basis, one column per row; it is
+taken when it is nonsingular and primal feasible, and rows it leaves
+uncovered keep their artificial variables, so phase 1 runs over those rows
+only.  Without a usable proposal every row starts artificial.  The basis is
+sliced from A (extended by the identity for artificials), factored as a
+sparse LU (SuperLU) every ``REFACTOR_EVERY`` pivots, and patched with
+product-form eta updates in between.  Pivot selection is Dantzig by default;
+Bland's rule is available as a policy and kicks in automatically after a run
+of degenerate pivots, which makes the method anti-cycling.  All tie-breaks
+are deterministic, so identical inputs give identical bases.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
 from .errors import Infeasible, OptransError, Unbounded
 
 PIVOT_TOL = 1e-10
-REFACTOR_EVERY = 64
+REFACTOR_EVERY = 16
 STALL_LIMIT = 400
 
 
@@ -32,14 +36,15 @@ class SimplexResult:
     objective: float
     duals: np.ndarray  # row duals for the original rows (0 for dropped rows)
     basis: np.ndarray
-    iterations: int
+    iterations: int  # phase 1 and phase 2
+    phase1_iterations: int
     degenerate: bool
     dropped_rows: tuple
 
 
 def _ftran(lu, etas, v):
     # Solve B w = v with B = B0 * E1 * ... * Ek.
-    w = lu_solve(lu, v, check_finite=False)
+    w = lu.solve(v)
     for r, d in etas:
         t = w[r] / d[r]
         w -= t * d
@@ -53,7 +58,7 @@ def _btran(lu, etas, v):
     for r, d in reversed(etas):
         rest = d @ w - d[r] * w[r]
         w[r] = (w[r] - rest) / d[r]
-    return lu_solve(lu, w, trans=1, check_finite=False)
+    return lu.solve(w, trans="T")
 
 
 def solve_standard_form(
@@ -61,13 +66,18 @@ def solve_standard_form(
     b: np.ndarray,
     c: np.ndarray,
     *,
+    start: Optional[np.ndarray] = None,
     policy: str = "dantzig",
     pivot_tol: float = PIVOT_TOL,
-    refactor_every: int = REFACTOR_EVERY,
     max_iter: int = 500_000,
     feas_tol: float = 1e-9,
 ) -> SimplexResult:
-    """Two-phase revised simplex.  Raises Infeasible / Unbounded."""
+    """Two-phase revised simplex.  Raises Infeasible / Unbounded.
+
+    ``start[i]`` proposes the column basic in row i's position, or -1 to keep
+    row i's artificial; a proposal that is singular or infeasible beyond
+    ``feas_tol`` is discarded in favour of the all-artificial basis.
+    """
     if policy not in ("dantzig", "bland"):
         raise OptransError(f"unknown pivot policy {policy!r}")
     A = sp.csc_matrix(A)
@@ -79,14 +89,22 @@ def solve_standard_form(
     if np.any(flip):
         A = sp.csc_matrix(sp.diags(np.where(flip, -1.0, 1.0)) @ A)
         b = np.abs(b)
+    tol = feas_tol * max(1.0, float(b.sum()))
 
-    st = _State(A, b, n, m, policy, pivot_tol, refactor_every, max_iter)
+    st = _State(A, b, policy, pivot_tol, max_iter)
+    if start is not None:
+        start = np.asarray(start, dtype=int)
+        if start.shape != (m,) or np.any(start >= n) or np.any(start < -1):
+            raise OptransError(f"start basis must hold {m} column indices in [-1, {n})")
+        st.crash(start, tol)
 
     c1 = np.concatenate([np.zeros(n), -np.ones(m)])
-    st.run(c1, phase=1)
+    if st.objective(c1) < 0.0:  # some artificial still carries mass
+        st.run(c1, phase=1)
     art_sum = -st.objective(c1)
-    if art_sum > feas_tol * max(1.0, float(np.abs(b).sum())):
+    if art_sum > tol:
         raise Infeasible(f"phase-1 residual {art_sum:.3e}")
+    phase1_iterations = st.iterations
     st.purge_artificials()
 
     c2 = np.concatenate([c, np.zeros(m)])
@@ -104,28 +122,28 @@ def solve_standard_form(
         duals=np.where(flip, -duals, duals),
         basis=st.basis.copy(),
         iterations=st.iterations,
+        phase1_iterations=phase1_iterations,
         degenerate=bool(np.any(st.xB <= pivot_tol)),
         dropped_rows=tuple(int(i) for i in np.nonzero(~st.live_mask)[0]),
     )
 
 
 class _State:
-    def __init__(self, A, b, n, m, policy, pivot_tol, refactor_every, max_iter):
+    def __init__(self, A, b, policy, pivot_tol, max_iter):
+        m, n = A.shape
         self.A = A
         self.AT = sp.csr_matrix(A.T)
+        self.A_ext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
         self.b0 = b
         self.n = n
         self.m0 = m
         self.policy = policy
         self.pivot_tol = pivot_tol
-        self.refactor_every = refactor_every
         self.max_iter = max_iter
         self.iterations = 0
         self.live_mask = np.ones(m, dtype=bool)
         self.basis = np.arange(n, n + m)  # column j >= n is the artificial e_{j-n}
-        self.lu = None
-        self.etas = []
-        self.xB = b.copy()
+        self.refactor()
 
     @property
     def live_rows(self) -> np.ndarray:
@@ -140,15 +158,33 @@ class _State:
             col[j - self.n] = 1.0
         return col[self.live_mask]
 
+    def _factor(self, basis):
+        B = self.A_ext[:, basis]
+        if not self.live_mask.all():
+            B = B[self.live_rows].tocsc()
+        return splu(B)
+
     def refactor(self):
-        rows = self.live_rows
-        B = np.empty((rows.size, rows.size))
-        for i, j in enumerate(self.basis):
-            B[:, i] = self._column(j)
-        self.lu = lu_factor(B, check_finite=False)
+        try:
+            self.lu = self._factor(self.basis)
+        except RuntimeError as exc:  # SuperLU: exactly singular factor
+            raise OptransError(f"simplex basis lost rank: {exc}") from exc
         self.etas = []
-        self.xB = _ftran(self.lu, self.etas, self.b0[rows])
-        np.maximum(self.xB, 0.0, out=self.xB)
+        self.xB = np.maximum(self.lu.solve(self.b0[self.live_rows]), 0.0)
+
+    def crash(self, start, tol):
+        """Adopt the proposed starting basis if it is nonsingular and primal
+        feasible to within tol; otherwise keep the all-artificial one."""
+        basis = np.where(start >= 0, start, self.n + np.arange(self.m0))
+        try:
+            lu = self._factor(basis)
+        except RuntimeError:
+            return
+        xB = lu.solve(self.b0)
+        if not np.all(xB >= -tol):
+            return
+        self.basis, self.lu, self.etas = basis, lu, []
+        self.xB = np.maximum(xB, 0.0)
 
     def objective(self, c_full) -> float:
         return float(c_full[self.basis] @ self.xB)
@@ -156,11 +192,20 @@ class _State:
     def duals(self, c_full) -> np.ndarray:
         return _btran(self.lu, self.etas, c_full[self.basis])
 
+    def _pivot(self, r, j, d):
+        theta = self.xB[r] / d[r]
+        self.xB -= theta * d
+        self.xB[r] = theta
+        np.maximum(self.xB, 0.0, out=self.xB)
+        self.basis[r] = j
+        self.etas.append((r, d))
+        if len(self.etas) >= REFACTOR_EVERY:
+            self.refactor()
+        return theta
+
     def run(self, c_full, phase: int):
         self.refactor()
         n, tol = self.n, self.pivot_tol
-        in_basis = np.zeros(n + self.m0, dtype=bool)
-        in_basis[self.basis] = True
         stall = 0
         while True:
             if self.iterations >= self.max_iter:
@@ -168,10 +213,11 @@ class _State:
             y_full = np.zeros(self.m0)
             y_full[self.live_rows] = self.duals(c_full)
             rc = c_full[:n] - self.AT @ y_full
-            rc[in_basis[:n]] = -np.inf
+            art = self.basis >= n
+            rc[self.basis[~art]] = -np.inf
             if phase == 1:
                 rc_art = c_full[n:] - y_full
-                rc_art[in_basis[n:]] = -np.inf
+                rc_art[self.basis[art] - n] = -np.inf
                 rc_art[~self.live_mask] = -np.inf
             else:
                 rc_art = None
@@ -184,18 +230,9 @@ class _State:
             r = self._leaving(d, use_bland)
             if r is None:
                 raise Unbounded("no blocking basic variable")
-            theta = self.xB[r] / d[r]
+            theta = self._pivot(r, j, d)
             stall = stall + 1 if theta <= 1e-13 else 0
-            self.xB -= theta * d
-            self.xB[r] = theta
-            np.maximum(self.xB, 0.0, out=self.xB)
-            in_basis[self.basis[r]] = False
-            in_basis[j] = True
-            self.basis[r] = j
-            self.etas.append((r, d.copy()))
             self.iterations += 1
-            if len(self.etas) >= self.refactor_every:
-                self.refactor()
 
     def _entering(self, rc, rc_art, tol, use_bland) -> Optional[int]:
         if use_bland:
@@ -249,14 +286,7 @@ class _State:
             coef[basic_orig] = 0.0
             jbest = int(np.argmax(np.abs(coef)))
             if abs(coef[jbest]) > 1e-7:
-                d = _ftran(self.lu, self.etas, self._column(jbest))
-                theta = self.xB[i] / d[i]
-                self.xB -= theta * d
-                self.xB[i] = theta
-                self.basis[i] = jbest
-                self.etas.append((i, d.copy()))
-                if len(self.etas) >= self.refactor_every:
-                    self.refactor()
+                self._pivot(i, jbest, _ftran(self.lu, self.etas, self._column(jbest)))
             else:
                 # redundant constraint: drop the row with its artificial
                 self.live_mask[self.basis[i] - n] = False

@@ -82,6 +82,28 @@ class TestSolve:
         bundle = solved_cache("example_c1", grid_n=101)
         assert abs(bundle["objective"] - bundle["meta"].oracle["objective"]) < 1e-3
 
+    @pytest.mark.parametrize("pid", ["example_c1", "example_c3", "linear"])
+    def test_full_disclosure_start_needs_no_phase_one(self, pid):
+        # every state has a cell with u = 0, so the start basis is feasible
+        lp = build_lp(preset(pid, grid_n=21)[0])
+        solve_primal(lp)
+        assert lp.solution.phase1_iterations == 0
+        assert lp.solution.iterations > 0
+
+    def test_states_without_zero_cell_run_phase_one(self):
+        lp = build_lp(preset("contest", grid_n=21)[0])
+        solve_primal(lp)
+        assert lp.solution.phase1_iterations > 0
+
+    def test_rank_estimate_counts_kept_rows(self):
+        pb, _ = preset("stress_test", grid_n=21)
+        lp = build_lp(pb)
+        assert lp.dims()["rank_estimate"] is None
+        solve_primal(lp)
+        assert lp.dims()["rank_estimate"] == lp.n_rows - len(lp.solution.dropped_rows)
+        A = lp.A.toarray()
+        assert lp.rank_estimate == np.linalg.matrix_rank(A)
+
     def test_residuals_within_contract(self, solved_cache):
         bundle = solved_cache("example_c1", grid_n=101)
         assert bundle["outcome"].marginal_residual <= 1e-9

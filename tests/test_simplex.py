@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from optrans.errors import Infeasible, Unbounded
+from optrans.errors import Infeasible, OptransError, Unbounded
 from optrans.simplex import solve_standard_form
 
 
@@ -70,3 +70,42 @@ class TestSmallPrograms:
         rc = c - A.T @ res.duals
         assert np.max(rc) <= 1e-9
         assert res.duals @ b == pytest.approx(res.objective, abs=1e-9)
+
+
+class TestStartBasis:
+    # max x1 + 2 x2 + 3 x3  s.t.  x1 + x2 + x3 = 1,  x2 - x3 = 1/4
+    A = dense([[1.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+    b = np.array([1.0, 0.25])
+    c = np.array([1.0, 2.0, 3.0])
+
+    def test_feasible_start_skips_phase_one(self):
+        res = solve_standard_form(self.A, self.b, self.c, start=np.array([0, 1]))
+        assert res.phase1_iterations == 0
+        assert res.iterations > 0
+        assert res.objective == pytest.approx(2.375)
+
+    def test_uncovered_row_keeps_its_artificial(self):
+        res = solve_standard_form(self.A, self.b, self.c, start=np.array([0, -1]))
+        assert res.phase1_iterations > 0
+        assert res.objective == pytest.approx(2.375)
+        assert res.dropped_rows == ()
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            np.array([1, 1]),  # singular: one column twice
+            np.array([0, 2]),  # nonsingular, but x3 = -1/4
+        ],
+    )
+    def test_unusable_start_falls_back_to_artificials(self, start):
+        plain = solve_standard_form(self.A, self.b, self.c)
+        res = solve_standard_form(self.A, self.b, self.c, start=start)
+        assert res.objective == pytest.approx(2.375)
+        assert (res.iterations, res.phase1_iterations) == (plain.iterations, plain.phase1_iterations)
+        assert plain.phase1_iterations > 0
+
+    def test_malformed_start_rejected(self):
+        with pytest.raises(OptransError):
+            solve_standard_form(self.A, self.b, self.c, start=np.array([0, 3]))
+        with pytest.raises(OptransError):
+            solve_standard_form(self.A, self.b, self.c, start=np.array([0]))
