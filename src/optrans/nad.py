@@ -21,6 +21,7 @@ F the prior cdf, which is solved directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,8 +29,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IllPosed, NoRoot, ShootingFailed, StiffStep
-from .model import Outcome, Problem, chi
-from .model import _bisect
+from .model import Outcome, Posterior, Problem, _bisect, chi, gamma, outcome_from_mass
 
 CDF_CACHE_N = 4097
 
@@ -87,6 +87,51 @@ def _q_pair(problem: Problem, y, c1, c2):
     return float(q), float(qp)
 
 
+def _pair_rhs(problem: Problem, density, h: float, y, state) -> list:
+    """Right-hand side (chi1', chi2', q') of the pairing system at ``y``.
+
+    Q and its partials in y, chi1 and chi2 are central differences with step
+    ``h`` of the two-point stationarity solution, so the seven pairs (y, c1,
+    c2), (y +- h, c1, c2), (y, c1 +- h, c2) and (y, c1, c2 +- h) are
+    evaluated as one 14-point stencil: one call each of V_y, u and u_y, and
+    one of the density at (c1, c2).  The 2x2 solves run on Python floats,
+    which round exactly as the per-pair numpy arithmetic of ``_q_pair``.
+    """
+    c1, c2, _ = state
+    yp, ym = y + h, y - h
+    ys = np.array([y, y, yp, yp, ym, ym, y, y, y, y, y, y, y, y], dtype=float)
+    xs = np.array(
+        [c1, c2, c1, c2, c1, c2, c1 + h, c2, c1 - h, c2, c1, c2 + h, c1, c2 - h], dtype=float
+    )
+    vy = np.asarray(problem.V_y(ys, xs), dtype=float).tolist()
+    uu = np.asarray(problem.u(ys, xs), dtype=float).tolist()
+    uy = np.asarray(problem.u_y(ys, xs), dtype=float).tolist()
+    f1, f2 = np.asarray(density(np.array([c1, c2], dtype=float)), dtype=float).tolist()
+    q = []
+    for r in range(0, 14, 2):
+        den_q = uu[r] * uy[r + 1] - uu[r + 1] * uy[r]
+        if den_q == 0.0:  # den_p of the same pair is exactly -den_q
+            raise StiffStep(f"pair stationarity system singular at y={y!r}")
+        q.append((vy[r] * uu[r + 1] - vy[r + 1] * uu[r]) / den_q)
+    den_p = uy[0] * uu[1] - uy[1] * uu[0]
+    P = (vy[0] * uy[1] - vy[1] * uy[0]) / den_p
+    Qy = (q[1] - q[2]) / (2 * h)
+    Q1 = (q[3] - q[4]) / (2 * h)
+    Q2 = (q[5] - q[6]) / (2 * h)
+    u1, u2 = uu[0], uu[1]
+    if u1 * f1 == 0.0:
+        raise StiffStep(f"lower pair bound on the pivot curve at y={y!r}")
+    k = (u2 * f2) / (u1 * f1)  # chi1' = k * chi2'; k < 0 on valid arcs
+    den = Q1 * k + Q2
+    if den == 0.0:
+        raise StiffStep(f"pair derivative system singular at y={y!r}")
+    d2 = (P - Qy) / den
+    out = [k * d2, d2, P]
+    if not all(math.isfinite(v) for v in out):
+        raise StiffStep(f"pair system not finite at y={y!r}")
+    return out
+
+
 def _rho(problem: Problem, y, c1, c2) -> float:
     u1 = float(problem.u(np.array([y]), np.array([c1]))[0])
     u2 = float(problem.u(np.array([y]), np.array([c2]))[0])
@@ -124,23 +169,10 @@ def solve_nad(
     span = hi - lo
     stop_gap = collision_frac * span
 
+    h = 1e-6 * span
+
     def rhs(y, state):
-        c1, c2, q = state
-        u1 = float(problem.u(np.array([y]), np.array([c1]))[0])
-        u2 = float(problem.u(np.array([y]), np.array([c2]))[0])
-        f1 = float(prior_density(np.array([c1]))[0])
-        f2 = float(prior_density(np.array([c2]))[0])
-        _, P = _q_pair(problem, y, c1, c2)
-        h1 = 1e-6 * span
-        Qy = (_q_pair(problem, y + h1, c1, c2)[0] - _q_pair(problem, y - h1, c1, c2)[0]) / (2 * h1)
-        Q1 = (_q_pair(problem, y, c1 + h1, c2)[0] - _q_pair(problem, y, c1 - h1, c2)[0]) / (2 * h1)
-        Q2 = (_q_pair(problem, y, c1, c2 + h1)[0] - _q_pair(problem, y, c1, c2 - h1)[0]) / (2 * h1)
-        k = (u2 * f2) / (u1 * f1)  # chi1' = k * chi2'; k < 0 on valid arcs
-        den = Q1 * k + Q2
-        if den == 0.0:
-            raise StiffStep(f"pair derivative system singular at y={y!r}")
-        d2 = (P - Qy) / den
-        return [k * d2, d2, P]
+        return _pair_rhs(problem, prior_density, h, y, state)
 
     stop_gap_holder = [stop_gap]
 
@@ -239,8 +271,6 @@ def solve_nad(
 
     g_lo, g_hi = problem.actions.lo, problem.actions.hi
     try:
-        from .model import Posterior, gamma
-
         keep = np.nonzero(problem.prior > 0)[0]
         pooled = gamma(problem, Posterior(tuple(int(i) for i in keep), problem.prior[keep]))
         top = gamma(problem, Posterior.degenerate(int(keep[-1])))
@@ -378,12 +408,7 @@ def nad_outcome(problem: Problem, nad: NadSolution, prior_cdf: Callable) -> Outc
     total = mass.sum()
     if total > 0:
         mass /= total
-    from .model import outcome_from_mass
-
-    try:
-        return outcome_from_mass(problem, mass)
-    except Exception:
-        return Outcome(mass=mass, marginal_residual=float("nan"), obedience_residual=float("nan"))
+    return outcome_from_mass(problem, mass)
 
 
 def verify_against_lp(

@@ -267,8 +267,10 @@ def _num_dz(f, h=1e-6):
 
 
 def _sech2(z):
-    c = np.cosh(z)
-    return 1.0 / (c * c)
+    """sech(z)^2, exactly 0 where cosh(z)^2 overflows."""
+    with np.errstate(over="ignore"):
+        c = np.cosh(z)
+        return 1.0 / (c * c)
 
 
 def _translation_receiver(grid_n, actions_n, V="linear"):

@@ -57,7 +57,14 @@ def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
     x1 < x2 < x3 with x1 < chi(y) < x3.
 
     Scans lexicographically in (y, x1, x2, x3); the first zero or
-    sign-conflicting determinant is returned as the witness.
+    sign-conflicting determinant is returned as the witness.  A determinant
+    counts as zero when its magnitude is within ``zero_tol`` times the largest
+    magnitude seen so far, the current (y, x1) block included.
+
+    For each action the valid (x2, x3) index pairs of x1 = xs[0] are listed
+    once, in lexicographic order; those of x1 = xs[i] are the suffix from
+    x2 = xs[i + 1].  Each (y, x1) block is reduced to its minimum and maximum,
+    and only a failing block is searched for its witness.
     """
     ys = problem.actions.points
     xs = problem.states.points
@@ -73,42 +80,35 @@ def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
             pivot = chi(problem, float(y))
         except NoRoot:
             continue
-        lows = np.nonzero(xs < pivot)[0]
-        if lows.size == 0 or not np.any(xs > pivot):
+        n_low = int(np.count_nonzero(xs < pivot))
+        kh = int(np.searchsorted(xs, pivot, side="right"))  # first state above chi(y)
+        if n_low == 0 or kh == nx:
             continue
         M = b[:, None] * c[None, :] - b[None, :] * c[:, None]
-        for i in lows:
-            js = np.arange(i + 1, nx - 1)
-            if js.size == 0:
+        # pairs j < k with k >= kh, for j = 1 .. nx - 2
+        k_first = np.maximum(kh, np.arange(2, nx))
+        counts = nx - k_first
+        start = np.concatenate([[0], np.cumsum(counts)])  # pairs of j begin at start[j - 1]
+        J = np.repeat(np.arange(1, nx - 1), counts)
+        K = np.arange(start[-1]) - np.repeat(start[:-1] - k_first, counts)
+        MJK, aJ, aK = M[J, K], a[J], a[K]
+        for i in range(n_low):
+            s = start[i]
+            if s == start[-1]:
                 continue
-            ks_all = np.arange(i + 2, nx)
-            high_ok = xs[ks_all] > pivot
-            if not np.any(high_ok):
-                continue
-            # dets[jj, kk] for x2 = xs[js[jj]], x3 = xs[ks_all[kk]]
-            dets = (
-                a[i] * M[np.ix_(js, ks_all)]
-                - a[js][:, None] * M[i, ks_all][None, :]
-                + a[ks_all][None, :] * M[i, js][:, None]
-            )
-            valid = (js[:, None] < ks_all[None, :]) & high_ok[None, :]
-            if not np.any(valid):
-                continue
-            scale = max(scale, float(np.max(np.abs(dets[valid]))))
+            Mi = M[i]
+            # det(i, j, k) = a[i] M[j, k] - a[j] M[i, k] + a[k] M[i, j]
+            d = a[i] * MJK[s:] - aJ[s:] * Mi[K[s:]] + aK[s:] * Mi[J[s:]]
+            lo, hi = float(d.min()), float(d.max())
+            scale = max(scale, abs(lo), abs(hi))
             tol = zero_tol * scale
-            signs = np.where(dets > tol, 1, np.where(dets < -tol, -1, 0))
-            bad = valid & ((signs == 0) | ((signs != sign_seen) & (sign_seen != 0)))
-            if sign_seen == 0:
-                first = signs[valid][0] if np.any(valid) else 0
-                if first == 0:
-                    bad = valid & (signs == 0)
-                else:
-                    sign_seen = int(first)
-                    bad = valid & (signs != sign_seen)
-            if np.any(bad):
-                jj, kk = np.argwhere(bad)[0]
-                witness = (float(y), float(xs[i]), float(xs[js[jj]]), float(xs[ks_all[kk]]))
-                return TwistReport("fails", witness)
+            if sign_seen == 0:  # the first triple (i, i + 1, max(kh, i + 2)) sets the sign
+                sign_seen = 1 if d[0] > tol else -1 if d[0] < -tol else 0
+            if sign_seen > 0 and lo > tol or sign_seen < 0 and hi < -tol:
+                continue
+            on_sign = d > tol if sign_seen > 0 else d < -tol
+            n = s + int(np.argmin(on_sign))  # first triple off the sign
+            return TwistReport("fails", (float(y), float(xs[i]), float(xs[J[n]]), float(xs[K[n]])))
     if sign_seen > 0:
         return TwistReport("holds_positive")
     if sign_seen < 0:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from optrans.errors import StiffStep
 from optrans.lp import build_lp, solve_primal
-from optrans.nad import nad_outcome, solve_nad, verify_against_lp
+from optrans.nad import _pair_rhs, _q_pair, nad_outcome, solve_nad, verify_against_lp
 from optrans.presets import preset
 
 E = float(np.e)
@@ -70,6 +71,62 @@ class TestPairingSolver:
         out = nad_outcome(problem, sol, meta.prior_cdf)
         assert out.mass.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(out.mass.sum(axis=0) - problem.prior)) < 5e-2
+
+
+def seven_pair_rhs(problem, density, h, y, state):
+    """The pairing right-hand side from seven separate two-point solves."""
+    c1, c2, _ = state
+    u1 = float(problem.u(np.array([y]), np.array([c1]))[0])
+    u2 = float(problem.u(np.array([y]), np.array([c2]))[0])
+    f1 = float(density(np.array([c1]))[0])
+    f2 = float(density(np.array([c2]))[0])
+    _, P = _q_pair(problem, y, c1, c2)
+    Qy = (_q_pair(problem, y + h, c1, c2)[0] - _q_pair(problem, y - h, c1, c2)[0]) / (2 * h)
+    Q1 = (_q_pair(problem, y, c1 + h, c2)[0] - _q_pair(problem, y, c1 - h, c2)[0]) / (2 * h)
+    Q2 = (_q_pair(problem, y, c1, c2 + h)[0] - _q_pair(problem, y, c1, c2 - h)[0]) / (2 * h)
+    k = (u2 * f2) / (u1 * f1)
+    d2 = (P - Qy) / (Q1 * k + Q2)
+    return [k * d2, d2, P]
+
+
+class TestPairRhs:
+    def test_matches_seven_pair_solves_bitwise(self, c1_nad):
+        problem, meta, sol = c1_nad
+        h = 1e-6 * problem.states.span
+        rng = np.random.default_rng(11)
+        nodes = sol.nodes
+        gap = nodes["chi2"] - nodes["chi1"]
+        for idx in rng.choice(np.nonzero(gap > 1e-2)[0], size=40, replace=False):
+            y = nodes["y"][idx] + rng.uniform(-1e-3, 1e-3)
+            c1, c2 = nodes["chi1"][idx] + rng.uniform(-1e-3, 1e-3, size=2) * [1, -1]
+            state = np.array([c1, c2, nodes["q"][idx]])
+            got = _pair_rhs(problem, meta.prior_density, h, y, state)
+            want = seven_pair_rhs(problem, meta.prior_density, h, y, state)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_three_evaluator_calls_per_evaluation(self):
+        problem, meta = preset("example_c1", grid_n=21)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("V", "u", "V_y", "V_yx", "u_y", "u_x", "u_yx"):
+            setattr(problem, name, counted(name, getattr(problem, name)))
+        _pair_rhs(problem, meta.prior_density, 1e-6, 1.2, np.array([0.5, 2.0, 0.0]))
+        assert sorted(calls) == ["V_y", "u", "u_y"]
+
+    def test_singular_stationarity_raises_typed_error(self):
+        # u_y proportional to u makes every two-point system singular
+        problem, meta = preset("example_c1", grid_n=21)
+        problem.u_y = lambda y, x: 2.0 * problem.u(y, x)
+        with np.errstate(all="raise"):
+            with pytest.raises(StiffStep):
+                _pair_rhs(problem, meta.prior_density, 1e-6, 1.2, np.array([0.5, 2.0, 0.0]))
 
 
 class TestQuantileRoute:

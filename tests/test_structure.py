@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optrans import Posterior, Problem, gamma, uniform
-from optrans.errors import IllPosed, NotStrictlyDipped
+from optrans.errors import IllPosed, NoRoot, NotStrictlyDipped
 from optrans.lp import build_lp, contact_set, solve_dual, solve_primal
-from optrans.presets import preset
+from optrans.model import chi
+from optrans.presets import preset, preset_ids
 from optrans.structure import (
+    TwistReport,
     check_full_disclosure,
     check_nad_condition,
     check_sdpd_sufficient,
@@ -81,6 +85,111 @@ class TestCheckTwist:
         assert rep.witness is not None
         y, x1, x2, x3 = rep.witness
         assert x1 < x2 < x3
+
+
+def brute_force_twist(problem, zero_tol=1e-12):
+    """check_twist's verdict from scalar twist_determinant on every triple:
+    per (y, x1) block the running scale takes the block's largest |det|, the
+    first valid triple fixes the sign, and the first triple off that sign
+    (zero within the tolerance included) is the witness."""
+    xs = problem.states.points
+    sign_seen, scale = 0, 1.0
+    for y in problem.actions.points:
+        try:
+            pivot = chi(problem, float(y))
+        except NoRoot:
+            continue
+        for i in np.nonzero(xs < pivot)[0]:
+            block = [
+                ((j, k), twist_determinant(problem, y, xs[i], xs[j], xs[k]))
+                for j in range(i + 1, xs.size)
+                for k in range(j + 1, xs.size)
+                if xs[k] > pivot
+            ]
+            if not block:
+                continue
+            scale = max(scale, max(abs(d) for _, d in block))
+            tol = zero_tol * scale
+            for (j, k), d in block:
+                sign = 1 if d > tol else -1 if d < -tol else 0
+                if sign_seen == 0:
+                    sign_seen = sign
+                if sign == 0 or sign != sign_seen:
+                    return TwistReport("fails", (float(y), float(xs[i]), float(xs[j]), float(xs[k])))
+    if sign_seen == 0:
+        return TwistReport("fails", None)
+    return TwistReport("holds_positive" if sign_seen > 0 else "holds_negative")
+
+
+@st.composite
+def smooth_problems(draw):
+    """Small grids with random smooth V and u; u = (p(x) - y) r(y) has one
+    root in x per action where p crosses y.  Where p is flat (slope 0) the
+    states there share one (V_y, u, u_y) column, so triples with two of them
+    have exact zero determinants; a slope of 1e-3 makes those determinants
+    merely small, and a large magnitude of V_y puts them between the zero
+    tolerance of the running scale and that of the block's own scale."""
+    nx = draw(st.integers(3, 9))
+    ny = draw(st.integers(2, 6))
+    coef = st.floats(-1.0, 1.0)
+    e1, w1, f1 = draw(coef), draw(st.floats(0.0, 6.0)), draw(coef)
+    e1 *= 0.9 / max(w1, 1.0)  # keeps p strictly increasing
+    if draw(st.booleans()):
+        e1 = 0.0  # p(x) = x: some actions land exactly on a state
+    flat_at = draw(st.sampled_from([None, 0.0, 0.3, 0.55]))
+    flat_width = draw(st.sampled_from([0.2, 0.4]))
+    flat_slope = draw(st.sampled_from([0.0, 1e-3]))
+    e2, w2 = 0.5 * draw(coef), draw(st.floats(0.0, 5.0))
+    A, B, w3, w4 = (draw(coef) for _ in range(4))
+    C = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.0))
+    # a quadratic in p gives Vandermonde dets of the sign of its leading
+    # coefficient C + C1 y, which may change between actions; the sine term,
+    # at a drawn size, flips signs within an action
+    C1 = draw(st.sampled_from([0.0, 2.0])) * draw(coef)
+    D = draw(st.sampled_from([0.0, 0.01, 0.1, 1.0])) * draw(coef)
+    wp = draw(st.sampled_from([3.0, 10.0])) * w4
+    mag = draw(st.sampled_from([1.0, 1e6]))
+
+    def p(x):
+        v = x + e1 * np.sin(w1 * x + f1)
+        if flat_at is None:
+            return v
+        return v - (1.0 - flat_slope) * np.clip(v - flat_at, 0.0, flat_width)
+
+    def V(y, x):
+        quad = y * (A + B * p(x)) + (C * y + 0.5 * C1 * y**2) * p(x) ** 2
+        return mag * (quad + D * np.sin(3.0 * w3 * y + wp * p(x)))
+
+    def V_y(y, x):
+        quad = A + B * p(x) + (C + C1 * y) * p(x) ** 2
+        return mag * (quad + 3.0 * w3 * D * np.cos(3.0 * w3 * y + wp * p(x)))
+
+    def u(y, x):
+        return (p(x) - y) * (1.0 + e2 * np.sin(w2 * y))
+
+    actions = (0.0, 1.0) if draw(st.booleans()) else (0.05, 0.95)
+    problem = Problem(
+        states=uniform(0.0, 1.0, nx),
+        actions=uniform(*actions, ny, "action"),
+        prior=np.full(nx, 1.0 / nx),
+        V=V,
+        V_y=V_y,
+        u=u,
+    )
+    return problem, draw(st.sampled_from([1e-12, 1e-6, 1e-2]))
+
+
+class TestTwistSweepAgainstBruteForce:
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_presets(self, pid):
+        pb, _ = preset(pid, grid_n=21)
+        assert check_twist(pb) == brute_force_twist(pb)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(smooth_problems())
+    def test_random_smooth_problems(self, case):
+        pb, zero_tol = case
+        assert check_twist(pb, zero_tol=zero_tol) == brute_force_twist(pb, zero_tol)
 
 
 class TestPairwiseSplit:
