@@ -49,18 +49,11 @@ class RunConfig:
     params: Optional[str] = None
     grid_n: Optional[str] = None
     out: str = "."
-    format: str = "json"
-    tol_lp: Optional[float] = None
     tol_contact: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.format not in ("json", "csv"):
-            raise ParseError(f"unknown format {self.format!r}", field="format")
-        for name in ("tol_lp", "tol_contact"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ParseError(f"{name} must be positive", field=name)
+        if self.tol_contact is not None and not self.tol_contact > 0:
+            raise ParseError("tol_contact must be positive", field="tol_contact")
         if self.grid_n is not None:
             try:
                 parts = [int(p) for p in str(self.grid_n).split(",")]
@@ -259,10 +252,7 @@ def _config_record(cfg: RunConfig) -> dict:
         "spec": cfg.spec,
         "params": cfg.params,
         "grid_n": cfg.grid_n,
-        "seed": cfg.seed,
-        "tol_lp": cfg.tol_lp,
         "tol_contact": cfg.tol_contact,
-        "format": cfg.format,
     }
 
 
@@ -425,10 +415,7 @@ def main(argv=None) -> int:
     parser.add_argument("--spec", default=None, help="JSON problem spec file")
     parser.add_argument("--grid-n", dest="grid_n", default=None, help="N or N,M grid sizes")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--tol-lp", dest="tol_lp", type=float, default=None)
     parser.add_argument("--tol-contact", dest="tol_contact", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     handlers = {
@@ -446,10 +433,7 @@ def main(argv=None) -> int:
             params=args.params,
             grid_n=args.grid_n,
             out=args.out,
-            format=args.format,
-            tol_lp=args.tol_lp,
             tol_contact=args.tol_contact,
-            seed=args.seed,
         )
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)

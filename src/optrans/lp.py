@@ -142,10 +142,7 @@ def build_lp(problem: Problem, *, size_limit: int = DEFAULT_SIZE_LIMIT) -> LPIns
     c = Vmat[iy, ix].astype(float)
 
     if problem.obedience == "inequality":
-        constrained = np.ones(ny, dtype=bool)
-        if not problem.constrain_bottom_row:
-            constrained[0] = False
-        slack_rows = np.nonzero(constrained)[0]
+        slack_rows = np.nonzero(problem.constrained_rows())[0]
         s_cols = k + np.arange(slack_rows.size)
         rows = np.concatenate([rows, nx + slack_rows])
         cols = np.concatenate([cols, s_cols])
@@ -273,14 +270,12 @@ def solve_dual(lp: LPInstance, primal: Optional[Outcome] = None, *, policy: Opti
     q = -res.duals[nx:].copy()
 
     mask = lp.problem.forbidden_mask()
+    constrained = lp.problem.constrained_rows()
 
     def feas_residual(qv):
         slack = p[None, :] - lp.Vmat - qv[:, None] * lp.Umat
         if mask is not None:
             slack = np.where(mask, np.inf, slack)
-        constrained = np.ones(ny, dtype=bool)
-        if lp.problem.obedience == "inequality" and not lp.problem.constrain_bottom_row:
-            constrained[0] = False
         return float(np.min(slack[constrained]))
 
     primal_obj = float(res.objective)
@@ -304,9 +299,6 @@ def solve_dual(lp: LPInstance, primal: Optional[Outcome] = None, *, policy: Opti
             )
 
     qd = _contact_q_derivative(lp, primal, q)
-    constrained = np.ones(ny, dtype=bool)
-    if lp.problem.obedience == "inequality" and not lp.problem.constrain_bottom_row:
-        constrained[0] = False
     q_row = np.full(ny, np.nan)
     probe = lp.problem.u_y(
         np.full(2, 0.5 * (lp.problem.actions.lo + lp.problem.actions.hi)),

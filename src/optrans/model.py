@@ -222,6 +222,15 @@ class Problem:
         """(Y, X) meshgrid with actions as rows and states as columns."""
         return np.meshgrid(self.actions.points, self.states.points, indexing="ij")
 
+    def constrained_rows(self) -> np.ndarray:
+        """Mask of the action rows whose obedience constraint binds: all of
+        them, except the bottom row under inequality obedience when that row
+        is left free."""
+        rows = np.ones(self.n_actions, dtype=bool)
+        if self.obedience == "inequality" and not self.constrain_bottom_row:
+            rows[0] = False
+        return rows
+
     def forbidden_mask(self) -> Optional[np.ndarray]:
         if self.forbidden is None:
             return None
@@ -498,9 +507,7 @@ def outcome_from_mass(problem: Problem, mass: np.ndarray) -> Outcome:
     if problem.obedience == "equality":
         obed = float(np.max(np.abs(row_dot)))
     else:
-        viol = np.maximum(0.0, -row_dot)
-        if not problem.constrain_bottom_row:
-            viol[0] = 0.0
+        viol = np.where(problem.constrained_rows(), np.maximum(0.0, -row_dot), 0.0)
         obed = float(np.max(viol))
     return Outcome(mass=mass, marginal_residual=marg, obedience_residual=obed)
 

@@ -7,14 +7,23 @@ uncovered keep their artificial variables, so phase 1 runs over those rows
 only.  Without a usable proposal every row starts artificial.  The basis is
 sliced from A (extended by the identity for artificials), factored as a
 sparse LU (SuperLU) every ``REFACTOR_EVERY`` pivots, and patched with
-product-form eta updates in between.  Pivot selection is Dantzig by default;
-Bland's rule is available as a policy and kicks in automatically after a run
-of degenerate pivots, which makes the method anti-cycling.  All tie-breaks
-are deterministic, so identical inputs give identical bases.
+product-form eta updates in between.
+
+Pivot selection is Dantzig over a candidate list (multiple pricing): a full
+pricing pass over every column keeps the ``PRICE_LIST`` columns of largest
+reduced cost, and the following minor iterations price only those against
+the current duals, entering the best.  The list is refilled by a new full
+pass once its best reduced cost is no longer positive or after
+``PRICE_MINOR`` minor iterations; only a full pass declares optimality.
+Bland's rule, with full pricing on every iteration, is available as a policy
+and kicks in automatically after a run of degenerate pivots, which makes the
+method anti-cycling.  All tie-breaks are deterministic, so identical inputs
+give identical bases.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +36,10 @@ from .errors import Infeasible, OptransError, Unbounded
 PIVOT_TOL = 1e-10
 REFACTOR_EVERY = 16
 STALL_LIMIT = 400
+PRICE_LIST = 384  # candidate columns kept by a full pricing pass
+PRICE_MINOR = 8  # minor iterations on one list before a full pass refills it
+
+logger = logging.getLogger("optrans.simplex")
 
 
 @dataclass
@@ -59,6 +72,34 @@ def _btran(lu, etas, v):
         rest = d @ w - d[r] * w[r]
         w[r] = (w[r] - rest) / d[r]
     return lu.solve(w, trans="T")
+
+
+def _padded_columns(A: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and values of each column of A as (width, n) arrays,
+    padded with (row 0, 0.0) up to the widest column, so the dot products of
+    a few columns with y are one gather and ``width`` vector adds."""
+    counts = np.diff(A.indptr)
+    width = int(counts.max())
+    rows = np.zeros((width, A.shape[1]), dtype=np.intp)
+    vals = np.zeros((width, A.shape[1]))
+    col = np.repeat(np.arange(A.shape[1]), counts)
+    slot = np.arange(A.nnz) - np.repeat(A.indptr[:-1], counts)
+    rows[slot, col] = A.indices
+    vals[slot, col] = A.data
+    return rows, vals
+
+
+def _shortlist(rc: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the ``PRICE_LIST`` largest reduced costs above tol, ties
+    at the cut going to the lower index; returned in increasing order."""
+    pos = np.nonzero(rc > tol)[0]
+    if pos.size <= PRICE_LIST:
+        return pos
+    vals = rc[pos]
+    cut = np.partition(vals, pos.size - PRICE_LIST)[pos.size - PRICE_LIST]
+    keep = vals > cut
+    keep[np.nonzero(vals == cut)[0][: PRICE_LIST - int(keep.sum())]] = True
+    return pos[keep]
 
 
 def solve_standard_form(
@@ -101,6 +142,8 @@ def solve_standard_form(
     c1 = np.concatenate([np.zeros(n), -np.ones(m)])
     if st.objective(c1) < 0.0:  # some artificial still carries mass
         st.run(c1, phase=1)
+    else:
+        logger.debug("phase 1: skipped, the start basis is feasible")
     art_sum = -st.objective(c1)
     if art_sum > tol:
         raise Infeasible(f"phase-1 residual {art_sum:.3e}")
@@ -131,9 +174,9 @@ def solve_standard_form(
 class _State:
     def __init__(self, A, b, policy, pivot_tol, max_iter):
         m, n = A.shape
-        self.A = A
-        self.AT = sp.csr_matrix(A.T)
         self.A_ext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
+        self.AT_ext = sp.csr_matrix(self.A_ext.T)
+        self.col_rows, self.col_vals = _padded_columns(self.A_ext)
         self.b0 = b
         self.n = n
         self.m0 = m
@@ -141,6 +184,7 @@ class _State:
         self.pivot_tol = pivot_tol
         self.max_iter = max_iter
         self.iterations = 0
+        self.refactors = 0
         self.live_mask = np.ones(m, dtype=bool)
         self.basis = np.arange(n, n + m)  # column j >= n is the artificial e_{j-n}
         self.refactor()
@@ -151,11 +195,8 @@ class _State:
 
     def _column(self, j: int) -> np.ndarray:
         col = np.zeros(self.m0)
-        if j < self.n:
-            sl = slice(self.A.indptr[j], self.A.indptr[j + 1])
-            col[self.A.indices[sl]] = self.A.data[sl]
-        else:
-            col[j - self.n] = 1.0
+        sl = slice(self.A_ext.indptr[j], self.A_ext.indptr[j + 1])
+        col[self.A_ext.indices[sl]] = self.A_ext.data[sl]
         return col[self.live_mask]
 
     def _factor(self, basis):
@@ -169,6 +210,7 @@ class _State:
             self.lu = self._factor(self.basis)
         except RuntimeError as exc:  # SuperLU: exactly singular factor
             raise OptransError(f"simplex basis lost rank: {exc}") from exc
+        self.refactors += 1
         self.etas = []
         self.xB = np.maximum(self.lu.solve(self.b0[self.live_rows]), 0.0)
 
@@ -205,27 +247,49 @@ class _State:
 
     def run(self, c_full, phase: int):
         self.refactor()
-        n, tol = self.n, self.pivot_tol
+        tol = self.pivot_tol
+        iterations0, refactors0 = self.iterations, self.refactors - 1
+        passes = 0
         stall = 0
+        bland_fired = False
+        minor = PRICE_MINOR  # no candidate list yet: the first pass fills one
         while True:
             if self.iterations >= self.max_iter:
                 raise OptransError(f"simplex iteration cap {self.max_iter} hit")
             y_full = np.zeros(self.m0)
             y_full[self.live_rows] = self.duals(c_full)
-            rc = c_full[:n] - self.AT @ y_full
-            art = self.basis >= n
-            rc[self.basis[~art]] = -np.inf
-            if phase == 1:
-                rc_art = c_full[n:] - y_full
-                rc_art[self.basis[art] - n] = -np.inf
-                rc_art[~self.live_mask] = -np.inf
-            else:
-                rc_art = None
 
-            use_bland = self.policy == "bland" or stall > STALL_LIMIT
-            j = self._entering(rc, rc_art, tol, use_bland)
-            if j is None:
-                return
+            if self.policy == "bland" or stall > STALL_LIMIT:
+                bland_fired |= self.policy != "bland"
+                minor = PRICE_MINOR  # the list went stale: refill it afterwards
+                passes += 1
+                pos = np.nonzero(self._price_all(c_full, y_full, phase) > tol)[0]
+                if pos.size == 0:
+                    break
+                j = int(pos[0])
+                use_bland = True
+            else:
+                k = -1
+                if minor < PRICE_MINOR:
+                    rc = c_listed - np.sum(vals_listed * y_full[rows_listed], axis=0)
+                    k = int(np.argmax(rc))
+                    if rc[k] <= tol:
+                        k = -1
+                if k < 0:
+                    passes += 1
+                    rc = self._price_all(c_full, y_full, phase)
+                    listed, minor = _shortlist(rc, tol), 0  # candidates, by index
+                    if listed.size == 0:
+                        break
+                    c_listed = c_full[listed]
+                    rows_listed = self.col_rows[:, listed]
+                    vals_listed = self.col_vals[:, listed]
+                    k = int(np.argmax(rc[listed]))
+                j = int(listed[k])
+                c_listed[k] = -np.inf  # basic from now on: never priced again
+                minor += 1
+                use_bland = False
+
             d = _ftran(self.lu, self.etas, self._column(j))
             r = self._leaving(d, use_bland)
             if r is None:
@@ -233,27 +297,25 @@ class _State:
             theta = self._pivot(r, j, d)
             stall = stall + 1 if theta <= 1e-13 else 0
             self.iterations += 1
+        logger.debug(
+            "phase %d: %d iterations, %d full pricing passes, %d refactors, bland switch %s",
+            phase,
+            self.iterations - iterations0,
+            passes,
+            self.refactors - refactors0,
+            "fired" if bland_fired else "not fired",
+        )
 
-    def _entering(self, rc, rc_art, tol, use_bland) -> Optional[int]:
-        if use_bland:
-            pos = np.nonzero(rc > tol)[0]
-            if pos.size:
-                return int(pos[0])
-            if rc_art is not None:
-                pos = np.nonzero(rc_art > tol)[0]
-                if pos.size:
-                    return int(self.n + pos[0])
-            return None
-        best_j = None
-        best_v = tol
-        j = int(np.argmax(rc))
-        if rc[j] > best_v:
-            best_j, best_v = j, rc[j]
-        if rc_art is not None:
-            ja = int(np.argmax(rc_art))
-            if rc_art[ja] > best_v:
-                best_j = self.n + ja
-        return best_j
+    def _price_all(self, c_full, y_full, phase: int) -> np.ndarray:
+        """Reduced costs of every column, artificials included; -inf on basic
+        columns and on artificials that may not enter (all in phase 2)."""
+        rc = c_full - self.AT_ext @ y_full
+        if phase == 1:
+            rc[self.n :][~self.live_mask] = -np.inf
+        else:
+            rc[self.n :] = -np.inf
+        rc[self.basis] = -np.inf
+        return rc
 
     def _leaving(self, d, use_bland) -> Optional[int]:
         cand = np.nonzero(d > self.pivot_tol)[0]
@@ -281,7 +343,7 @@ class _State:
             row = _btran(self.lu, self.etas, e)  # row i of the basis inverse
             row_full = np.zeros(self.m0)
             row_full[self.live_rows] = row
-            coef = self.A.T @ row_full  # row i of B^{-1} A over original columns
+            coef = (self.AT_ext @ row_full)[:n]  # row i of B^{-1} A over original columns
             basic_orig = self.basis[self.basis < n]
             coef[basic_orig] = 0.0
             jbest = int(np.argmax(np.abs(coef)))

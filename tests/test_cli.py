@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +186,25 @@ class TestCommands:
             assert rc == 0
         for name in ("outcome.csv", "prices.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_simplex_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
+        argv = ["solve", "--preset", "contest", "--grid-n", "31", "--out"]
+        assert main(argv + [str(tmp_path / "quiet")]) == 0
+        with caplog.at_level(logging.DEBUG, logger="optrans.simplex"):
+            assert main(argv + [str(tmp_path / "debug")]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "optrans.simplex"]
+        assert any(line.startswith("phase 1: ") for line in lines)
+        assert any(
+            re.fullmatch(
+                r"phase 2: \d+ iterations, \d+ full pricing passes, \d+ refactors, "
+                r"bland switch (not )?fired",
+                line,
+            )
+            for line in lines
+        )
+        for name in ("outcome.csv", "prices.csv", "summary.json"):
+            quiet = (tmp_path / "quiet" / name).read_bytes()
+            assert quiet == (tmp_path / "debug" / name).read_bytes(), name
 
     def test_csv_roundtrip_is_lossless(self, tmp_path):
         main(["solve", "--preset", "example_c1", "--grid-n", "21", "--out", str(tmp_path)])

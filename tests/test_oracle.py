@@ -45,6 +45,13 @@ def test_presets_match_highs(pid):
     check_against_highs(build_lp(preset(pid, grid_n=21)[0]))
 
 
+@pytest.mark.parametrize("pid", preset_ids())
+def test_presets_match_highs_at_n41(pid):
+    # about 1,700 columns, so a full pricing pass finds more attractive
+    # columns than the simplex's candidate list holds
+    check_against_highs(build_lp(preset(pid, grid_n=41)[0]))
+
+
 def table_problem(V, U, prior, **kw):
     ny, nx = U.shape
     states, actions = np.arange(nx, dtype=float), np.arange(ny, dtype=float)

@@ -1,8 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from optrans import simplex
 from optrans.errors import Infeasible, OptransError, Unbounded
+from optrans.lp import build_lp
+from optrans.presets import preset
 from optrans.simplex import solve_standard_form
 
 
@@ -109,3 +114,64 @@ class TestStartBasis:
             solve_standard_form(self.A, self.b, self.c, start=np.array([0, 3]))
         with pytest.raises(OptransError):
             solve_standard_form(self.A, self.b, self.c, start=np.array([0]))
+
+
+def bounded_program(rng, m, n, density):
+    """max c'x s.t. A x = b, x >= 0; the first row sums x, so the program is
+    bounded, and b = A x0 for a positive x0, so it is feasible."""
+    A = rng.normal(size=(m - 1, n)) * (rng.random((m - 1, n)) < density)
+    A = np.vstack([np.ones(n), A])
+    return sp.csc_matrix(A), A @ rng.random(n), rng.normal(size=n)
+
+
+class TestCandidateList:
+    def test_shortlist_keeps_largest_and_breaks_ties_by_index(self):
+        k = simplex.PRICE_LIST
+        rc = np.zeros(3 * k)
+        rc[: 2 * k] = 1.0  # 2k tied candidates
+        rc[[5, 2 * k + 1]] = [2.0, 3.0]
+        rc[2 * k + 2] = -1.0
+        keep = simplex._shortlist(rc, 1e-10)
+        assert keep.tolist() == list(range(k - 1)) + [2 * k + 1]
+        few = np.zeros(3 * k)
+        few[[7, 3]] = [1.0, 2.0]
+        assert simplex._shortlist(few, 1e-10).tolist() == [3, 7]
+
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_random_programs_dual_feasible_and_policy_invariant(self, density, monkeypatch):
+        positives = []
+        shortlist = simplex._shortlist
+
+        def spy(rc, tol):
+            positives.append(int(np.count_nonzero(rc > tol)))
+            return shortlist(rc, tol)
+
+        monkeypatch.setattr(simplex, "_shortlist", spy)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            A, b, c = bounded_program(rng, 12, 4 * simplex.PRICE_LIST + 37, density)
+            res = solve_standard_form(A, b, c)
+            scale = max(1.0, abs(res.objective))
+            assert np.max(c - A.T @ res.duals) <= 1e-9
+            assert res.duals @ b == pytest.approx(res.objective, abs=1e-9 * scale)
+            bland = solve_standard_form(A, b, c, policy="bland")
+            assert bland.objective == pytest.approx(res.objective, abs=1e-9 * scale)
+        assert max(positives) > simplex.PRICE_LIST  # the list was truncated
+
+    def test_repeat_solves_are_identical(self):
+        lp = build_lp(preset("example_c1", grid_n=41)[0])
+        first, second = (solve_standard_form(lp.A, lp.b, lp.c) for _ in range(2))
+        assert np.array_equal(first.basis, second.basis)
+        assert first.x.tobytes() == second.x.tobytes()
+        assert first.duals.tobytes() == second.duals.tobytes()
+        assert first.iterations == second.iterations
+
+    def test_bland_switch_leaves_and_rejoins_the_list(self, monkeypatch, caplog):
+        lp = build_lp(preset("example_c3", grid_n=41)[0])
+        plain = solve_standard_form(lp.A, lp.b, lp.c)
+        monkeypatch.setattr(simplex, "STALL_LIMIT", 0)  # switch after one degenerate pivot
+        with caplog.at_level(logging.DEBUG, logger="optrans.simplex"):
+            res = solve_standard_form(lp.A, lp.b, lp.c)
+        assert any(r.getMessage().endswith("bland switch fired") for r in caplog.records)
+        assert res.objective == pytest.approx(plain.objective, abs=1e-12)
+        assert np.max(lp.c - lp.A.T @ res.duals) <= 1e-9
