@@ -27,7 +27,7 @@ from .errors import (
 from .grids import from_points
 from .lp import build_lp, contact_set, solve_dual, solve_primal, verify_complementary_slackness
 from .model import Problem, check_assumptions
-from .presets import Preset, preset, preset_ids
+from .presets import preset, preset_ids
 from .structure import (
     check_full_disclosure,
     check_nad_condition,
@@ -37,6 +37,7 @@ from .structure import (
 )
 
 SCHEMA_VERSION = 1
+CSV_MASS_TOL = 1e-12  # outcome.csv lists the cells carrying more mass than this
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,9 @@ def load_problem(path) -> tuple:
     return pb, None
 
 
-def write_outcome_csv(path, problem, outcome, tol=1e-12):
+def write_outcome_csv(path, problem, outcome):
     lines = ["y,x,mass"]
-    iy, ix = np.nonzero(outcome.mass > tol)
+    iy, ix = np.nonzero(outcome.mass > CSV_MASS_TOL)
     for a, b in zip(iy, ix):
         lines.append(
             f"{_fmt(problem.actions.points[a])},{_fmt(problem.states.points[b])},{_fmt(outcome.mass[a, b])}"

@@ -29,10 +29,6 @@ class DegenerateBasis(OptransError):
     """Basis duals are inconsistent and no fallback recovered them."""
 
 
-class PairwiseRequired(OptransError):
-    """An operation needs posteriors with at most two support states."""
-
-
 class IllPosed(OptransError):
     """Arguments violate a structural precondition (ordering, interiority)."""
 

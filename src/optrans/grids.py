@@ -66,7 +66,7 @@ class Grid:
         half = 0.5 * max(left, right)
         if abs(pts[i] - value) > half + 1e-12 * max(1.0, abs(value)):
             raise GridSnapError(
-                f"{self.kind} value {value!r} is {abs(pts[i]-value):.3e} from the "
+                f"{self.kind} value {float(value)!r} is {abs(pts[i]-value):.3e} from the "
                 f"nearest grid point; half cell is {half:.3e}"
             )
         return i

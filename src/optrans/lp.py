@@ -41,7 +41,6 @@ class LPInstance:
     Umat: np.ndarray
     n_rows: int
     solution: Optional[SimplexResult] = None
-    policy: str = "dantzig"
 
     @property
     def n_vars(self) -> int:
@@ -68,11 +67,9 @@ class LPInstance:
 class PriceSystem:
     p: np.ndarray
     q: np.ndarray  # basis duals: feasible for the no-profit constraints
-    q_derivative: np.ndarray
     feasibility_residual: float
     dual_objective: float
     degenerate: bool = False
-    constrained_rows: Optional[np.ndarray] = None
     # multiplier implied by each mass-carrying row's conditional through the
     # ratio -E[V_y]/E[u_y]; NaN off the support.  This is the value the
     # optimality theory pins on contact rows; the basis dual may differ by a
@@ -187,7 +184,6 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
             f"resolution - refine the action grid or relax forbidden cells"
         ) from exc
     lp.solution = res
-    lp.policy = policy
     ny, nx = lp.problem.n_actions, lp.problem.n_states
     mass = np.zeros((ny, nx))
     mass[lp.col_y, lp.col_x] = res.x[: lp.n_mass]
@@ -253,17 +249,15 @@ def _q_from_row(problem: Problem, outcome: Outcome, iy: int) -> float:
     return float(-num / den)
 
 
-def solve_dual(lp: LPInstance, primal: Optional[Outcome] = None, *, policy: Optional[str] = None) -> PriceSystem:
-    """Prices from the final simplex basis.
+def solve_dual(lp: LPInstance, primal: Outcome) -> PriceSystem:
+    """Prices from the final simplex basis of an LP that ``solve_primal`` has
+    solved, ``primal`` being the outcome it returned.
 
     If the basis duals are degenerate (infeasible beyond tolerance or with a
     duality gap), q is re-derived on mass-carrying rows from the row ratio
-    formula; if that still fails, DegenerateBasis is raised.
+    formula; if that still fails, DegenerateBasis is raised.  ``q_row`` stays
+    NaN everywhere when u_y vanishes (``Problem.u_y_vanishes``).
     """
-    if lp.solution is None or (policy is not None and policy != lp.policy):
-        primal, _ = solve_primal(lp, policy=policy or "dantzig")
-    if primal is None:
-        primal, _ = solve_primal(lp, policy=lp.policy)
     res = lp.solution
     nx, ny = lp.problem.n_states, lp.problem.n_actions
     p = res.duals[:nx].copy()
@@ -298,13 +292,8 @@ def solve_dual(lp: LPInstance, primal: Optional[Outcome] = None, *, policy: Opti
                 f"gap {dual_obj - primal_obj:.3e}"
             )
 
-    qd = _contact_q_derivative(lp, primal, q)
     q_row = np.full(ny, np.nan)
-    probe = lp.problem.u_y(
-        np.full(2, 0.5 * (lp.problem.actions.lo + lp.problem.actions.hi)),
-        np.array([lp.problem.states.lo, lp.problem.states.hi]),
-    )
-    if np.max(np.abs(probe)) > 1e-14:
+    if not lp.problem.u_y_vanishes():
         for iy in primal.support_rows(MASS_TOL):
             val = _q_from_row(lp.problem, primal, int(iy))
             if np.isfinite(val):
@@ -312,48 +301,27 @@ def solve_dual(lp: LPInstance, primal: Optional[Outcome] = None, *, policy: Opti
     return PriceSystem(
         p=p,
         q=q,
-        q_derivative=qd,
         feasibility_residual=resid,
         dual_objective=dual_obj,
         degenerate=degenerate,
-        constrained_rows=constrained,
         q_row=q_row,
     )
-
-
-def _contact_q_derivative(lp: LPInstance, outcome: Outcome, q: np.ndarray) -> np.ndarray:
-    """Finite difference of q across neighboring mass-carrying actions."""
-    ny = lp.problem.n_actions
-    qd = np.full(ny, np.nan)
-    rows = outcome.support_rows(MASS_TOL)
-    if rows.size < 2:
-        return qd
-    ys = lp.problem.actions.points[rows]
-    qs = q[rows]
-    for k, iy in enumerate(rows):
-        lo = max(0, k - 1)
-        hi = min(rows.size - 1, k + 1)
-        if hi == lo:
-            continue
-        qd[iy] = (qs[hi] - qs[lo]) / (ys[hi] - ys[lo])
-    return qd
 
 
 def contact_set(
     problem: Problem,
     prices: PriceSystem,
     *,
+    lp: LPInstance,
     tol: Optional[float] = None,
-    lp: Optional[LPInstance] = None,
 ) -> ContactSet:
     """Cells where the no-profit constraint binds, with per-action posteriors
-    reconstructed from the two-state obedience weights where possible."""
-    if lp is not None:
-        Vmat, Umat = lp.Vmat, lp.Umat
-    else:
-        Y, X = problem.grids_product()
-        Vmat = np.asarray(problem.V(Y, X), dtype=float)
-        Umat = np.asarray(problem.u(Y, X), dtype=float)
+    reconstructed from the two-state obedience weights where possible.
+
+    ``lp`` is the instance the prices came from; its V and u tables are
+    reused.  ``tol`` defaults to 1e-6 times the largest finite |V|.
+    """
+    Vmat, Umat = lp.Vmat, lp.Umat
     scale = max(1.0, float(np.max(np.abs(Vmat[np.isfinite(Vmat)]))))
     if tol is None:
         tol = 1e-6 * scale
@@ -362,8 +330,7 @@ def contact_set(
     if mask is not None:
         slack = np.where(mask, np.inf, slack)
     hit = slack <= tol
-    if prices.constrained_rows is not None:
-        hit[~prices.constrained_rows] = False
+    hit[~problem.constrained_rows()] = False
     iy, ix = np.nonzero(hit)
     pairs = tuple(zip(iy.tolist(), ix.tolist()))
     actions = np.unique(iy)
@@ -394,22 +361,15 @@ def verify_complementary_slackness(
     problem: Problem,
     outcome: Outcome,
     prices: PriceSystem,
-    *,
-    tol_q: float = 5e-2,
-    tol_foc: float = 5e-2,
-    mass_tol: float = MASS_TOL,
 ) -> SlacknessReport:
-    """Checks, on every mass-carrying action row, that (a) q matches the row
-    ratio formula and (b) the per-state stationarity residual
-    V_y + q u_y + q' u vanishes at the row's support states, with q' the
-    local finite difference of q across neighboring support rows."""
+    """Residuals, on every action row carrying more than ``MASS_TOL``, of
+    (a) q against the row ratio formula and (b) the per-state stationarity
+    V_y + q u_y + q' u at the row's support states, with q' the local finite
+    difference of q across neighboring support rows.  Not applicable (no
+    rows, NaN maxima) when u_y vanishes (``Problem.u_y_vanishes``)."""
     ys = problem.actions.points
-    rows = outcome.support_rows(mass_tol)
-    probe = problem.u_y(
-        np.full(3, 0.5 * (problem.actions.lo + problem.actions.hi)),
-        np.linspace(problem.states.lo, problem.states.hi, 3),
-    )
-    if np.max(np.abs(probe)) < 1e-14:
+    rows = outcome.support_rows(MASS_TOL)
+    if problem.u_y_vanishes():
         return SlacknessReport(rows=(), max_q_residual=np.nan, max_foc_residual=np.nan, applicable=False)
 
     entries = []
@@ -427,7 +387,7 @@ def verify_complementary_slackness(
             qd = (prices.q[hi] - prices.q[lo]) / (ys[hi] - ys[lo])
         else:
             qd = 0.0
-        sup = np.nonzero(outcome.mass[iy] > mass_tol)[0]
+        sup = np.nonzero(outcome.mass[iy] > MASS_TOL)[0]
         xs = problem.states.points[sup]
         yv = np.full(xs.shape, ys[iy])
         foc = problem.V_y(yv, xs) + q_here * problem.u_y(yv, xs) + qd * problem.u(yv, xs)

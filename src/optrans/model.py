@@ -27,6 +27,8 @@ BISECT_CAP = 200
 PRIOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 SIGNAL_MASS_TOL = 1e-10
+ASSUMPTION_ZERO_TOL = 1e-9  # |u| below this times max |u| counts as u = 0
+INTERIOR_TOL = 1e-8  # sign slack, relative to max |u|, of the interiority check
 
 
 def _central_y(f: Evaluator, h: float) -> Evaluator:
@@ -68,7 +70,7 @@ class Posterior:
         if np.any(np.diff(idx) == 0):
             raise IllPosed("posterior support indices must be distinct")
         if abs(w.sum() - 1.0) > PRIOR_TOL:
-            raise IllPosed(f"posterior weights sum to {w.sum()!r}, not 1")
+            raise IllPosed(f"posterior weights sum to {float(w.sum())!r}, not 1")
         object.__setattr__(self, "support", tuple(int(i) for i in idx))
         object.__setattr__(self, "weights", w)
 
@@ -160,7 +162,7 @@ class Problem:
         if np.any(self.prior < 0):
             raise IllPosed("prior weights must be nonnegative")
         if abs(self.prior.sum() - 1.0) > PRIOR_TOL:
-            raise IllPosed(f"prior sums to {self.prior.sum()!r}, not 1")
+            raise IllPosed(f"prior sums to {float(self.prior.sum())!r}, not 1")
         if self.tie_break not in ("strict_foc", "sender_favorable"):
             raise IllPosed(f"unknown tie_break {self.tie_break!r}")
         if self.obedience not in ("equality", "inequality"):
@@ -221,6 +223,16 @@ class Problem:
     def grids_product(self):
         """(Y, X) meshgrid with actions as rows and states as columns."""
         return np.meshgrid(self.actions.points, self.states.points, indexing="ij")
+
+    def u_y_vanishes(self) -> bool:
+        """Whether u_y is zero at the mid action on three states spanning the
+        state range (indicator-style receivers, whose obedience rows carry no
+        multiplier information)."""
+        probe = self.u_y(
+            np.full(3, 0.5 * (self.actions.lo + self.actions.hi)),
+            np.linspace(self.states.lo, self.states.hi, 3),
+        )
+        return bool(np.max(np.abs(probe)) < 1e-14)
 
     def constrained_rows(self) -> np.ndarray:
         """Mask of the action rows whose obedience constraint binds: all of
@@ -399,7 +411,7 @@ def indirect_utility(problem: Problem, mu: Posterior) -> float:
     return float(mu.weights @ problem.V(np.full(xs.shape, y), xs))
 
 
-def check_assumptions(problem: Problem, *, zero_tol: float = 1e-9, tol: float = 1e-8) -> AssumptionReport:
+def check_assumptions(problem: Problem) -> AssumptionReport:
     """Grid validation of the standing assumptions.
 
     smooth_ok is the builder's declaration (discontinuous presets set it
@@ -408,6 +420,8 @@ def check_assumptions(problem: Problem, *, zero_tol: float = 1e-9, tol: float = 
     state pair.  ordering_ok wants V_y > 0 and u_x > 0, or a declared
     single-crossing relaxation with at most one sign change per action row.
     interior_ok wants each state's optimal action inside the action range.
+    Tolerances are ``ASSUMPTION_ZERO_TOL`` and ``INTERIOR_TOL``, relative to
+    the largest |u| on the grid.
     """
     Y, X = problem.grids_product()
     U = problem.u(Y, X)
@@ -419,7 +433,7 @@ def check_assumptions(problem: Problem, *, zero_tol: float = 1e-9, tol: float = 
     violations = []
 
     # A2 part 1: u = 0 => u_y < 0.
-    near_zero = np.abs(U) <= zero_tol * uscale
+    near_zero = np.abs(U) <= ASSUMPTION_ZERO_TOL * uscale
     bad1 = near_zero & (Uy >= 0)
     for iy, ix in zip(*np.nonzero(bad1)):
         violations.append(("A2", (float(Y[iy, ix]), float(X[iy, ix])), float(Uy[iy, ix])))
@@ -428,8 +442,8 @@ def check_assumptions(problem: Problem, *, zero_tol: float = 1e-9, tol: float = 
     # side of u_y/u to exceed the max over the positive side.
     for iy in range(problem.n_actions):
         urow, uyrow = U[iy], Uy[iy]
-        neg = urow < -zero_tol * uscale
-        pos = urow > zero_tol * uscale
+        neg = urow < -ASSUMPTION_ZERO_TOL * uscale
+        pos = urow > ASSUMPTION_ZERO_TOL * uscale
         if not (neg.any() and pos.any()):
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -452,7 +466,7 @@ def check_assumptions(problem: Problem, *, zero_tol: float = 1e-9, tol: float = 
         ok = bool(np.min(vy_check) > 0)
         if ok:
             for iy in range(problem.n_actions):
-                signs = np.sign(U[iy][np.abs(U[iy]) > zero_tol * uscale])
+                signs = np.sign(U[iy][np.abs(U[iy]) > ASSUMPTION_ZERO_TOL * uscale])
                 if signs.size and np.count_nonzero(np.diff(signs) != 0) > 1:
                     ok = False
                     break
@@ -471,9 +485,9 @@ def check_assumptions(problem: Problem, *, zero_tol: float = 1e-9, tol: float = 
         lo_row, hi_row = bot, top
     else:
         lo_row, hi_row = top, bot
-    interior_ok = bool(np.min(lo_row) >= -tol * uscale and np.max(hi_row) <= tol * uscale)
+    interior_ok = bool(np.min(lo_row) >= -INTERIOR_TOL * uscale and np.max(hi_row) <= INTERIOR_TOL * uscale)
     if not interior_ok:
-        ix = int(np.argmin(lo_row)) if np.min(lo_row) < -tol * uscale else int(np.argmax(hi_row))
+        ix = int(np.argmin(lo_row)) if np.min(lo_row) < -INTERIOR_TOL * uscale else int(np.argmax(hi_row))
         violations.append(("A3", (float(problem.states.points[ix]),), float(min(np.min(lo_row), -np.max(hi_row)))))
 
     if not problem.smooth:

@@ -32,6 +32,13 @@ from .errors import IllPosed, NoRoot, ShootingFailed, StiffStep
 from .model import Outcome, Posterior, Problem, _bisect, chi, gamma, outcome_from_mass
 
 CDF_CACHE_N = 4097
+RTOL = 1e-8  # RK45 tolerances of every shot
+ATOL = 1e-10
+COLLISION_FRAC = 1e-4  # pair gap, as a share of the state range, that counts as collided
+BRACKET_POINTS = 33  # trial top actions scanned for a veer sign change
+MAX_BISECT = 120  # shots of the first-stage veer bisection
+MAX_REBISECT = 80  # shots of the second-stage re-bisection
+FLAG_FACTOR = 10.0  # action cells of cumulative deviation that flag an LP comparison
 
 
 @dataclass
@@ -41,11 +48,6 @@ class NadSolution:
     nodes: dict  # arrays: y (descending from y_high), chi1, chi2, q, rho
     terminal_residual: float
     route: str = "ode"  # 'ode' | 'quantile'
-
-    def interp(self, key: str, y) -> np.ndarray:
-        ys = self.nodes["y"][::-1]
-        vs = self.nodes[key][::-1]
-        return np.interp(np.asarray(y, dtype=float), ys, vs)
 
 
 @dataclass
@@ -111,7 +113,7 @@ def _pair_rhs(problem: Problem, density, h: float, y, state) -> list:
     for r in range(0, 14, 2):
         den_q = uu[r] * uy[r + 1] - uu[r + 1] * uy[r]
         if den_q == 0.0:  # den_p of the same pair is exactly -den_q
-            raise StiffStep(f"pair stationarity system singular at y={y!r}")
+            raise StiffStep(f"pair stationarity system singular at y={float(y)!r}")
         q.append((vy[r] * uu[r + 1] - vy[r + 1] * uu[r]) / den_q)
     den_p = uy[0] * uu[1] - uy[1] * uu[0]
     P = (vy[0] * uy[1] - vy[1] * uy[0]) / den_p
@@ -120,15 +122,15 @@ def _pair_rhs(problem: Problem, density, h: float, y, state) -> list:
     Q2 = (q[5] - q[6]) / (2 * h)
     u1, u2 = uu[0], uu[1]
     if u1 * f1 == 0.0:
-        raise StiffStep(f"lower pair bound on the pivot curve at y={y!r}")
+        raise StiffStep(f"lower pair bound on the pivot curve at y={float(y)!r}")
     k = (u2 * f2) / (u1 * f1)  # chi1' = k * chi2'; k < 0 on valid arcs
     den = Q1 * k + Q2
     if den == 0.0:
-        raise StiffStep(f"pair derivative system singular at y={y!r}")
+        raise StiffStep(f"pair derivative system singular at y={float(y)!r}")
     d2 = (P - Qy) / den
     out = [k * d2, d2, P]
     if not all(math.isfinite(v) for v in out):
-        raise StiffStep(f"pair system not finite at y={y!r}")
+        raise StiffStep(f"pair system not finite at y={float(y)!r}")
     return out
 
 
@@ -145,11 +147,6 @@ def solve_nad(
     prior_density: Callable,
     *,
     prior_cdf: Optional[Callable] = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    collision_frac: float = 1e-4,
-    bracket_points: int = 33,
-    max_bisect: int = 120,
 ) -> NadSolution:
     """Negative assortative solution by downward integration and shooting.
 
@@ -161,23 +158,30 @@ def solve_nad(
     is recovered from the square-root profile of the gap, and the multiplier
     mismatch against -V_y/u_y at the disclosed state is reported as the
     terminal residual.
+
+    Each shot is an RK45 pass at ``RTOL``/``ATOL``.  The first stage scans
+    ``BRACKET_POINTS`` trial top actions for a veer sign change and bisects
+    it in up to ``MAX_BISECT`` shots, a collision meaning a pair gap of
+    ``COLLISION_FRAC`` of the state range; the second stage re-bisects
+    around the hit in up to ``MAX_REBISECT`` shots at a gap 100 times
+    smaller.  Quantile-style instances take the direct route, through
+    ``prior_cdf`` when given.
     """
     if problem.quantile_kappa is not None:
         return _solve_quantile(problem, prior_density, prior_cdf)
 
     lo, hi = problem.states.lo, problem.states.hi
     span = hi - lo
-    stop_gap = collision_frac * span
+    base_gap = COLLISION_FRAC * span
+    stop_gap = base_gap  # the collide event's gap; the second stage shrinks it
 
     h = 1e-6 * span
 
     def rhs(y, state):
         return _pair_rhs(problem, prior_density, h, y, state)
 
-    stop_gap_holder = [stop_gap]
-
     def collide(y, state):
-        return (state[1] - state[0]) - stop_gap_holder[0]
+        return (state[1] - state[0]) - stop_gap
 
     collide.terminal = True
     collide.direction = -1
@@ -205,8 +209,8 @@ def solve_nad(
             (y_top, y_floor),
             [lo, hi, q0],
             method="RK45",
-            rtol=rtol,
-            atol=atol,
+            rtol=RTOL,
+            atol=ATOL,
             events=[collide, veer_low, veer_high],
             dense_output=dense,
         )
@@ -223,6 +227,23 @@ def solve_nad(
         except NoRoot:
             side = -1
         return side, sol
+
+    def bisect(a, b, shots):
+        """Bisect the veer side on [a, b] (too low at a, too high at b).
+        Returns the top action whose shot collided, or None, with the final
+        bracket and whether all ``shots`` ran without the midpoint settling."""
+        for _ in range(shots):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                return None, a, b, False
+            side, _ = shoot(mid)
+            if side == 0:
+                return mid, a, b, False
+            if side < 0:
+                a = mid
+            else:
+                b = mid
+        return None, a, b, True
 
     def finish(y_top):
         side, sol = shoot(y_top, dense=True)
@@ -278,7 +299,7 @@ def solve_nad(
     except NoRoot:
         pass
     eps = 1e-9 * max(1.0, g_hi - g_lo)
-    grid = np.linspace(g_lo + eps, g_hi - eps, bracket_points)
+    grid = np.linspace(g_lo + eps, g_hi - eps, BRACKET_POINTS)
     curve = []
     bracket = None
     prev = None
@@ -298,27 +319,16 @@ def solve_nad(
             raise ShootingFailed(
                 "no veer sign change over the admissible bracket", residuals=curve
             )
-        a, b = bracket
-        for _ in range(max_bisect):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            side, _sol = shoot(mid)
-            if side == 0:
-                hit = mid
-                break
-            if side < 0:
-                a = mid
-            else:
-                b = mid
+        hit, a, b, _ = bisect(*bracket, MAX_BISECT)
         if hit is None:
             raise StiffStep(
                 f"veer bisection narrowed to [{a!r}, {b!r}] without catching the collision"
             )
     # second stage: shrink the collision gap and re-bisect locally, pinning
-    # the top action two more decades tighter
-    width = max(1e-7 * max(1.0, abs(hit)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-max_bisect))
-    stop_gap_holder[0] = stop_gap / 100.0
+    # the top action two more decades tighter; the first-stage gap comes back
+    # when the re-bisection brackets nothing or runs out of shots
+    width = max(1e-7 * max(1.0, abs(hit)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
+    stop_gap = base_gap / 100.0
     a2, b2 = hit - width, hit + width
     side_a, _ = shoot(a2)
     side_b, _ = shoot(b2)
@@ -327,27 +337,18 @@ def solve_nad(
     elif side_b == 0:
         hit = b2
     elif side_a < 0 and side_b > 0:
-        for _ in range(80):
-            mid = 0.5 * (a2 + b2)
-            if mid == a2 or mid == b2:
-                break
-            side, _sol = shoot(mid)
-            if side == 0:
-                hit = mid
-                break
-            if side < 0:
-                a2 = mid
-            else:
-                b2 = mid
-        else:
-            stop_gap_holder[0] = stop_gap
+        found, _, _, spent = bisect(a2, b2, MAX_REBISECT)
+        if found is not None:
+            hit = found
+        elif spent:
+            stop_gap = base_gap
     else:
-        stop_gap_holder[0] = stop_gap
+        stop_gap = base_gap
     try:
         return finish(hit)
     except StiffStep:
-        if stop_gap_holder[0] != stop_gap:
-            stop_gap_holder[0] = stop_gap
+        if stop_gap != base_gap:
+            stop_gap = base_gap
             return finish(hit)
         raise
 
@@ -416,21 +417,16 @@ def verify_against_lp(
     nad: NadSolution,
     lp_outcome: Outcome,
     *,
-    prior_cdf: Optional[Callable] = None,
-    prior_density: Optional[Callable] = None,
-    flag_factor: float = 10.0,
+    prior_cdf: Callable,
 ) -> LpComparison:
-    """Distance between the pairing solution and an LP outcome.
+    """Distance between the pairing solution and an LP outcome, the pairing
+    projected onto the grids through the prior cdf ``prior_cdf``.
 
     Reports the raw sup difference of grid masses, the sup difference of the
     joint cumulative distributions (robust to neighboring-cell shuffles), and
     the objective gap.  Rows whose cumulative deviation exceeds
-    ``flag_factor`` action cells' worth of the comparison are flagged.
+    ``FLAG_FACTOR`` action cells' worth of the comparison are flagged.
     """
-    if prior_cdf is None:
-        if prior_density is None:
-            raise IllPosed("need prior_cdf or prior_density")
-        prior_cdf = _cdf_from_density(problem, prior_density)
     approx = nad_outcome(problem, nad, prior_cdf)
     diff = approx.mass - lp_outcome.mass
     sup_mass = float(np.max(np.abs(diff)))
@@ -449,7 +445,7 @@ def verify_against_lp(
     # the action marginal is the uniqueness-backed comparison; the joint can
     # differ across equally optimal pairings
     h = problem.actions.max_spacing
-    tol = flag_factor * h
+    tol = FLAG_FACTOR * h
     flagged = sup_act > tol
     flagged_action = None
     if flagged:

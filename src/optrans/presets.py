@@ -20,6 +20,7 @@ from .grids import cell_masses, from_points, log_spaced, uniform
 from .model import Problem
 
 E = float(np.e)
+ORACLE_TOL = 1e-2  # oracle tolerance of fields the preset gives none for
 
 
 @dataclass
@@ -53,8 +54,9 @@ class OracleReport:
         return all(f.passed for f in self.fields)
 
 
-def oracle_check(preset: Preset, computed: dict, *, default_tol: float = 1e-2) -> OracleReport:
-    """Compare solver outputs against the preset's reference answers.
+def oracle_check(preset: Preset, computed: dict) -> OracleReport:
+    """Compare solver outputs against the preset's reference answers, within
+    the preset's per-field tolerance or else ``ORACLE_TOL``.
 
     ``computed`` maps oracle field names to values: scalars compare directly;
     for a callable oracle the computed entry must be a (points, values) pair
@@ -64,7 +66,7 @@ def oracle_check(preset: Preset, computed: dict, *, default_tol: float = 1e-2) -
     for name, expected in preset.oracle.items():
         if name not in computed:
             continue
-        tol = preset.tolerance.get(name, default_tol)
+        tol = preset.tolerance.get(name, ORACLE_TOL)
         got = computed[name]
         if callable(expected):
             pts, vals = got

@@ -34,6 +34,8 @@ from scipy.sparse.linalg import splu
 from .errors import Infeasible, OptransError, Unbounded
 
 PIVOT_TOL = 1e-10
+FEAS_TOL = 1e-9  # phase-1 residual and start-basis feasibility, per unit of sum |b|
+MAX_ITER = 500_000
 REFACTOR_EVERY = 16
 STALL_LIMIT = 400
 PRICE_LIST = 384  # candidate columns kept by a full pricing pass
@@ -44,14 +46,12 @@ logger = logging.getLogger("optrans.simplex")
 
 @dataclass
 class SimplexResult:
-    status: str
     x: np.ndarray  # primal solution over the original columns
     objective: float
     duals: np.ndarray  # row duals for the original rows (0 for dropped rows)
     basis: np.ndarray
     iterations: int  # phase 1 and phase 2
     phase1_iterations: int
-    degenerate: bool
     dropped_rows: tuple
 
 
@@ -109,15 +109,15 @@ def solve_standard_form(
     *,
     start: Optional[np.ndarray] = None,
     policy: str = "dantzig",
-    pivot_tol: float = PIVOT_TOL,
-    max_iter: int = 500_000,
-    feas_tol: float = 1e-9,
 ) -> SimplexResult:
     """Two-phase revised simplex.  Raises Infeasible / Unbounded.
 
     ``start[i]`` proposes the column basic in row i's position, or -1 to keep
     row i's artificial; a proposal that is singular or infeasible beyond
-    ``feas_tol`` is discarded in favour of the all-artificial basis.
+    ``FEAS_TOL`` (times max(1, sum |b|)) is discarded in favour of the
+    all-artificial basis.  ``policy`` is 'dantzig' (candidate-list pricing)
+    or 'bland'.  Pivots need ``PIVOT_TOL``; more than ``MAX_ITER`` iterations
+    raise OptransError.
     """
     if policy not in ("dantzig", "bland"):
         raise OptransError(f"unknown pivot policy {policy!r}")
@@ -130,9 +130,9 @@ def solve_standard_form(
     if np.any(flip):
         A = sp.csc_matrix(sp.diags(np.where(flip, -1.0, 1.0)) @ A)
         b = np.abs(b)
-    tol = feas_tol * max(1.0, float(b.sum()))
+    tol = FEAS_TOL * max(1.0, float(b.sum()))
 
-    st = _State(A, b, policy, pivot_tol, max_iter)
+    st = _State(A, b, policy)
     if start is not None:
         start = np.asarray(start, dtype=int)
         if start.shape != (m,) or np.any(start >= n) or np.any(start < -1):
@@ -159,20 +159,18 @@ def solve_standard_form(
     duals = np.zeros(m)
     duals[st.live_rows] = st.duals(c2)
     return SimplexResult(
-        status="optimal",
         x=x,
         objective=float(c @ x),
         duals=np.where(flip, -duals, duals),
         basis=st.basis.copy(),
         iterations=st.iterations,
         phase1_iterations=phase1_iterations,
-        degenerate=bool(np.any(st.xB <= pivot_tol)),
         dropped_rows=tuple(int(i) for i in np.nonzero(~st.live_mask)[0]),
     )
 
 
 class _State:
-    def __init__(self, A, b, policy, pivot_tol, max_iter):
+    def __init__(self, A, b, policy):
         m, n = A.shape
         self.A_ext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
         self.AT_ext = sp.csr_matrix(self.A_ext.T)
@@ -181,8 +179,6 @@ class _State:
         self.n = n
         self.m0 = m
         self.policy = policy
-        self.pivot_tol = pivot_tol
-        self.max_iter = max_iter
         self.iterations = 0
         self.refactors = 0
         self.live_mask = np.ones(m, dtype=bool)
@@ -247,15 +243,15 @@ class _State:
 
     def run(self, c_full, phase: int):
         self.refactor()
-        tol = self.pivot_tol
+        tol = PIVOT_TOL
         iterations0, refactors0 = self.iterations, self.refactors - 1
         passes = 0
         stall = 0
         bland_fired = False
         minor = PRICE_MINOR  # no candidate list yet: the first pass fills one
         while True:
-            if self.iterations >= self.max_iter:
-                raise OptransError(f"simplex iteration cap {self.max_iter} hit")
+            if self.iterations >= MAX_ITER:
+                raise OptransError(f"simplex iteration cap {MAX_ITER} hit")
             y_full = np.zeros(self.m0)
             y_full[self.live_rows] = self.duals(c_full)
 
@@ -318,7 +314,7 @@ class _State:
         return rc
 
     def _leaving(self, d, use_bland) -> Optional[int]:
-        cand = np.nonzero(d > self.pivot_tol)[0]
+        cand = np.nonzero(d > PIVOT_TOL)[0]
         if cand.size == 0:
             return None
         ratios = self.xB[cand] / d[cand]

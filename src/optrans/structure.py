@@ -16,12 +16,16 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import IllPosed, NoRoot, NotStrictlyDipped, PairwiseRequired
-from .lp import ContactSet
+from .errors import IllPosed, NoRoot, NotStrictlyDipped
+from .lp import MASS_TOL, ContactSet
 from .model import Outcome, Posterior, Problem, Signal, chi, gamma, gamma_binary
 from .simplex import solve_standard_form
 
 STRICT_TOL = 1e-8
+SNAP_CELLS = 2.5  # grid cells within which a classification violation counts as snapping
+FARKAS_TOL = 1e-9  # beta-side LP optimum, relative to max(1, max |R|), that certifies beta
+RHO_M = 64  # pooling sweeps: interior rho = k / RHO_M, k = 1 .. RHO_M - 1
+REFINE_M = 512  # full-disclosure near-tie re-sweep: rho = k / REFINE_M
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +50,6 @@ def twist_determinant(problem: Problem, y: float, x1: float, x2: float, x3: floa
 class TwistReport:
     label: str  # 'holds_positive' | 'holds_negative' | 'fails'
     witness: Optional[tuple] = None  # (y, x1, x2, x3)
-
-    @property
-    def holds(self) -> bool:
-        return self.label != "fails"
 
 
 def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
@@ -207,7 +207,6 @@ class TripleWitness:
     x2: float
     x3: float
     kind: str  # 'single_peaked_triple' | 'single_dipped_triple'
-    source: str = "outcome"
 
     def key(self):
         return (self.x1, self.x2, self.x3, self.y1, self.y2)
@@ -222,61 +221,47 @@ class MonotonicityReport:
     snap_discounted: int = 0
 
 
-def _rows_from_source(problem: Problem, source, mass_tol: float):
+def _rows_from_source(problem: Problem, source):
     rows = []
     grid_based = False
-    src_name = "outcome"
     if isinstance(source, Outcome):
         grid_based = True
-        for iy in source.support_rows(mass_tol):
-            sup = np.nonzero(source.mass[iy] > mass_tol)[0]
+        for iy in source.support_rows(MASS_TOL):
+            sup = np.nonzero(source.mass[iy] > MASS_TOL)[0]
             rows.append((float(problem.actions.points[iy]), problem.states.points[sup]))
     elif isinstance(source, ContactSet):
         grid_based = True
-        src_name = "contact_set"
         for iy in source.actions:
             sts = source.states_of(int(iy))
             rows.append((float(problem.actions.points[iy]), problem.states.points[sts]))
     elif isinstance(source, Signal):
-        src_name = "signal"
         for post, _ in source.atoms:
             rows.append((gamma(problem, post), post.states(problem.states)))
     else:
         for g, sup in source:
             rows.append((float(g), np.asarray(np.atleast_1d(sup), dtype=float)))
-    return rows, grid_based, src_name
+    return rows, grid_based
 
 
-def classify_monotonicity(
-    problem: Problem,
-    source,
-    *,
-    snap_gamma: Optional[float] = None,
-    snap_x: Optional[float] = None,
-    mass_tol: float = 1e-9,
-    require_pairwise: bool = False,
-) -> MonotonicityReport:
+def classify_monotonicity(problem: Problem, source) -> MonotonicityReport:
     """Label a set of induced posteriors single-dipped / single-peaked.
 
     A violation needs a row whose support straddles a state of another row
-    with the wrong action ordering.  On grid-derived sources (Outcome,
-    ContactSet) several exact pairs snap onto one action row and neighboring
-    rows blur, so violations whose action gap is inside ``snap_gamma`` or
-    whose straddle depth is inside ``snap_x`` are counted in
+    with the wrong action ordering.  On grid-derived sources (Outcome, whose
+    rows are those carrying more than ``MASS_TOL``, and ContactSet) several
+    exact pairs snap onto one action row and neighboring rows blur, so
+    violations whose action gap or straddle depth is within ``SNAP_CELLS``
+    of the largest action or state spacing are counted in
     ``snap_discounted`` instead of overturning strictness; exact sources
-    (Signal, explicit row lists) default to zero tolerance and follow the
-    set definitions literally.  Ties on exact sources downgrade strict to
-    weak.  The strongest surviving label is returned, preferring dipped over
+    (Signal, explicit row lists) use zero tolerance and follow the set
+    definitions literally.  Ties on exact sources downgrade strict to weak.
+    The strongest surviving label is returned, preferring dipped over
     peaked, with the lexicographically smallest genuine witness when neither
     direction survives.
     """
-    rows, grid_based, src_name = _rows_from_source(problem, source, mass_tol)
-    if require_pairwise and any(len(sup) > 2 for _, sup in rows):
-        raise PairwiseRequired("a row carries more than two support states")
-    if snap_gamma is None:
-        snap_gamma = 2.5 * float(np.max(np.diff(problem.actions.points))) if grid_based else 0.0
-    if snap_x is None:
-        snap_x = 2.5 * float(np.max(np.diff(problem.states.points))) if grid_based else 0.0
+    rows, grid_based = _rows_from_source(problem, source)
+    snap_gamma = SNAP_CELLS * float(np.max(np.diff(problem.actions.points))) if grid_based else 0.0
+    snap_x = SNAP_CELLS * float(np.max(np.diff(problem.states.points))) if grid_based else 0.0
 
     dipped, peaked = "strict", "strict"
     dip_wits, peak_wits = [], []
@@ -305,7 +290,7 @@ def classify_monotonicity(
                 else:
                     dipped = "none"
                     dip_wits.append(
-                        TripleWitness(g1, g2, lo, x2, hi, "single_peaked_triple", src_name)
+                        TripleWitness(g1, g2, lo, x2, hi, "single_peaked_triple")
                     )
             elif gap < 0:
                 if -gap <= snap_gamma or shallow:
@@ -313,7 +298,7 @@ def classify_monotonicity(
                 else:
                     peaked = "none"
                     peak_wits.append(
-                        TripleWitness(g1, g2, lo, x2, hi, "single_dipped_triple", src_name)
+                        TripleWitness(g1, g2, lo, x2, hi, "single_dipped_triple")
                     )
             else:
                 # an exact tie: same action row.  Snapped grids lump distinct
@@ -364,14 +349,15 @@ class FarkasCertificate:
             raise IllPosed("exactly one of alpha / beta must be present")
 
 
-def farkas_alternative(R: np.ndarray, *, tol: float = 1e-9) -> FarkasCertificate:
+def farkas_alternative(R: np.ndarray) -> FarkasCertificate:
     """Decide which side of the alternative holds for a real matrix R:
     either some strictly positive row vector alpha has alpha R <= 0, or some
     nonnegative beta has R beta >= 0 with R beta != 0.
 
     The beta side is the LP max 1'(R beta) over beta in [0, 1]^n with
-    R beta >= 0; a positive optimum certifies beta, and the LP dual of a zero
-    optimum assembles alpha = 1 + lambda directly.
+    R beta >= 0; an optimum above ``FARKAS_TOL`` times max(1, max |R|)
+    certifies beta, and the LP dual of a zero optimum assembles
+    alpha = 1 + lambda directly.
     """
     R = np.asarray(R, dtype=float)
     m, n = R.shape
@@ -388,7 +374,7 @@ def farkas_alternative(R: np.ndarray, *, tol: float = 1e-9) -> FarkasCertificate
     b = np.concatenate([np.zeros(m), np.ones(n)])
     c = np.concatenate([R.T @ np.ones(m), np.zeros(m + n)])
     res = solve_standard_form(A, b, c)
-    if res.objective > tol * scale:
+    if res.objective > FARKAS_TOL * scale:
         beta = res.x[:n]
         return FarkasCertificate(R=R, verdict="beta_exists", beta=beta)
     # At a zero optimum the box rows carry zero duals, so the surplus-row
@@ -437,16 +423,17 @@ class SdpdReport:
     dipped_weak: bool
     peaked_weak: bool
     witness: Optional[tuple] = None
-    division_guard: bool = False
 
 
-def check_sdpd_sufficient(problem: Problem, *, strict_tol: float = STRICT_TOL) -> SdpdReport:
+def check_sdpd_sufficient(problem: Problem) -> SdpdReport:
     """Grid check of the two ratio monotonicity conditions.
 
     r1(y, x) = u_yx / u_x must be monotone in x for every action, and
     r2(y1, y2, x) = V_yx(y2, x) / u_x(y1, x) monotone in x for every ordered
     action pair; increasing gives dipped, decreasing gives peaked, and a
-    uniformly strict ratio upgrades to the strict label.
+    uniformly strict ratio upgrades to the strict label.  Differences count
+    as strict beyond ``STRICT_TOL`` (or the problem's derivative noise, if
+    larger) times the ratio scale.
     """
     ys = problem.actions.points
     xs = problem.states.points
@@ -454,19 +441,16 @@ def check_sdpd_sufficient(problem: Problem, *, strict_tol: float = STRICT_TOL) -
     Ux = np.asarray(problem.u_x(Y, X), dtype=float)
     Uyx = np.asarray(problem.u_yx(Y, X), dtype=float)
     Vyx = np.asarray(problem.V_yx(Y, X), dtype=float)
-    guard = bool(np.min(np.abs(Ux)) < 1e-12)
     safe_Ux = np.where(np.abs(Ux) < 1e-12, np.nan, Ux)
     if not np.any(np.isfinite(safe_Ux)):
         # u_x degenerate everywhere (indicator-style receivers)
-        return SdpdReport(
-            label="neither", dipped_weak=False, peaked_weak=False, witness=None, division_guard=True
-        )
+        return SdpdReport(label="neither", dipped_weak=False, peaked_weak=False, witness=None)
 
     noise = problem.derivative_noise()
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = Uyx / safe_Ux
     d1 = np.diff(r1, axis=1)
-    tol1 = max(strict_tol, noise) * max(1.0, float(np.nanmax(np.abs(r1))))
+    tol1 = max(STRICT_TOL, noise) * max(1.0, float(np.nanmax(np.abs(r1))))
     r1_up = bool(np.nanmin(d1) >= -tol1)
     r1_dn = bool(np.nanmax(d1) <= tol1)
     r1_up_strict = bool(np.nanmin(d1) > tol1)
@@ -478,7 +462,7 @@ def check_sdpd_sufficient(problem: Problem, *, strict_tol: float = STRICT_TOL) -
     r2_up_strict = r2_dn_strict = True
     witness = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        tol2 = max(strict_tol, noise) * max(
+        tol2 = max(STRICT_TOL, noise) * max(
             1.0,
             float(np.nanmax(np.abs(Vyx))),
             float(np.nanmax(np.abs(1.0 / safe_Ux))),
@@ -522,7 +506,6 @@ def check_sdpd_sufficient(problem: Problem, *, strict_tol: float = STRICT_TOL) -
         dipped_weak=dip_ok,
         peaked_weak=peak_ok,
         witness=witness,
-        division_guard=guard,
     )
 
 
@@ -578,22 +561,17 @@ def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
     return pooled - (RHO * v1 + (1.0 - RHO) * v2)
 
 
-def check_full_disclosure(
-    problem: Problem,
-    *,
-    m: int = 64,
-    refine_m: int = 512,
-    tol: Optional[float] = None,
-) -> FullDisclosureReport:
-    """Sweep all prior-supported state pairs and a rho grid for a pooling
-    deviation that beats splitting; near-ties are re-swept on a finer rho
-    grid.  For a linear receiver the convexity-plus-exchange shortcut is
-    evaluated too and reported when it already decides optimality."""
+def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosureReport:
+    """Sweep all prior-supported state pairs and the rho grid k / m for a
+    pooling deviation that beats splitting by more than 1e-9 times the
+    largest finite |V|; near-ties are re-swept on the finer grid
+    k / ``REFINE_M``.  For a linear receiver the convexity-plus-exchange
+    shortcut is evaluated too and reported when it already decides
+    optimality."""
     Y, X = problem.grids_product()
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
-    if tol is None:
-        tol = 1e-9 * scale
+    tol = 1e-9 * scale
     vals, X1, X2, V1, V2, RHO = _pair_grid(problem, m)
     disc = _disclosed_values(problem, vals)
     gain = _split_gain(problem, X1, X2, RHO, disc[V1], disc[V2])
@@ -601,7 +579,7 @@ def check_full_disclosure(
     shortcut = _linear_receiver_shortcut(problem)
 
     def refine(x1, x2, d1, d2):
-        rhos = (np.arange(1, refine_m) / refine_m).astype(float)
+        rhos = (np.arange(1, REFINE_M) / REFINE_M).astype(float)
         g2 = _split_gain(
             problem,
             np.full(rhos.size, x1),
@@ -678,14 +656,14 @@ class NadConditionReport:
     margin: float = 0.0
 
 
-def check_nad_condition(problem: Problem, *, m: int = 64) -> NadConditionReport:
+def check_nad_condition(problem: Problem) -> NadConditionReport:
     """Pooling-everywhere condition.
 
     Under a strict dipped certificate the local curvature criterion at
     (y, chi(y)) decides: V_yy <= V_y u_yy / u_y + 2 (V_yx u_y - V_y u_yx)/u_x
     at every action with an interior pivot state.  Otherwise fall back to the
     direct sweep: every prior-supported state pair must admit some pooling
-    weight that strictly beats splitting.
+    weight on the grid k / ``RHO_M`` that strictly beats splitting.
     """
     sdpd = check_sdpd_sufficient(problem)
     if sdpd.label == "dipped_strict" and problem.smooth:
@@ -716,15 +694,15 @@ def check_nad_condition(problem: Problem, *, m: int = 64) -> NadConditionReport:
             return NadConditionReport("fails", witness=worst_y, route="local", margin=worst)
         return NadConditionReport("holds", route="local", margin=worst)
 
-    vals, X1, X2, V1, V2, RHO = _pair_grid(problem, m)
+    vals, X1, X2, V1, V2, RHO = _pair_grid(problem, RHO_M)
     disc = _disclosed_values(problem, vals)
     gain = _split_gain(problem, X1, X2, RHO, disc[V1], disc[V2])
-    npairs = X1.size // (m - 1)
-    per_pair = gain.reshape(npairs, m - 1).max(axis=1)
+    npairs = X1.size // (RHO_M - 1)
+    per_pair = gain.reshape(npairs, RHO_M - 1).max(axis=1)
     k = int(np.argmin(per_pair))
     if per_pair[k] <= STRICT_TOL:
-        x1 = float(X1[k * (m - 1)])
-        x2 = float(X2[k * (m - 1)])
+        x1 = float(X1[k * (RHO_M - 1)])
+        x2 = float(X2[k * (RHO_M - 1)])
         return NadConditionReport("fails", witness=(x1, x2), route="sweep", margin=float(per_pair[k]))
     return NadConditionReport("holds", route="sweep", margin=float(per_pair.min()))
 
@@ -743,14 +721,16 @@ class ChiPair:
 def extract_chi(problem: Problem, contact: ContactSet, *, snap_x: Optional[float] = None) -> ChiPair:
     """Per contact action, the smallest and largest contact states, after
     validating strict single-dippedness and the pair monotonicity rules:
-    chi2 nondecreasing and chi1(y') never interior to an earlier pair."""
+    chi2 nondecreasing and chi1(y') never interior to an earlier pair, both
+    up to ``snap_x`` (default ``SNAP_CELLS`` times the largest state
+    spacing)."""
     report = classify_monotonicity(problem, contact)
     if report.label != "strictly_single_dipped":
         raise NotStrictlyDipped(
             f"contact set classifies as {report.label}", witness=report.witness
         )
     if snap_x is None:
-        snap_x = 2.5 * float(np.max(np.diff(problem.states.points)))
+        snap_x = SNAP_CELLS * float(np.max(np.diff(problem.states.points)))
     acts = []
     c1 = []
     c2 = []
@@ -768,14 +748,14 @@ def extract_chi(problem: Problem, contact: ContactSet, *, snap_x: Optional[float
     if np.any(np.diff(c2_a) < -snap_x):
         k = int(np.argmin(np.diff(c2_a)))
         raise NotStrictlyDipped(
-            f"upper pair state decreases at action {acts_a[k+1]!r}", witness=None
+            f"upper pair state decreases at action {float(acts_a[k + 1])!r}", witness=None
         )
     for j in range(1, acts_a.size):
         earlier_lo = c1_a[:j] + snap_x
         earlier_hi = c2_a[:j] - snap_x
         if np.any((c1_a[j] > earlier_lo) & (c1_a[j] < earlier_hi)):
             raise NotStrictlyDipped(
-                f"lower pair state at action {acts_a[j]!r} is interior to an earlier pair",
+                f"lower pair state at action {float(acts_a[j])!r} is interior to an earlier pair",
                 witness=None,
             )
     return ChiPair(actions=acts_a, chi1=c1_a, chi2=c2_a)

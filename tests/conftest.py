@@ -1,10 +1,7 @@
-import numpy as np
 import pytest
 
 from optrans.lp import build_lp, solve_dual, solve_primal
 from optrans.presets import preset
-
-np.seterr(all="ignore")
 
 
 @pytest.fixture(scope="session")

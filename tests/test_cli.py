@@ -166,25 +166,31 @@ class TestCommands:
         assert rc == 1
         assert "UnknownPreset" in capsys.readouterr().err
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("command", ["solve", "check", "nad", "certify"])
+    def test_byte_identical_reruns(self, tmp_path, command):
         a = tmp_path / "a"
         b = tmp_path / "b"
+        codes = []
         for out in (a, b):
-            rc = main(
-                [
-                    "solve",
-                    "--preset",
-                    "contest",
-                    "--params",
-                    "xmin=0.1,xmax=0.5",
-                    "--grid-n",
-                    "31",
-                    "--out",
-                    str(out),
-                ]
+            codes.append(
+                main(
+                    [
+                        command,
+                        "--preset",
+                        "contest",
+                        "--params",
+                        "xmin=0.1,xmax=0.5",
+                        "--grid-n",
+                        "31",
+                        "--out",
+                        str(out),
+                    ]
+                )
             )
-            assert rc == 0
-        for name in ("outcome.csv", "prices.csv", "summary.json"):
+        assert codes[0] == codes[1] != 1
+        written = sorted(f.name for f in a.iterdir())
+        assert written and written == sorted(f.name for f in b.iterdir())
+        for name in written:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_simplex_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):

@@ -10,7 +10,7 @@ from optrans.lp import (
     solve_primal,
     verify_complementary_slackness,
 )
-from optrans.presets import preset
+from optrans.presets import preset, preset_ids
 
 E = float(np.e)
 
@@ -243,3 +243,30 @@ class TestComplementarySlackness:
         out, _ = solve_primal(lp)
         pooled_row = pb.actions.nearest(y0)
         assert out.row_masses()[pooled_row] < 1.0 - 1e-9
+
+
+class TestSolvedOnce:
+    def test_dual_side_reuses_the_primal_solve(self, monkeypatch):
+        pb, _ = preset("example_c1", grid_n=21)
+        lp = build_lp(pb)
+        out, _ = solve_primal(lp)
+
+        def solve_again(*args, **kwargs):
+            raise AssertionError("the LP was solved a second time")
+
+        monkeypatch.setattr("optrans.lp.solve_standard_form", solve_again)
+        prices = solve_dual(lp, out)
+        cs = contact_set(pb, prices, lp=lp)
+        rep = verify_complementary_slackness(pb, out, prices)
+        assert cs.pairs
+        assert rep.applicable and rep.rows
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_u_y_probe_decides_row_multipliers(self, solved_cache, pid):
+        bundle = solved_cache(pid, grid_n=21)
+        pb, prices = bundle["problem"], bundle["prices"]
+        rep = verify_complementary_slackness(pb, bundle["outcome"], prices)
+        vanishes = pb.u_y_vanishes()
+        assert vanishes == (pid in ("example_c2", "quantile"))
+        assert rep.applicable == (not vanishes)
+        assert bool(np.all(np.isnan(prices.q_row))) == vanishes
