@@ -280,6 +280,15 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
+def _nad_condition_record(nc) -> dict:
+    w = nc.witness
+    return {
+        "label": nc.label,
+        "witness": (list(w) if isinstance(w, tuple) else w) if w is not None else None,
+        "route": nc.route,
+    }
+
+
 def cmd_check(cfg: RunConfig, outdir: Path) -> int:
     pb, ps = _build(cfg)
     verdicts = {}
@@ -306,13 +315,7 @@ def cmd_check(cfg: RunConfig, outdir: Path) -> int:
         "margin": fd.margin,
         "decided_by": fd.decided_by,
     }
-    nc = check_nad_condition(pb)
-    w = nc.witness
-    verdicts["nad_condition"] = {
-        "label": nc.label,
-        "witness": (list(w) if isinstance(w, tuple) else w) if w is not None else None,
-        "route": nc.route,
-    }
+    verdicts["nad_condition"] = _nad_condition_record(check_nad_condition(pb))
     lp = build_lp(pb)
     outcome, objective = solve_primal(lp)
     cls = classify_monotonicity(pb, outcome)
@@ -347,6 +350,14 @@ def cmd_nad(cfg: RunConfig, outdir: Path) -> int:
     pb, ps = _build(cfg)
     if ps is None or ps.prior_density is None:
         raise ParseError("nad needs a preset with a prior density", field="preset")
+    nc = check_nad_condition(pb)
+    if nc.label == "fails":
+        # no pooling-everywhere solution to shoot for: report the failed
+        # condition as a witness instead of an ODE error
+        record = _nad_condition_record(nc)
+        record["margin"] = nc.margin
+        _json_dump(outdir / "nad_summary.json", {"config": _config_record(cfg), "nad_condition": record})
+        return 2
     sol = nad_mod.solve_nad(pb, ps.prior_density, prior_cdf=ps.prior_cdf)
     write_nad_csv(outdir / "nad.csv", sol)
     lp = build_lp(pb)

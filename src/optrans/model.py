@@ -29,6 +29,9 @@ WEIGHT_TOL = 1e-12
 SIGNAL_MASS_TOL = 1e-10
 ASSUMPTION_ZERO_TOL = 1e-9  # |u| below this times max |u| counts as u = 0
 INTERIOR_TOL = 1e-8  # sign slack, relative to max |u|, of the interiority check
+# two-point posteriors per chunk of gamma_binary's sender-favorable scan, and
+# state pairs per block of the structure module's pooling sweeps
+PAIR_BLOCK = 256
 
 
 def _central_y(f: Evaluator, h: float) -> Evaluator:
@@ -357,9 +360,8 @@ def gamma_binary(problem: Problem, x1, x2, rho, *, iters: int = 90) -> np.ndarra
         out = np.empty(x1.shape)
         flat1, flat2, flatr = x1.ravel(), x2.ravel(), rho.ravel()
         res = out.ravel()
-        chunk = 4096
-        for s in range(0, flat1.size, chunk):
-            e = min(s + chunk, flat1.size)
+        for s in range(0, flat1.size, PAIR_BLOCK):
+            e = min(s + PAIR_BLOCK, flat1.size)
             agg = flatr[s:e, None] * problem.u(ys[None, :], flat1[s:e, None]) + (
                 1.0 - flatr[s:e, None]
             ) * problem.u(ys[None, :], flat2[s:e, None])

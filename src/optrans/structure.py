@@ -18,14 +18,16 @@ import scipy.sparse as sp
 
 from .errors import IllPosed, NoRoot, NotStrictlyDipped
 from .lp import MASS_TOL, ContactSet
-from .model import Outcome, Posterior, Problem, Signal, chi, gamma, gamma_binary
+from .model import PAIR_BLOCK, Outcome, Posterior, Problem, Signal, chi, gamma, gamma_binary
 from .simplex import solve_standard_form
 
 STRICT_TOL = 1e-8
 SNAP_CELLS = 2.5  # grid cells within which a classification violation counts as snapping
 FARKAS_TOL = 1e-9  # beta-side LP optimum, relative to max(1, max |R|), that certifies beta
 RHO_M = 64  # pooling sweeps: interior rho = k / RHO_M, k = 1 .. RHO_M - 1
+# pooling sweeps run PAIR_BLOCK (from .model) state pairs x (RHO_M - 1) rho at a time
 REFINE_M = 512  # full-disclosure near-tie re-sweep: rho = k / REFINE_M
+NEAR_MAX = 256  # full-disclosure near-tie entries whose pairs are re-swept
 
 
 # ---------------------------------------------------------------------------
@@ -521,20 +523,6 @@ class FullDisclosureReport:
     decided_by: str = "sweep"  # 'sweep' | 'convex_supermodular_shortcut'
 
 
-def _pair_grid(problem: Problem, m: int):
-    """All prior-supported state pairs crossed with an interior rho grid."""
-    xs = problem.states.points
-    vals = xs[problem.prior > 0]
-    i1, i2 = np.triu_indices(vals.size, k=1)
-    rhos = (np.arange(1, m) / m).astype(float)
-    X1 = np.repeat(vals[i1], rhos.size)
-    X2 = np.repeat(vals[i2], rhos.size)
-    V1 = np.repeat(np.arange(vals.size)[i1], rhos.size)
-    V2 = np.repeat(np.arange(vals.size)[i2], rhos.size)
-    RHO = np.tile(rhos, i1.size)
-    return vals, X1, X2, V1, V2, RHO
-
-
 def _disclosed_values(problem: Problem, vals: np.ndarray) -> np.ndarray:
     """V(gamma(d_x), x) for the given states; -inf on forbidden cells."""
     ys = gamma_binary(problem, vals, vals, np.ones_like(vals), iters=60)
@@ -561,24 +549,75 @@ def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
     return pooled - (RHO * v1 + (1.0 - RHO) * v2)
 
 
+@dataclass(frozen=True)
+class _PoolingSweep:
+    """Per-pair reductions of the pooling gain; pairs are the prior-supported
+    state pairs in ``np.triu_indices`` order."""
+
+    vals: np.ndarray  # prior-supported states
+    i1: np.ndarray  # per pair, the indices into vals of x1 < x2
+    i2: np.ndarray
+    disc: np.ndarray  # disclosed values of vals
+    per_pair: np.ndarray  # largest gain over rho (NaN if any is NaN)
+    near_pairs: list  # the pairs of the first NEAR_MAX entries above the near cut, once each
+
+    def pair(self, p: int) -> tuple:
+        """(x1, x2, disclosed value of x1, disclosed value of x2) of pair p."""
+        j, k = self.i1[p], self.i2[p]
+        return float(self.vals[j]), float(self.vals[k]), self.disc[j], self.disc[k]
+
+
+def _pooling_sweep(problem: Problem, m: int, near_cut: float) -> _PoolingSweep:
+    """Pooling gain of every prior-supported state pair at every rho = k / m,
+    computed ``PAIR_BLOCK`` pairs at a time: every entry is the same
+    elementwise expression as on the whole (pair, rho) table, which is never
+    built.  Entries run through rho within a pair, so the pair of the first
+    largest entry is the first pair with the largest per-pair maximum."""
+    xs = problem.states.points
+    vals = xs[problem.prior > 0]
+    i1, i2 = np.triu_indices(vals.size, k=1)
+    disc = _disclosed_values(problem, vals)
+    rhos = (np.arange(1, m) / m).astype(float)
+    nr = rhos.size
+    per_pair = np.empty(i1.size)
+    near, n_near = {}, 0  # near-tie pairs in first-occurrence order, entries seen
+    for s in range(0, i1.size, PAIR_BLOCK):
+        b1, b2 = i1[s : s + PAIR_BLOCK], i2[s : s + PAIR_BLOCK]
+        gain = _split_gain(
+            problem,
+            np.repeat(vals[b1], nr),
+            np.repeat(vals[b2], nr),
+            np.tile(rhos, b1.size),
+            np.repeat(disc[b1], nr),
+            np.repeat(disc[b2], nr),
+        )
+        per_pair[s : s + b1.size] = gain.reshape(b1.size, nr).max(axis=1)
+        if n_near < NEAR_MAX:
+            hits = np.nonzero(gain > near_cut)[0][: NEAR_MAX - n_near]
+            n_near += hits.size
+            near.update(dict.fromkeys((s + hits // nr).tolist()))
+    return _PoolingSweep(vals, i1, i2, disc, per_pair, list(near))
+
+
 def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosureReport:
     """Sweep all prior-supported state pairs and the rho grid k / m for a
     pooling deviation that beats splitting by more than 1e-9 times the
-    largest finite |V|; near-ties are re-swept on the finer grid
-    k / ``REFINE_M``.  For a linear receiver the convexity-plus-exchange
-    shortcut is evaluated too and reported when it already decides
-    optimality."""
+    largest finite |V|; the pairs of the first ``NEAR_MAX`` near-tie entries
+    are re-swept, once each, on the finer grid k / ``REFINE_M``.  The sweep
+    runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is built.
+    For a linear receiver the convexity-plus-exchange shortcut is evaluated
+    too and reported when it already decides optimality."""
     Y, X = problem.grids_product()
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
     tol = 1e-9 * scale
-    vals, X1, X2, V1, V2, RHO = _pair_grid(problem, m)
-    disc = _disclosed_values(problem, vals)
-    gain = _split_gain(problem, X1, X2, RHO, disc[V1], disc[V2])
-    worst = float(np.max(gain))
+    sweep = _pooling_sweep(problem, m, -tol * 64)
+    worst_pair = int(np.argmax(sweep.per_pair))  # the first NaN if there is one
+    worst = float(sweep.per_pair[worst_pair])
     shortcut = _linear_receiver_shortcut(problem)
 
-    def refine(x1, x2, d1, d2):
+    def refine(p):
+        x1, x2, d1, d2 = sweep.pair(p)
         rhos = (np.arange(1, REFINE_M) / REFINE_M).astype(float)
         g2 = _split_gain(
             problem,
@@ -589,29 +628,26 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
             np.full(rhos.size, d2),
         )
         kk = int(np.argmax(g2))
-        return float(rhos[kk]), float(g2[kk])
+        return (x1, x2, float(rhos[kk])), float(g2[kk])
 
     if worst > tol:
-        k = int(np.argmax(gain))
-        rho, margin = refine(float(X1[k]), float(X2[k]), disc[V1[k]], disc[V2[k]])
-        return FullDisclosureReport(
-            label="not_optimal", witness=(float(X1[k]), float(X2[k]), rho), margin=margin
-        )
-    # near-tie refinement around the least-negative pairs
-    near = np.nonzero(gain > -tol * 64)[0]
-    for k in near[:256]:
-        rho, margin = refine(float(X1[k]), float(X2[k]), disc[V1[k]], disc[V2[k]])
+        witness, margin = refine(worst_pair)
+        return FullDisclosureReport(label="not_optimal", witness=witness, margin=margin)
+    # near-tie refinement of the pairs of the first NEAR_MAX entries within
+    # 64 tol; the re-sweep depends on the pair alone, so each is refined once
+    for p in sweep.near_pairs:
+        witness, margin = refine(p)
         if margin > tol:
-            return FullDisclosureReport(
-                label="not_optimal", witness=(float(X1[k]), float(X2[k]), rho), margin=margin
-            )
+            return FullDisclosureReport(label="not_optimal", witness=witness, margin=margin)
     # strictness: the pooling deficit of neighboring states shrinks like the
     # squared separation, so the strict margin is judged per unit separation
-    # squared rather than against a flat cut
+    # squared rather than against a flat cut.  The separation is constant
+    # within a pair and rounded division by it is monotone, so the per-pair
+    # maximum gives the largest ratio.
     span = problem.states.hi - problem.states.lo
-    sep2 = ((X2 - X1) / max(span, 1e-300)) ** 2
+    sep2 = ((sweep.vals[sweep.i2] - sweep.vals[sweep.i1]) / max(span, 1e-300)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.where(sep2 > 0, gain / sep2, -np.inf)
+        normalized = np.where(sep2 > 0, sweep.per_pair / sep2, -np.inf)
     strict = bool(np.max(normalized) < -STRICT_TOL * scale)
     label = "optimal_unique" if strict else "optimal"
     decided = "convex_supermodular_shortcut" if (shortcut and label != "not_optimal") else "sweep"
@@ -663,7 +699,9 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
     (y, chi(y)) decides: V_yy <= V_y u_yy / u_y + 2 (V_yx u_y - V_y u_yx)/u_x
     at every action with an interior pivot state.  Otherwise fall back to the
     direct sweep: every prior-supported state pair must admit some pooling
-    weight on the grid k / ``RHO_M`` that strictly beats splitting.
+    weight on the grid k / ``RHO_M`` that strictly beats splitting.  The
+    sweep runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is
+    built.
     """
     sdpd = check_sdpd_sufficient(problem)
     if sdpd.label == "dipped_strict" and problem.smooth:
@@ -694,15 +732,11 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
             return NadConditionReport("fails", witness=worst_y, route="local", margin=worst)
         return NadConditionReport("holds", route="local", margin=worst)
 
-    vals, X1, X2, V1, V2, RHO = _pair_grid(problem, RHO_M)
-    disc = _disclosed_values(problem, vals)
-    gain = _split_gain(problem, X1, X2, RHO, disc[V1], disc[V2])
-    npairs = X1.size // (RHO_M - 1)
-    per_pair = gain.reshape(npairs, RHO_M - 1).max(axis=1)
+    sweep = _pooling_sweep(problem, RHO_M, np.inf)  # no near ties wanted
+    per_pair = sweep.per_pair
     k = int(np.argmin(per_pair))
     if per_pair[k] <= STRICT_TOL:
-        x1 = float(X1[k * (RHO_M - 1)])
-        x2 = float(X2[k * (RHO_M - 1)])
+        x1, x2, _, _ = sweep.pair(k)
         return NadConditionReport("fails", witness=(x1, x2), route="sweep", margin=float(per_pair[k]))
     return NadConditionReport("holds", route="sweep", margin=float(per_pair.min()))
 

@@ -143,6 +143,26 @@ class TestCommands:
         text = (tmp_path / "nad.csv").read_text()
         assert text.splitlines()[0] == "y,chi1,chi2,q,rho"
 
+    def test_nad_reports_failed_pooling_condition(self, tmp_path):
+        # rayo_segal fails the pooling condition, so there is no pairing to
+        # shoot for: exit 2 with the verdict in the summary and no nad.csv
+        rc = main(["nad", "--preset", "rayo_segal", "--grid-n", "41", "--out", str(tmp_path)])
+        assert rc == 2
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["nad_summary.json"]
+        summary = json.loads((tmp_path / "nad_summary.json").read_text())
+        from optrans.presets import preset
+        from optrans.structure import check_nad_condition
+
+        rep = check_nad_condition(preset("rayo_segal", grid_n=41)[0])
+        assert rep.label == "fails"
+        assert summary["nad_condition"] == {
+            "label": "fails",
+            "witness": list(rep.witness),
+            "route": rep.route,
+            "margin": rep.margin,
+        }
+        assert summary["config"]["command"] == "nad"
+
     def test_certify_command(self, tmp_path):
         rc = main(
             [

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,14 @@ from optrans.errors import IllPosed, NoRoot, NotStrictlyDipped
 from optrans.lp import build_lp, contact_set, solve_dual, solve_primal
 from optrans.model import chi
 from optrans.presets import preset, preset_ids
+from optrans import structure
 from optrans.structure import (
+    REFINE_M,
+    RHO_M,
+    STRICT_TOL,
+    FullDisclosureReport,
+    NadConditionReport,
+    SdpdReport,
     TwistReport,
     check_full_disclosure,
     check_nad_condition,
@@ -408,6 +418,199 @@ class TestNadCondition:
         rep = check_nad_condition(pb)
         assert rep.label == "fails"
         assert rep.witness < 0
+
+
+def full_table_full_disclosure(problem, m=RHO_M):
+    """check_full_disclosure computed on the whole (pair, rho) table at once,
+    refining every near-tie entry in turn: the reference the block-wise sweep
+    must reproduce bit for bit."""
+    Y, X = problem.grids_product()
+    Vfinite = np.asarray(problem.V(Y, X), dtype=float)
+    scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
+    tol = 1e-9 * scale
+    vals = problem.states.points[problem.prior > 0]
+    i1, i2 = np.triu_indices(vals.size, k=1)
+    rhos = (np.arange(1, m) / m).astype(float)
+    X1 = np.repeat(vals[i1], rhos.size)
+    X2 = np.repeat(vals[i2], rhos.size)
+    V1 = np.repeat(np.arange(vals.size)[i1], rhos.size)
+    V2 = np.repeat(np.arange(vals.size)[i2], rhos.size)
+    RHO = np.tile(rhos, i1.size)
+    disc = structure._disclosed_values(problem, vals)
+    gain = structure._split_gain(problem, X1, X2, RHO, disc[V1], disc[V2])
+    worst = float(np.max(gain))
+    shortcut = structure._linear_receiver_shortcut(problem)
+
+    def refine(k):
+        fine = (np.arange(1, REFINE_M) / REFINE_M).astype(float)
+        n = fine.size
+        g2 = structure._split_gain(
+            problem, np.full(n, X1[k]), np.full(n, X2[k]), fine, np.full(n, disc[V1[k]]), np.full(n, disc[V2[k]])
+        )
+        kk = int(np.argmax(g2))
+        return (float(X1[k]), float(X2[k]), float(fine[kk])), float(g2[kk])
+
+    if worst > tol:
+        witness, margin = refine(int(np.argmax(gain)))
+        return FullDisclosureReport("not_optimal", witness=witness, margin=margin)
+    for k in np.nonzero(gain > -tol * 64)[0][:256]:
+        witness, margin = refine(k)
+        if margin > tol:
+            return FullDisclosureReport("not_optimal", witness=witness, margin=margin)
+    span = problem.states.hi - problem.states.lo
+    sep2 = ((X2 - X1) / max(span, 1e-300)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = np.where(sep2 > 0, gain / sep2, -np.inf)
+    label = "optimal_unique" if np.max(normalized) < -STRICT_TOL * scale else "optimal"
+    decided = "convex_supermodular_shortcut" if shortcut else "sweep"
+    return FullDisclosureReport(label, witness=None, margin=worst, decided_by=decided)
+
+
+def full_table_nad_sweep(problem):
+    """check_nad_condition's sweep route on the whole (pair, rho) table."""
+    vals = problem.states.points[problem.prior > 0]
+    i1, i2 = np.triu_indices(vals.size, k=1)
+    rhos = (np.arange(1, RHO_M) / RHO_M).astype(float)
+    X1 = np.repeat(vals[i1], rhos.size)
+    X2 = np.repeat(vals[i2], rhos.size)
+    RHO = np.tile(rhos, i1.size)
+    disc = structure._disclosed_values(problem, vals)
+    gain = structure._split_gain(
+        problem, X1, X2, RHO, np.repeat(disc[i1], rhos.size), np.repeat(disc[i2], rhos.size)
+    )
+    per_pair = gain.reshape(i1.size, rhos.size).max(axis=1)
+    k = int(np.argmin(per_pair))
+    if per_pair[k] <= STRICT_TOL:
+        witness = (float(vals[i1[k]]), float(vals[i2[k]]))
+        return NadConditionReport("fails", witness=witness, route="sweep", margin=float(per_pair[k]))
+    return NadConditionReport("holds", route="sweep", margin=float(per_pair.min()))
+
+
+def sweep_route_nad_condition(problem):
+    """check_nad_condition forced onto its sweep route."""
+    neither = SdpdReport(label="neither", dipped_weak=False, peaked_weak=False)
+    with mock.patch.object(structure, "check_sdpd_sufficient", lambda pb: neither):
+        return check_nad_condition(problem)
+
+
+def assert_sweep_matches_full_table(problem):
+    # repr compares floats bit for bit and lets NaN equal NaN
+    assert repr(check_full_disclosure(problem)) == repr(full_table_full_disclosure(problem))
+    assert repr(sweep_route_nad_condition(problem)) == repr(full_table_nad_sweep(problem))
+
+
+@st.composite
+def pooling_problems(draw):
+    """Small problems for the pooling sweeps: some states off the prior, a
+    receiver that bisects its first-order condition or snaps to the
+    sender-favorable grid action, V with exact ties (constant, or linear in
+    the action so that pooling and splitting agree up to rounding) or
+    curvature, and optionally forbidden cells (which may forbid disclosure
+    too, so that -inf meets -inf and the gain is NaN)."""
+    nx = draw(st.integers(2, 12))
+    ny = draw(st.integers(3, 9))
+    weights = np.array([draw(st.sampled_from([0.0, 1.0, 2.0])) for _ in range(nx)])
+    if np.count_nonzero(weights) < 2:
+        weights[[0, -1]] = 1.0
+    shape = draw(st.sampled_from(["constant", "linear", "curved"]))
+    a, b, c = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    mag = draw(st.sampled_from([1.0, 1e3]))
+
+    def V(y, x):
+        y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
+        if shape == "constant":
+            return mag * (a + 0.0 * y)
+        if shape == "linear":
+            return mag * (a * y + b * x)
+        return mag * (a * y + b * y * y + c * np.sin(3.0 * x * y))
+
+    forbid = draw(st.sampled_from([None, "far_below", "band"]))
+    width = draw(st.sampled_from([0.1, 0.3]))
+
+    def forbidden(y, x):
+        y, x = np.asarray(y, float), np.asarray(x, float)
+        if forbid == "far_below":
+            return y < x - width
+        return np.abs(y - x) > width
+
+    problem = Problem(
+        states=uniform(0.0, 1.0, nx),
+        actions=uniform(0.0, 1.0, ny, "action"),
+        prior=weights / weights.sum(),
+        V=V,
+        u=lambda y, x: np.asarray(x, float) - np.asarray(y, float),
+        tie_break=draw(st.sampled_from(["strict_foc", "sender_favorable"])),
+        forbidden=None if forbid is None else forbidden,
+    )
+    return problem, draw(st.sampled_from([1, 7, 256, 10**6]))
+
+
+class TestPoolingSweepAgainstFullTable:
+    @pytest.mark.parametrize("grid_n", [21, 41])
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_presets(self, pid, grid_n):
+        pb, _ = preset(pid, grid_n=grid_n)
+        assert_sweep_matches_full_table(pb)
+
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    @pytest.mark.parametrize("pid", ["example_c1", "contest", "quantile", "stress_test"])
+    def test_block_sizes(self, pid, block, monkeypatch):
+        pb, _ = preset(pid, grid_n=21)  # at most 210 pairs, so 10**6 is one block
+        monkeypatch.setattr(structure, "PAIR_BLOCK", block)
+        assert_sweep_matches_full_table(pb)
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("bump_at", [0.1, 0.6])
+    def test_near_tie_refinement(self, bump_at, block, monkeypatch):
+        # V = c y^2 + a narrow bump between two coarse rho samples: on the
+        # k / 64 grid every gain is at most the tolerance, and the first 256
+        # near-tie entries span 13 pairs (x1 <= 0.15) in several blocks.  A
+        # bump at 0.1 lies inside 9 of those pairs, whose fine re-sweep beats
+        # splitting, so the first of them in pair order is the witness; a bump
+        # at 0.6 lies beyond the refined pairs and is not found.
+        step = 0.05 / RHO_M  # coarse rho samples of every pair lie on this lattice
+        y0 = bump_at + 0.5 * step
+
+        def V(y, x):
+            y = np.asarray(y, float) + 0.0 * np.asarray(x, float)
+            return 1e-4 * y * y + 1e-5 * np.exp(-(((y - y0) / 1e-4) ** 2))
+
+        pb = Problem(
+            states=uniform(0.0, 1.0, 21),
+            actions=uniform(0.0, 1.0, 21, "action"),
+            prior=np.full(21, 1.0 / 21),
+            V=V,
+            u=lambda y, x: np.asarray(x, float) - np.asarray(y, float),
+        )
+        monkeypatch.setattr(structure, "PAIR_BLOCK", block)
+        rep = check_full_disclosure(pb)
+        if bump_at == 0.1:
+            assert rep.label == "not_optimal" and rep.witness[:2] == (0.0, float(pb.states.points[3]))
+        else:
+            assert rep.label == "optimal_unique"
+        assert repr(rep) == repr(full_table_full_disclosure(pb))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pooling_problems())
+    def test_random_problems(self, case):
+        pb, block = case
+        with mock.patch.object(structure, "PAIR_BLOCK", block), np.errstate(invalid="ignore"):
+            assert_sweep_matches_full_table(pb)
+
+
+class TestPoolingSweepMemory:
+    @pytest.mark.parametrize("pid", ["example_c1", "contest"])
+    def test_peak_below_16_mb_at_n121(self, pid):
+        pb, _ = preset(pid, grid_n=121)
+        tracemalloc.start()
+        try:
+            check_full_disclosure(pb)
+            route = check_nad_condition(pb).route
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert route == ("local" if pid == "example_c1" else "sweep")
+        assert peak < 16 * 2**20
 
 
 class TestExtractChi:
