@@ -20,6 +20,7 @@ import numpy as np
 from . import nad as nad_mod
 from .errors import (
     OptransError,
+    ParamOutOfRange,
     ParseError,
     SchemaVersionMismatch,
     ShapeMismatch,
@@ -97,6 +98,33 @@ def _interp2(states: np.ndarray, actions: np.ndarray, table: np.ndarray):
     return f
 
 
+def _preset(preset_id, grid_n, actions_n, params: dict) -> tuple:
+    """``preset`` with user-given ``params``, which may not name its own arguments."""
+    if {"preset_id", "grid_n", "actions_n"} & set(params):
+        raise ParamOutOfRange("params may not set preset_id, grid_n or actions_n; each has its own option")
+    return preset(preset_id, grid_n=grid_n, actions_n=actions_n, **params)
+
+
+def _spec_int(doc: dict, key: str, default):
+    """``doc[key]`` as an int; absent, or null where ``default`` is None, gives ``default``."""
+    value = doc.get(key, default)
+    try:
+        return value if value is default else int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"field {key!r} must be an integer, got {value!r}", field=key)
+
+
+def _spec_array(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float array: ShapeMismatch if ragged, ParseError if not numeric."""
+    value = doc[key]
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        if isinstance(value, list) and len({len(r) if isinstance(r, list) else None for r in value}) > 1:
+            raise ShapeMismatch(f"field {key!r} has rows of unequal lengths", field=key)
+        raise ParseError(f"field {key!r} is not a numeric array: {exc}", field=key)
+
+
 def load_problem(path) -> tuple:
     """Load a Problem (plus Preset metadata when referenced) from a JSON spec."""
     try:
@@ -118,16 +146,11 @@ def load_problem(path) -> tuple:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ParseError("params must be an object", field="params")
-        grid_n = int(doc.get("grid_n", 101))
-        actions_n = doc.get("actions_n")
-        pb, ps = preset(doc["preset"], grid_n=grid_n, actions_n=actions_n, **params)
-        return pb, ps
+        return _preset(doc["preset"], _spec_int(doc, "grid_n", 101), _spec_int(doc, "actions_n", None), params)
     for key in ("states", "actions", "prior", "V", "u"):
         if key not in doc:
             raise ParseError(f"missing required field {key!r}", field=key)
-    states = np.asarray(doc["states"], dtype=float)
-    actions = np.asarray(doc["actions"], dtype=float)
-    prior = np.asarray(doc["prior"], dtype=float)
+    states, actions, prior = (_spec_array(doc, key) for key in ("states", "actions", "prior"))
     if prior.shape != states.shape:
         raise ShapeMismatch(
             f"prior length {prior.size} != states length {states.size}", field="prior"
@@ -136,7 +159,7 @@ def load_problem(path) -> tuple:
     for key in ("V", "u", "V_y", "u_y", "u_x", "V_yx", "u_yx"):
         if key not in doc:
             continue
-        t = np.asarray(doc[key], dtype=float)
+        t = _spec_array(doc, key)
         if t.shape != (actions.size, states.size):
             raise ShapeMismatch(
                 f"table {key!r} has shape {t.shape}, expected {(actions.size, states.size)}",
@@ -225,25 +248,21 @@ def _json_dump(path, obj):
 
 def _build(cfg: RunConfig):
     if cfg.spec:
-        pb, ps = load_problem(cfg.spec)
-    elif cfg.preset:
-        params = {}
-        if cfg.params:
-            for pair in cfg.params.split(","):
-                if not pair:
-                    continue
-                if "=" not in pair:
-                    raise ParseError(f"bad --params entry {pair!r}", field="params")
-                k, v = pair.split("=", 1)
-                try:
-                    params[k] = float(v)
-                except ValueError:
-                    params[k] = v
-        grid_n, actions_n = cfg.grid_sizes()
-        pb, ps = preset(cfg.preset, grid_n=grid_n, actions_n=actions_n, **params)
-    else:
+        return load_problem(cfg.spec)
+    if not cfg.preset:
         raise ParseError("need --preset or --spec", field=None)
-    return pb, ps
+    params = {}
+    for pair in (cfg.params or "").split(","):
+        if not pair:
+            continue
+        if "=" not in pair:
+            raise ParseError(f"bad --params entry {pair!r}", field="params")
+        k, v = pair.split("=", 1)
+        try:
+            params[k] = float(v)
+        except ValueError:
+            params[k] = v
+    return _preset(cfg.preset, *cfg.grid_sizes(), params)
 
 
 def _config_record(cfg: RunConfig) -> dict:

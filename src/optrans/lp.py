@@ -43,10 +43,6 @@ class LPInstance:
     solution: Optional[SimplexResult] = None
 
     @property
-    def n_vars(self) -> int:
-        return int(self.c.size)
-
-    @property
     def rank_estimate(self) -> Optional[int]:
         """Rank of the constraint matrix: rows the simplex kept (None until
         the LP is solved)."""

@@ -22,8 +22,9 @@ from .grids import Grid
 
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-BISECT_TOL = 1e-10
 BISECT_CAP = 200
+BINARY_ITERS = 60  # bisection steps of gamma_binary's strict_foc branch
+PLAUSIBLE_TOL = 1e-8  # Bayes plausibility: largest deviation of the state marginal
 PRIOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 SIGNAL_MASS_TOL = 1e-10
@@ -119,10 +120,10 @@ class Signal:
             out[list(post.support)] += m * post.weights
         return out
 
-    def check_plausible(self, prior: np.ndarray, tol: float = 1e-8) -> float:
+    def check_plausible(self, prior: np.ndarray) -> float:
         """Max deviation of the aggregated state marginal from the prior."""
         dev = float(np.max(np.abs(self.state_marginal(prior.size) - prior)))
-        if dev > tol:
+        if dev > PLAUSIBLE_TOL:
             raise IllPosed(f"signal is not Bayes-plausible: deviation {dev:.3e}")
         return dev
 
@@ -301,8 +302,8 @@ def _aggregate_u(problem: Problem, xs: np.ndarray, w: np.ndarray):
     return f
 
 
-def _bisect(f, lo: float, hi: float, *, cap: int = BISECT_CAP) -> float:
-    """Sign-change bisection; runs to float resolution, capped at ``cap``."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Sign-change bisection; runs to float resolution, capped at ``BISECT_CAP`` steps."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -310,7 +311,7 @@ def _bisect(f, lo: float, hi: float, *, cap: int = BISECT_CAP) -> float:
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise NoRoot(f"no sign change on [{lo}, {hi}]: f={flo:.3e}..{fhi:.3e}")
-    for _ in range(cap):
+    for _ in range(BISECT_CAP):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -347,7 +348,7 @@ def gamma(problem: Problem, mu: Posterior) -> float:
     return float(y)
 
 
-def gamma_binary(problem: Problem, x1, x2, rho, *, iters: int = 90) -> np.ndarray:
+def gamma_binary(problem: Problem, x1, x2, rho) -> np.ndarray:
     """Vectorized best response for two-point posteriors rho*d(x1)+(1-rho)*d(x2).
 
     strict_foc instances only; inputs broadcast to a common shape.
@@ -387,7 +388,7 @@ def gamma_binary(problem: Problem, x1, x2, rho, *, iters: int = 90) -> np.ndarra
     bad &= (flo != 0.0) & (fhi != 0.0)
     if np.any(bad):
         raise NoRoot("aggregate FOC does not bracket for some pair")
-    for _ in range(iters):
+    for _ in range(BINARY_ITERS):
         mid = 0.5 * (lo + hi)
         fm = agg(mid)
         same = np.sign(fm) == np.sign(flo)

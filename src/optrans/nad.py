@@ -28,10 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import IllPosed, NoRoot, ShootingFailed, StiffStep
+from .errors import NoRoot, ShootingFailed, StiffStep
 from .model import Outcome, Posterior, Problem, _bisect, chi, gamma, outcome_from_mass
 
-CDF_CACHE_N = 4097
 RTOL = 1e-8  # RK45 tolerances of every shot
 ATOL = 1e-10
 COLLISION_FRAC = 1e-4  # pair gap, as a share of the state range, that counts as collided
@@ -58,21 +57,6 @@ class LpComparison:
     objective_gap: float
     flagged: bool
     flagged_action: Optional[float] = None
-
-
-def _cdf_from_density(problem: Problem, density) -> Callable[[np.ndarray], np.ndarray]:
-    lo, hi = problem.states.lo, problem.states.hi
-    xs = np.linspace(lo, hi, CDF_CACHE_N)
-    f = np.asarray(density(xs), dtype=float)
-    if np.any(f <= 0):
-        raise IllPosed("prior density must be positive on the state range")
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(xs))])
-    cum /= cum[-1]
-
-    def cdf(x):
-        return np.interp(np.asarray(x, dtype=float), xs, cum)
-
-    return cdf
 
 
 def _q_pair(problem: Problem, y, c1, c2):
@@ -146,7 +130,7 @@ def solve_nad(
     problem: Problem,
     prior_density: Callable,
     *,
-    prior_cdf: Optional[Callable] = None,
+    prior_cdf: Callable,
 ) -> NadSolution:
     """Negative assortative solution by downward integration and shooting.
 
@@ -164,11 +148,11 @@ def solve_nad(
     it in up to ``MAX_BISECT`` shots, a collision meaning a pair gap of
     ``COLLISION_FRAC`` of the state range; the second stage re-bisects
     around the hit in up to ``MAX_REBISECT`` shots at a gap 100 times
-    smaller.  Quantile-style instances take the direct route, through
-    ``prior_cdf`` when given.
+    smaller.  Quantile-style instances take the direct route through
+    ``prior_cdf``.
     """
     if problem.quantile_kappa is not None:
-        return _solve_quantile(problem, prior_density, prior_cdf)
+        return _solve_quantile(problem, prior_cdf)
 
     lo, hi = problem.states.lo, problem.states.hi
     span = hi - lo
@@ -353,9 +337,8 @@ def solve_nad(
         raise
 
 
-def _solve_quantile(problem: Problem, prior_density, prior_cdf) -> NadSolution:
+def _solve_quantile(problem: Problem, cdf: Callable) -> NadSolution:
     kappa = float(problem.quantile_kappa)
-    cdf = prior_cdf or _cdf_from_density(problem, prior_density)
     lo, hi = problem.states.lo, problem.states.hi
 
     def ylow_eq(t):

@@ -6,10 +6,16 @@ the assumption-flag pattern the instance is supposed to produce.  Action
 grids default to the state grid when the receiver's per-state optimum is the
 state itself, and to the image of the per-state optimum otherwise, so that
 full disclosure is exactly representable and the LP is always feasible.
+
+Builders share their common pieces: the posterior-mean receiver
+``MEAN_RECEIVER`` (u = x - y), the translation kernel ``TANH_RECEIVER``
+(u = tanh(x - y)), the uniform [0, 1] grids and prior of ``_unit_grids`` with
+their density and cdf ``UNIT_DENSITY``, and the flag pattern ``ALL_FLAGS_OK``.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,6 +27,7 @@ from .model import Problem
 
 E = float(np.e)
 ORACLE_TOL = 1e-2  # oracle tolerance of fields the preset gives none for
+NUM_DZ_STEP = 1e-6  # central-difference step of the derivatives no closed form is given for
 
 
 @dataclass
@@ -79,6 +86,7 @@ def oracle_check(preset: Preset, computed: dict) -> OracleReport:
 
 
 def _uniform_density(lo, hi):
+    """Preset keywords: the uniform prior density and cdf on [lo, hi]."""
     h = hi - lo
 
     def f(x):
@@ -87,7 +95,50 @@ def _uniform_density(lo, hi):
     def F(x):
         return np.clip((np.asarray(x, dtype=float) - lo) / h, 0.0, 1.0)
 
-    return f, F
+    return {"prior_density": f, "prior_cdf": F}
+
+
+def _num_dz(f):
+    def d(z):
+        return (f(np.asarray(z) + NUM_DZ_STEP) - f(np.asarray(z) - NUM_DZ_STEP)) / (2.0 * NUM_DZ_STEP)
+
+    return d
+
+
+def _sech2(z):
+    """sech(z)^2, exactly 0 where cosh(z)^2 overflows."""
+    with np.errstate(over="ignore"):
+        c = np.cosh(z)
+        return 1.0 / (c * c)
+
+
+def _zero(y, x):
+    return 0.0 * (x + y)
+
+
+def _unit_grids(grid_n, actions_n):
+    """Problem keywords: states and actions uniform on [0, 1], uniform prior."""
+    return {
+        "states": uniform(0.0, 1.0, grid_n),
+        "actions": uniform(0.0, 1.0, actions_n, "action"),
+        "prior": np.full(grid_n, 1.0 / grid_n),
+    }
+
+
+UNIT_DENSITY = _uniform_density(0.0, 1.0)
+MEAN_RECEIVER = {
+    "u": lambda y, x: x - y,
+    "u_y": lambda y, x: -1.0 + 0.0 * (x + y),
+    "u_x": lambda y, x: 1.0 + 0.0 * (x + y),
+    "u_yx": _zero,
+}
+TANH_RECEIVER = {
+    "u": lambda y, x: np.tanh(x - y),
+    "u_y": lambda y, x: -_sech2(x - y),
+    "u_x": lambda y, x: _sech2(x - y),
+    "u_yx": lambda y, x: 2.0 * _sech2(x - y) * np.tanh(x - y),
+}
+ALL_FLAGS_OK = {"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True}
 
 
 # ---------------------------------------------------------------------------
@@ -103,42 +154,26 @@ def _linear(grid_n, actions_n, V_shape="convex"):
     if V_shape not in shapes:
         raise ParamOutOfRange(f"linear preset: unknown V_shape {V_shape!r}")
     Vf, Vyf = shapes[V_shape]
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: Vf(y) + 0.0 * x,
-        u=lambda y, x: x - y,
         V_y=lambda y, x: Vyf(y) + 0.0 * x,
-        V_yx=lambda y, x: 0.0 * (x + y),
-        u_y=lambda y, x: -1.0 + 0.0 * (x + y),
-        u_x=lambda y, x: 1.0 + 0.0 * (x + y),
-        u_yx=lambda y, x: 0.0 * (x + y),
+        V_yx=_zero,
+        **MEAN_RECEIVER,
         name=f"linear[{V_shape}]",
     )
-    f, F = _uniform_density(0.0, 1.0)
     verdicts = {
         "twist": "fails",
         "full_disclosure": {"convex": "optimal_unique", "concave": "not_optimal", "linear": "optimal"}[V_shape],
-    }
-    flags = {
-        "smooth_ok": True,
-        "asc_ok": True,
-        "interior_ok": True,
-        # V_y vanishes at the bottom action for the convex shape and changes
-        # sign for the concave one
-        "ordering_ok": V_shape == "linear",
     }
     return problem, Preset(
         id="linear",
         params={"V_shape": V_shape, "grid_n": grid_n},
         expected_verdicts=verdicts,
-        expected_flags=flags,
-        prior_density=f,
-        prior_cdf=F,
+        # V_y vanishes at the bottom action for the convex shape and changes
+        # sign for the concave one
+        expected_flags=dict(ALL_FLAGS_OK, ordering_ok=V_shape == "linear"),
+        **UNIT_DENSITY,
         notes="state-independent sender with a mean-reading receiver",
     )
 
@@ -146,34 +181,24 @@ def _linear(grid_n, actions_n, V_shape="convex"):
 def _linear_receiver(grid_n, actions_n, a=1.0, b=2.0, c=0.5):
     if a <= 0 or b <= 0:
         raise ParamOutOfRange("linear_receiver: a, b must be positive")
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
 
     def g(x):
         return a + b * (x - c) ** 2
 
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: y * g(x),
-        u=lambda y, x: x - y,
         V_y=lambda y, x: g(x) + 0.0 * y,
         V_yx=lambda y, x: 2.0 * b * (x - c) + 0.0 * y,
-        u_y=lambda y, x: -1.0 + 0.0 * (x + y),
-        u_x=lambda y, x: 1.0 + 0.0 * (x + y),
-        u_yx=lambda y, x: 0.0 * (x + y),
+        **MEAN_RECEIVER,
         name="linear_receiver[quad]",
     )
-    f, F = _uniform_density(0.0, 1.0)
     return problem, Preset(
         id="linear_receiver",
         params={"a": a, "b": b, "c": c, "grid_n": grid_n},
         expected_verdicts={"sdpd": "dipped_strict", "full_disclosure": "not_optimal", "twist": "holds_positive"},
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=ALL_FLAGS_OK,
+        **UNIT_DENSITY,
         notes="marginal sender gain strictly convex in the state",
     )
 
@@ -191,40 +216,28 @@ def _rayo_segal(grid_n, actions_n, w="affine_up", G="quadratic"):
         raise ParamOutOfRange(f"rayo_segal: unknown shapes {w!r}, {G!r}")
     wf, wpf = ws[w]
     Gf, Gpf = Gs[G]
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: wf(x) * Gf(y),
-        u=lambda y, x: x - y,
         V_y=lambda y, x: wf(x) * Gpf(y),
         V_yx=lambda y, x: wpf(x) * Gpf(y),
-        u_y=lambda y, x: -1.0 + 0.0 * (x + y),
-        u_x=lambda y, x: 1.0 + 0.0 * (x + y),
-        u_yx=lambda y, x: 0.0 * (x + y),
+        **MEAN_RECEIVER,
         name=f"rayo_segal[{w},{G}]",
     )
-    f, F = _uniform_density(0.0, 1.0)
-    verdict = "optimal_unique" if (w == "affine_up" and G == "quadratic") else None
-    ev = {"full_disclosure": verdict} if verdict else {}
+    ev = {"full_disclosure": "optimal_unique"} if (w == "affine_up" and G == "quadratic") else {}
     return problem, Preset(
         id="rayo_segal",
         params={"w": w, "G": G, "grid_n": grid_n},
         expected_verdicts=ev,
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=ALL_FLAGS_OK,
+        **UNIT_DENSITY,
         notes="multiplicatively separable sender utility",
     )
 
 
 def _translation_sender(grid_n, actions_n, P="exp"):
     if P == "exp":
-        Pf = np.exp
-        Ppf = np.exp
+        Pf = Ppf = np.exp
         nad_verdict = "holds"
     elif P == "humped":
         # P'(z) = 1 - z/2 + z^2/2 > 0, strictly convex, with P''(0) < 0
@@ -233,46 +246,22 @@ def _translation_sender(grid_n, actions_n, P="exp"):
         nad_verdict = "fails"
     else:
         raise ParamOutOfRange(f"translation_sender: unknown P {P!r}")
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: Pf(y - x),
-        u=lambda y, x: x - y,
         V_y=lambda y, x: Ppf(y - x),
         V_yx=lambda y, x: -_num_dz(Ppf)(y - x),
-        u_y=lambda y, x: -1.0 + 0.0 * (x + y),
-        u_x=lambda y, x: 1.0 + 0.0 * (x + y),
-        u_yx=lambda y, x: 0.0 * (x + y),
+        **MEAN_RECEIVER,
         name=f"translation_sender[{P}]",
     )
-    f, F = _uniform_density(0.0, 1.0)
     return problem, Preset(
         id="translation_sender",
         params={"P": P, "grid_n": grid_n},
         expected_verdicts={"sdpd": "dipped_strict", "nad_condition": nad_verdict},
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=ALL_FLAGS_OK,
+        **UNIT_DENSITY,
         notes="sender cares about the over-valuation y - x only",
     )
-
-
-def _num_dz(f, h=1e-6):
-    def d(z):
-        return (f(np.asarray(z) + h) - f(np.asarray(z) - h)) / (2.0 * h)
-
-    return d
-
-
-def _sech2(z):
-    """sech(z)^2, exactly 0 where cosh(z)^2 overflows."""
-    with np.errstate(over="ignore"):
-        c = np.cosh(z)
-        return 1.0 / (c * c)
 
 
 def _translation_receiver(grid_n, actions_n, V="linear"):
@@ -284,34 +273,21 @@ def _translation_receiver(grid_n, actions_n, V="linear"):
         Vyf = _num_dz(Vf)
     else:
         raise ParamOutOfRange(f"translation_receiver: unknown V {V!r}")
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: Vf(y) + 0.0 * x,
-        u=lambda y, x: np.tanh(x - y),
         V_y=lambda y, x: Vyf(y) + 0.0 * x,
-        V_yx=lambda y, x: 0.0 * (x + y),
-        u_y=lambda y, x: -_sech2(x - y),
-        u_x=lambda y, x: _sech2(x - y),
-        u_yx=lambda y, x: 2.0 * _sech2(x - y) * np.tanh(x - y),
+        V_yx=_zero,
+        **TANH_RECEIVER,
         name=f"translation_receiver[tanh,{V}]",
     )
-    f, F = _uniform_density(0.0, 1.0)
-    nad_verdict = "holds" if V == "linear" else None
-    ev = {"sdpd": "dipped_strict"}
-    if nad_verdict:
-        ev["nad_condition"] = nad_verdict
+    ev = {"sdpd": "dipped_strict", "nad_condition": "holds"} if V == "linear" else {"sdpd": "dipped_strict"}
     return problem, Preset(
         id="translation_receiver",
         params={"V": V, "grid_n": grid_n},
         expected_verdicts=ev,
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=ALL_FLAGS_OK,
+        **UNIT_DENSITY,
         notes="receiver marginal utility depends on x - y through a log-concave-slope kernel",
     )
 
@@ -319,20 +295,15 @@ def _translation_receiver(grid_n, actions_n, V="linear"):
 def _quantile(grid_n, actions_n, kappa=0.5):
     if not (0.0 < kappa < 1.0):
         raise ParamOutOfRange("quantile: kappa must lie in (0, 1)")
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: y + 0.0 * x,
         u=lambda y, x: (np.asarray(x) >= np.asarray(y)).astype(float) - kappa,
         V_y=lambda y, x: 1.0 + 0.0 * (x + y),
-        V_yx=lambda y, x: 0.0 * (x + y),
-        u_y=lambda y, x: 0.0 * (x + y),
-        u_x=lambda y, x: 0.0 * (x + y),
-        u_yx=lambda y, x: 0.0 * (x + y),
+        V_yx=_zero,
+        u_y=_zero,
+        u_x=_zero,
+        u_yx=_zero,
         tie_break="sender_favorable",
         smooth=False,
         ordering="single_crossing",
@@ -340,13 +311,11 @@ def _quantile(grid_n, actions_n, kappa=0.5):
         quantile_kappa=kappa,
         name=f"quantile[{kappa}]",
     )
-    f, F = _uniform_density(0.0, 1.0)
     return problem, Preset(
         id="quantile",
         params={"kappa": kappa, "grid_n": grid_n},
         expected_flags={"smooth_ok": False, "asc_ok": False, "interior_ok": False, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        **UNIT_DENSITY,
         notes="indicator receiver; admitted with sender-favorable ties",
     )
 
@@ -362,12 +331,9 @@ def _example_c1(grid_n, actions_n):
         actions=actions,
         prior=prior,
         V=lambda y, x: y / x,
-        u=lambda y, x: x - y,
         V_y=lambda y, x: 1.0 / np.asarray(x, dtype=float) + 0.0 * y,
         V_yx=lambda y, x: -1.0 / np.asarray(x, dtype=float) ** 2 + 0.0 * y,
-        u_y=lambda y, x: -1.0 + 0.0 * (x + y),
-        u_x=lambda y, x: 1.0 + 0.0 * (x + y),
-        u_yx=lambda y, x: 0.0 * (x + y),
+        **MEAN_RECEIVER,
         name="example_c1",
     )
     pstar = (0.5 * (states.points + 1.0 / states.points)) ** 2
@@ -395,7 +361,7 @@ def _example_c1(grid_n, actions_n):
             "twist": "holds_positive",
             "classify": "strictly_single_dipped",
         },
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
+        expected_flags=ALL_FLAGS_OK,
         prior_density=density,
         prior_cdf=cdf,
         notes="reciprocal-state sender on a log-symmetric range; fully closed-form",
@@ -414,13 +380,11 @@ def _example_c2(grid_n, actions_n, kappa=0.5):
     def alpha_upper(y):
         return np.minimum(1.0, (1.0 - np.asarray(F(y), dtype=float)) / kappa)
 
-    y_low = float(kappa / (1.0))  # kappa*F(t) = (1-kappa)*(1-F(t)) with uniform prior
-    y_low = 1.0 - kappa
     oracle = {
         "chi1": chi1,
         "chi2": lambda y: np.asarray(y, dtype=float),
         "alpha_tail": alpha_upper,
-        "y_low": y_low,
+        "y_low": 1.0 - kappa,  # kappa*F(t) = (1-kappa)*(1-F(t)) with uniform prior
         "rho": 1.0 - kappa,
     }
     return problem, Preset(
@@ -459,12 +423,9 @@ def _example_c3(grid_n, actions_n, prior="balanced"):
         actions=actions,
         prior=prior_w,
         V=lambda y, x: np.tanh(2.0 * y) + 0.0 * x,
-        u=lambda y, x: np.tanh(x - y),
         V_y=lambda y, x: 2.0 * _sech2(2.0 * y) + 0.0 * x,
-        V_yx=lambda y, x: 0.0 * (x + y),
-        u_y=lambda y, x: -_sech2(x - y),
-        u_x=lambda y, x: _sech2(x - y),
-        u_yx=lambda y, x: 2.0 * _sech2(x - y) * np.tanh(x - y),
+        V_yx=_zero,
+        **TANH_RECEIVER,
         name=f"example_c3[{prior}]",
     )
 
@@ -491,7 +452,7 @@ def _example_c3(grid_n, actions_n, prior="balanced"):
         oracle=oracle,
         tolerance={"p": 1e-2, "q": 1e-2},
         expected_verdicts={"sdpd": "dipped_strict", "nad_condition": "fails"},
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
+        expected_flags=ALL_FLAGS_OK,
         prior_density=density,
         prior_cdf=cdf,
         notes="piecewise-constant prior; closed-form price certificate",
@@ -502,8 +463,7 @@ def _contest(grid_n, actions_n, xmin=0.1, xmax=0.5):
     if not (0.0 < xmin < xmax):
         raise ParamOutOfRange("contest: need 0 < xmin < xmax")
     states = uniform(xmin, xmax, grid_n)
-    img = states.points / (1.0 + states.points**2)
-    img = np.unique(img)
+    img = np.unique(states.points / (1.0 + states.points**2))
     if img.size < max(3, actions_n // 4):
         img = np.unique(np.concatenate([img, np.linspace(img.min(), img.max(), actions_n)]))
     actions = from_points(img, "action")
@@ -522,7 +482,6 @@ def _contest(grid_n, actions_n, xmin=0.1, xmax=0.5):
         ordering="single_crossing" if xmax > 1.0 else "increasing",
         name=f"contest[{xmin},{xmax}]",
     )
-    f, F = _uniform_density(xmin, xmax)
 
     def twist_closed(y, x1, x2, x3):
         return (x3 - x2) * (x3 - x1) * (x2 - x1) * (1.0 - x2 * x3 - x1 * x3 - x1 * x2) / (x1 * x2 * x3)
@@ -544,14 +503,8 @@ def _contest(grid_n, actions_n, xmin=0.1, xmax=0.5):
         oracle=oracle,
         tolerance={"twist_determinant": 1e-10},
         expected_verdicts=verdicts,
-        expected_flags={
-            "smooth_ok": True,
-            "asc_ok": True,
-            "interior_ok": True,
-            "ordering_ok": xmax <= 1.0,
-        },
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=dict(ALL_FLAGS_OK, ordering_ok=xmax <= 1.0),
+        **_uniform_density(xmin, xmax),
         notes="effort contest; thresholds at 3^-1/2 and 1 switch the pairing direction",
     )
 
@@ -561,9 +514,6 @@ def _affiliated(grid_n, actions_n, x0=0.7071067811865476, beta=8.0):
         raise ParamOutOfRange("affiliated: x0 must lie in (0, 1)")
     if beta <= 0:
         raise ParamOutOfRange("affiliated: beta must be positive")
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
 
     # type density g(t|x) proportional to exp(-beta t x): strictly
     # log-submodular; the x -> 0 limit is the uniform density
@@ -582,9 +532,7 @@ def _affiliated(grid_n, actions_n, x0=0.7071067811865476, beta=8.0):
         return np.where(np.abs(z) < 1e-8, t, out)
 
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: Gcdf(y, x),
         u=lambda y, x: (np.asarray(x, dtype=float) - x0) * gdens(y, x),
         V_y=lambda y, x: gdens(y, x),
@@ -599,14 +547,12 @@ def _affiliated(grid_n, actions_n, x0=0.7071067811865476, beta=8.0):
         constrain_bottom_row=False,
         name=f"affiliated[{x0},{beta}]",
     )
-    f, F = _uniform_density(0.0, 1.0)
     return problem, Preset(
         id="affiliated",
         params={"x0": x0, "beta": beta, "grid_n": grid_n},
         expected_verdicts={"classify": "strictly_single_peaked"},
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": False, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=dict(ALL_FLAGS_OK, interior_ok=False),
+        **UNIT_DENSITY,
         notes="privately informed receiver with a log-submodular signal density",
     )
 
@@ -642,12 +588,9 @@ def _stress_test(grid_n, actions_n, x0=0.45, delta=0.2, n_atoms=9):
         actions=actions,
         prior=prior,
         V=V,
-        u=lambda y, x: np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
-        V_y=lambda y, x: 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        V_yx=lambda y, x: 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        u_y=lambda y, x: -1.0 + 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        u_x=lambda y, x: 1.0 + 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        u_yx=lambda y, x: 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
+        V_y=_zero,
+        V_yx=_zero,
+        **MEAN_RECEIVER,
         tie_break="sender_favorable",
         smooth=False,
         obedience="inequality",
@@ -666,9 +609,6 @@ def _stress_test(grid_n, actions_n, x0=0.45, delta=0.2, n_atoms=9):
 def _gerrymander(grid_n, actions_n, swing=1.0, shock_scale=0.3):
     if swing <= 0 or shock_scale <= 0:
         raise ParamOutOfRange("gerrymander: scales must be positive")
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
 
     def sig(z):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
@@ -684,40 +624,32 @@ def _gerrymander(grid_n, actions_n, swing=1.0, shock_scale=0.3):
         s = sig(np.asarray(z) / swing)
         return s * (1.0 - s) * (1.0 - 2.0 * s) / swing**2
 
+    def V_y(y, x):
+        s = sig((np.asarray(y) - 0.5) / shock_scale)
+        return s * (1.0 - s) / shock_scale + 0.0 * np.asarray(x, dtype=float)
+
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=lambda y, x: sig((np.asarray(y, dtype=float) - 0.5) / shock_scale) + 0.0 * x,
         u=lambda y, x: T(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)),
-        V_y=lambda y, x: (
-            sig((np.asarray(y) - 0.5) / shock_scale)
-            * (1.0 - sig((np.asarray(y) - 0.5) / shock_scale))
-            / shock_scale
-            + 0.0 * np.asarray(x, dtype=float)
-        ),
-        V_yx=lambda y, x: 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
+        V_y=V_y,
+        V_yx=_zero,
         u_y=lambda y, x: -Tp(np.asarray(x) - np.asarray(y)),
         u_x=lambda y, x: Tp(np.asarray(x) - np.asarray(y)),
         u_yx=lambda y, x: -Tpp(np.asarray(x) - np.asarray(y)),
         name="gerrymander",
     )
-    f, F = _uniform_density(0.0, 1.0)
     return problem, Preset(
         id="gerrymander",
         params={"swing": swing, "shock_scale": shock_scale, "grid_n": grid_n},
         expected_verdicts={"sdpd": "dipped_strict", "classify": "strictly_single_dipped"},
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=ALL_FLAGS_OK,
+        **UNIT_DENSITY,
         notes="swing share strictly log-supermodular: polarized districts win more",
     )
 
 
 def _option_pricing(grid_n, actions_n, payoff="skew"):
-    states = uniform(0.0, 1.0, grid_n)
-    actions = uniform(0.0, 1.0, actions_n, "action")
-    prior = np.full(grid_n, 1.0 / grid_n)
     if payoff == "skew":
         V = lambda y, x: y - (np.asarray(x) - np.asarray(y)) ** 3 / 3.0
         V_y = lambda y, x: 1.0 + (np.asarray(x) - np.asarray(y)) ** 2
@@ -731,26 +663,19 @@ def _option_pricing(grid_n, actions_n, payoff="skew"):
     else:
         raise ParamOutOfRange(f"option_pricing: unknown payoff {payoff!r}")
     problem = Problem(
-        states=states,
-        actions=actions,
-        prior=prior,
+        **_unit_grids(grid_n, actions_n),
         V=V,
-        u=lambda y, x: np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
         V_y=V_y,
         V_yx=V_yx,
-        u_y=lambda y, x: -1.0 + 0.0 * (np.asarray(x) + np.asarray(y)),
-        u_x=lambda y, x: 1.0 + 0.0 * (np.asarray(x) + np.asarray(y)),
-        u_yx=lambda y, x: 0.0 * (np.asarray(x) + np.asarray(y)),
+        **MEAN_RECEIVER,
         name=f"option_pricing[{payoff}]",
     )
-    f, F = _uniform_density(0.0, 1.0)
     return problem, Preset(
         id="option_pricing",
         params={"payoff": payoff, "grid_n": grid_n},
         expected_verdicts=ev,
-        expected_flags={"smooth_ok": True, "asc_ok": True, "interior_ok": True, "ordering_ok": True},
-        prior_density=f,
-        prior_cdf=F,
+        expected_flags=ALL_FLAGS_OK,
+        **UNIT_DENSITY,
         notes="super-replication reading: p is the simple payout, q the holding per price",
     )
 
@@ -778,11 +703,24 @@ def preset_ids() -> tuple:
 
 
 def preset(preset_id: str, grid_n: int = 101, actions_n: Optional[int] = None, **params):
-    """Build (Problem, Preset) for a catalog entry."""
-    if preset_id not in _CATALOG:
+    """Build (Problem, Preset) for a catalog entry.  ``params`` must name
+    keywords of the entry's builder and match the types of their defaults;
+    an integral number for an int default becomes an int."""
+    if not isinstance(preset_id, str) or preset_id not in _CATALOG:
         raise UnknownPreset(f"unknown preset {preset_id!r}; known: {', '.join(preset_ids())}")
-    if grid_n < 3:
-        raise ParamOutOfRange("grid_n must be at least 3")
     if actions_n is None:
         actions_n = grid_n
-    return _CATALOG[preset_id](grid_n, actions_n, **params)
+    if grid_n < 3 or actions_n < 3:
+        raise ParamOutOfRange("grid_n and actions_n must be at least 3")
+    builder = _CATALOG[preset_id]
+    defaults = {k: p.default for k, p in list(inspect.signature(builder).parameters.items())[2:]}
+    for name, value in params.items():
+        if name not in defaults:
+            raise ParamOutOfRange(f"{preset_id}: unknown parameter {name!r}; known: {', '.join(defaults) or 'none'}")
+        want = type(defaults[name])
+        if want is int and isinstance(value, float) and value.is_integer():
+            params[name] = value = int(value)
+        kinds = (str,) if want is str else (int,) if want is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ParamOutOfRange(f"{preset_id}: parameter {name!r} takes {want.__name__} values, got {value!r}")
+    return builder(grid_n, actions_n, **params)

@@ -27,7 +27,7 @@ FARKAS_TOL = 1e-9  # beta-side LP optimum, relative to max(1, max |R|), that cer
 RHO_M = 64  # pooling sweeps: interior rho = k / RHO_M, k = 1 .. RHO_M - 1
 # pooling sweeps run PAIR_BLOCK (from .model) state pairs x (RHO_M - 1) rho at a time
 REFINE_M = 512  # full-disclosure near-tie re-sweep: rho = k / REFINE_M
-NEAR_MAX = 256  # full-disclosure near-tie entries whose pairs are re-swept
+NEAR_MAX = 256  # full-disclosure near-tie pairs re-swept, largest coarse gain first
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ class FullDisclosureReport:
 
 def _disclosed_values(problem: Problem, vals: np.ndarray) -> np.ndarray:
     """V(gamma(d_x), x) for the given states; -inf on forbidden cells."""
-    ys = gamma_binary(problem, vals, vals, np.ones_like(vals), iters=60)
+    ys = gamma_binary(problem, vals, vals, np.ones_like(vals))
     out = np.asarray(problem.V(ys, vals), dtype=float)
     if problem.forbidden is not None:
         out = np.where(problem.forbidden(ys, vals), -np.inf, out)
@@ -538,7 +538,7 @@ def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
     Positive entries mean pooling (x1, x2) at weight rho beats disclosing
     both states; forbidden cells come back as -inf for pooling.
     """
-    Yp = gamma_binary(problem, X1, X2, RHO, iters=60)
+    Yp = gamma_binary(problem, X1, X2, RHO)
     with np.errstate(invalid="ignore"):
         pooled = np.asarray(problem.V(Yp, X1), dtype=float) * RHO + (1.0 - RHO) * np.asarray(
             problem.V(Yp, X2), dtype=float
@@ -546,7 +546,8 @@ def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
     if problem.forbidden is not None:
         hit = problem.forbidden(Yp, X1) | problem.forbidden(Yp, X2)
         pooled = np.where(hit, -np.inf, pooled)
-    return pooled - (RHO * v1 + (1.0 - RHO) * v2)
+    with np.errstate(invalid="ignore"):  # -inf - -inf: pooling and disclosure both forbidden
+        return pooled - (RHO * v1 + (1.0 - RHO) * v2)
 
 
 @dataclass(frozen=True)
@@ -558,8 +559,7 @@ class _PoolingSweep:
     i1: np.ndarray  # per pair, the indices into vals of x1 < x2
     i2: np.ndarray
     disc: np.ndarray  # disclosed values of vals
-    per_pair: np.ndarray  # largest gain over rho (NaN if any is NaN)
-    near_pairs: list  # the pairs of the first NEAR_MAX entries above the near cut, once each
+    per_pair: np.ndarray  # largest gain over rho
 
     def pair(self, p: int) -> tuple:
         """(x1, x2, disclosed value of x1, disclosed value of x2) of pair p."""
@@ -567,12 +567,12 @@ class _PoolingSweep:
         return float(self.vals[j]), float(self.vals[k]), self.disc[j], self.disc[k]
 
 
-def _pooling_sweep(problem: Problem, m: int, near_cut: float) -> _PoolingSweep:
+def _pooling_sweep(problem: Problem, m: int) -> _PoolingSweep:
     """Pooling gain of every prior-supported state pair at every rho = k / m,
     computed ``PAIR_BLOCK`` pairs at a time: every entry is the same
     elementwise expression as on the whole (pair, rho) table, which is never
-    built.  Entries run through rho within a pair, so the pair of the first
-    largest entry is the first pair with the largest per-pair maximum."""
+    built.  Raises ``IllPosed`` on the first pair with a NaN gain, which
+    forbidden cells give where they block both pooling and disclosure."""
     xs = problem.states.points
     vals = xs[problem.prior > 0]
     i1, i2 = np.triu_indices(vals.size, k=1)
@@ -580,7 +580,6 @@ def _pooling_sweep(problem: Problem, m: int, near_cut: float) -> _PoolingSweep:
     rhos = (np.arange(1, m) / m).astype(float)
     nr = rhos.size
     per_pair = np.empty(i1.size)
-    near, n_near = {}, 0  # near-tie pairs in first-occurrence order, entries seen
     for s in range(0, i1.size, PAIR_BLOCK):
         b1, b2 = i1[s : s + PAIR_BLOCK], i2[s : s + PAIR_BLOCK]
         gain = _split_gain(
@@ -591,19 +590,23 @@ def _pooling_sweep(problem: Problem, m: int, near_cut: float) -> _PoolingSweep:
             np.repeat(disc[b1], nr),
             np.repeat(disc[b2], nr),
         )
+        nan = np.nonzero(np.isnan(gain))[0]
+        if nan.size:
+            j, k = i1[s + nan[0] // nr], i2[s + nan[0] // nr]
+            raise IllPosed(
+                f"pooling gain of states ({float(vals[j])!r}, {float(vals[k])!r}) is NaN: "
+                "forbidden cells block both pooling and disclosure, or V is NaN"
+            )
         per_pair[s : s + b1.size] = gain.reshape(b1.size, nr).max(axis=1)
-        if n_near < NEAR_MAX:
-            hits = np.nonzero(gain > near_cut)[0][: NEAR_MAX - n_near]
-            n_near += hits.size
-            near.update(dict.fromkeys((s + hits // nr).tolist()))
-    return _PoolingSweep(vals, i1, i2, disc, per_pair, list(near))
+    return _PoolingSweep(vals, i1, i2, disc, per_pair)
 
 
 def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosureReport:
     """Sweep all prior-supported state pairs and the rho grid k / m for a
     pooling deviation that beats splitting by more than 1e-9 times the
-    largest finite |V|; the pairs of the first ``NEAR_MAX`` near-tie entries
-    are re-swept, once each, on the finer grid k / ``REFINE_M``.  The sweep
+    largest finite |V|.  Up to ``NEAR_MAX`` near-tie pairs, whose largest
+    coarse gain exceeds -64 times that tolerance, are re-swept on the finer
+    grid k / ``REFINE_M``, largest coarse gain first.  The sweep
     runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is built.
     For a linear receiver the convexity-plus-exchange shortcut is evaluated
     too and reported when it already decides optimality."""
@@ -611,8 +614,8 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
     tol = 1e-9 * scale
-    sweep = _pooling_sweep(problem, m, -tol * 64)
-    worst_pair = int(np.argmax(sweep.per_pair))  # the first NaN if there is one
+    sweep = _pooling_sweep(problem, m)
+    worst_pair = int(np.argmax(sweep.per_pair))
     worst = float(sweep.per_pair[worst_pair])
     shortcut = _linear_receiver_shortcut(problem)
 
@@ -633,9 +636,9 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     if worst > tol:
         witness, margin = refine(worst_pair)
         return FullDisclosureReport(label="not_optimal", witness=witness, margin=margin)
-    # near-tie refinement of the pairs of the first NEAR_MAX entries within
-    # 64 tol; the re-sweep depends on the pair alone, so each is refined once
-    for p in sweep.near_pairs:
+    # near-tie refinement; the stable sort sends equal gains in pair order
+    order = np.argsort(-sweep.per_pair, kind="stable")
+    for p in order[sweep.per_pair[order] > -tol * 64][:NEAR_MAX]:
         witness, margin = refine(p)
         if margin > tol:
             return FullDisclosureReport(label="not_optimal", witness=witness, margin=margin)
@@ -732,7 +735,7 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
             return NadConditionReport("fails", witness=worst_y, route="local", margin=worst)
         return NadConditionReport("holds", route="local", margin=worst)
 
-    sweep = _pooling_sweep(problem, RHO_M, np.inf)  # no near ties wanted
+    sweep = _pooling_sweep(problem, RHO_M)
     per_pair = sweep.per_pair
     k = int(np.argmin(per_pair))
     if per_pair[k] <= STRICT_TOL:

@@ -1,9 +1,13 @@
 import json
 import logging
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optrans.cli import (
     load_problem,
@@ -11,7 +15,8 @@ from optrans.cli import (
     read_outcome_csv,
     read_prices_csv,
 )
-from optrans.errors import ParseError, SchemaVersionMismatch, ShapeMismatch
+from optrans.errors import OptransError, ParseError, SchemaVersionMismatch, ShapeMismatch
+from optrans.presets import preset
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -247,3 +252,92 @@ class TestCommands:
             assert pb.actions.points[iy] == y  # 17 significant digits round-trip
             assert pb.states.points[ix] == x
             assert out.mass[iy, ix] == m
+
+
+INLINE_SPEC = {
+    "schema_version": 1,
+    "states": [0.0, 0.5, 1.0],
+    "actions": [0.0, 0.5, 1.0],
+    "prior": [0.25, 0.5, 0.25],
+    "V": [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]],
+    "u": [[0.0, 0.5, 1.0], [-0.5, 0.0, 0.5], [-1.0, -0.5, 0.0]],
+}
+NOT_NUMERIC = ["abc", {"a": 1}, ["x", "y", "z"], [0.0, "x", 1.0], [[0.0], "x"], 5, None, True]
+NOT_INTEGER = ["abc", "", [21], {"n": 21}, 2, True]
+# values of the wrong kind for a string, a float and an int default
+WRONG_KIND = {str: [1.0, None, ["a"], True], float: ["abc", "1.5", None, [1.0], True, {"a": 1}], int: ["9", 5.5, None, True]}
+PRESET_PARAMS = {"linear": {"V_shape": str}, "quantile": {"kappa": float}, "stress_test": {"x0": float, "n_atoms": int}}
+
+
+@st.composite
+def malformed_specs(draw):
+    """One mutation of a valid spec that every load must reject: a dropped
+    required field, a wrong JSON type, a ragged table, or an unknown or
+    ill-typed preset parameter."""
+    if draw(st.booleans()):
+        doc = json.loads(json.dumps(INLINE_SPEC))
+        kind = draw(st.sampled_from(["drop", "wrong_type", "ragged", "enum"]))
+        if kind == "drop":
+            del doc[draw(st.sampled_from(sorted(INLINE_SPEC)))]
+        elif kind == "wrong_type":
+            doc[draw(st.sampled_from(["states", "actions", "prior", "V", "u"]))] = draw(st.sampled_from(NOT_NUMERIC))
+        elif kind == "ragged":
+            table = doc[draw(st.sampled_from(["V", "u"]))]
+            row = table[draw(st.integers(0, 2))]
+            if draw(st.booleans()):
+                row.append(0.0)
+            else:
+                row.pop()
+        else:
+            doc[draw(st.sampled_from(["tie_break", "obedience"]))] = draw(st.sampled_from([3, None, ["x"], "nonesuch"]))
+        return doc
+    pid = draw(st.sampled_from(sorted(PRESET_PARAMS)))
+    doc = {"schema_version": 1, "preset": pid, "grid_n": 5}
+    kind = draw(st.sampled_from(["drop", "schema", "preset", "grid", "params", "unknown", "ill_typed"]))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(["schema_version", "preset"]))]
+    elif kind == "schema":
+        doc["schema_version"] = draw(st.sampled_from(["1", 2, None, [1], 1.5]))
+    elif kind == "preset":
+        doc["preset"] = draw(st.sampled_from([3, None, [pid], "nonesuch"]))
+    elif kind == "grid":
+        doc[draw(st.sampled_from(["grid_n", "actions_n"]))] = draw(st.sampled_from(NOT_INTEGER))
+    elif kind == "params":
+        doc["params"] = draw(st.sampled_from([[1], "kappa=0.3", 3, None]))
+    elif kind == "unknown":
+        doc["params"] = {draw(st.sampled_from(["foo", "grid_n", "actions_n", "preset_id"])): 5}
+    else:
+        name, want = draw(st.sampled_from(sorted(PRESET_PARAMS[pid].items())))
+        doc["params"] = {name: draw(st.sampled_from(WRONG_KIND[want]))}
+    return doc
+
+
+class TestMalformedSpecs:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(malformed_specs())
+    def test_typed_error_and_exit_1(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_spec(Path(tmp), doc)
+            with pytest.raises(OptransError):
+                load_problem(path)
+            assert main(["solve", "--spec", str(path), "--out", tmp]) == 1
+
+    @pytest.mark.parametrize(
+        "pid,params",
+        [
+            ("linear", "foo=1"),
+            ("linear", "grid_n=5"),
+            ("linear", "V_shape=1"),
+            ("quantile", "kappa=abc"),
+            ("stress_test", "n_atoms=2.5"),
+        ],
+    )
+    def test_bad_preset_params_exit_1(self, tmp_path, capsys, pid, params):
+        assert main(["solve", "--preset", pid, "--params", params, "--grid-n", "5", "--out", str(tmp_path)]) == 1
+        assert "error [ParamOutOfRange]" in capsys.readouterr().err
+
+    def test_integral_float_for_int_param(self):
+        # --params delivers numbers as floats; an int parameter takes 5.0 as 5
+        pb, meta = preset("stress_test", grid_n=5, n_atoms=5.0)
+        assert meta.params["n_atoms"] == 5 and isinstance(meta.params["n_atoms"], int)
+        assert pb.n_states == 5

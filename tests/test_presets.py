@@ -111,3 +111,52 @@ class TestOracleCheck:
         _, meta = preset("example_c2", grid_n=11)
         rep = oracle_check(meta, {"y_low": 0.5, "rho": 0.5})
         assert rep.passed
+
+
+# parameter variants of the catalog presets
+VARIANTS = [
+    ("linear", {"V_shape": "concave"}),
+    ("linear", {"V_shape": "linear"}),
+    ("rayo_segal", {"w": "affine_down", "G": "linear"}),
+    ("translation_sender", {"P": "humped"}),
+    ("translation_receiver", {"V": "logistic"}),
+    ("example_c3", {"prior": "skewed"}),
+    ("contest", {"xmin": 1.0, "xmax": 2.0}),
+    ("contest", {"xmin": 0.6, "xmax": 0.9}),
+    ("option_pricing", {"payoff": "smile"}),
+    ("quantile", {"kappa": 0.3}),
+    ("example_c2", {"kappa": 0.3}),
+    ("affiliated", {"beta": 4.0}),
+    ("stress_test", {"x0": 0.3}),
+    ("gerrymander", {"swing": 2.0}),
+    ("linear_receiver", {"a": 2.0}),
+]
+# derivatives that are zero by convention rather than derivatives of V and u
+NONSMOOTH = ("quantile", "example_c2", "stress_test")
+
+
+class TestAnalyticDerivatives:
+    @pytest.mark.parametrize(
+        "pid,params",
+        [(pid, {}) for pid in preset_ids() if pid not in NONSMOOTH]
+        + [(pid, params) for pid, params in VARIANTS if pid not in NONSMOOTH],
+    )
+    def test_match_central_differences(self, pid, params):
+        pb, _ = preset(pid, grid_n=21, **params)
+        Y, X = pb.grids_product()
+        h = 1e-4
+
+        def dy(f):
+            return lambda y, x: (f(y + h, x) - f(y - h, x)) / (2.0 * h)
+
+        def dx(f):
+            return lambda y, x: (f(y, x + h) - f(y, x - h)) / (2.0 * h)
+
+        differences = {"V_y": dy(pb.V), "V_yx": dx(dy(pb.V)), "u_y": dy(pb.u), "u_x": dx(pb.u), "u_yx": dx(dy(pb.u))}
+        for name, fd in differences.items():
+            if name in pb.fd_filled:
+                continue
+            want = np.asarray(fd(Y, X), dtype=float)
+            got = np.broadcast_to(np.asarray(getattr(pb, name)(Y, X), dtype=float), Y.shape)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert float(np.max(np.abs(got - want))) <= 1e-4 * scale, (pid, params, name)

@@ -419,11 +419,46 @@ class TestNadCondition:
         assert rep.label == "fails"
         assert rep.witness < 0
 
+    def test_nan_gain_raises(self):
+        # cells below x - 0.1 are forbidden, so the sender-favorable pooled
+        # action and the disclosure of a high state are both forbidden: the
+        # gain is -inf - -inf, which must not come back as a NaN margin
+        pb = Problem(
+            states=uniform(0.0, 1.0, 12),
+            actions=uniform(0.0, 1.0, 3, "action"),
+            prior=np.full(12, 1.0 / 12),
+            V=lambda y, x: np.asarray(y, float) + 0.0 * np.asarray(x, float),
+            u=lambda y, x: np.asarray(x, float) - np.asarray(y, float),
+            tie_break="sender_favorable",
+            forbidden=lambda y, x: np.asarray(y, float) < np.asarray(x, float) - 0.1,
+        )
+        with pytest.raises(IllPosed, match=r"states \(0\.0, 0\.18181818181818182\) is NaN"):
+            check_nad_condition(pb)
+        with pytest.raises(IllPosed, match="is NaN"):
+            check_full_disclosure(pb)
+
+
+def full_table_gain(problem, m=RHO_M):
+    """The whole (pair, rho) pooling-gain table, pairs in np.triu_indices
+    order and rho = k / m within each pair."""
+    vals = problem.states.points[problem.prior > 0]
+    i1, i2 = np.triu_indices(vals.size, k=1)
+    rhos = (np.arange(1, m) / m).astype(float)
+    disc = structure._disclosed_values(problem, vals)
+    return structure._split_gain(
+        problem,
+        np.repeat(vals[i1], rhos.size),
+        np.repeat(vals[i2], rhos.size),
+        np.tile(rhos, i1.size),
+        np.repeat(disc[i1], rhos.size),
+        np.repeat(disc[i2], rhos.size),
+    )
+
 
 def full_table_full_disclosure(problem, m=RHO_M):
     """check_full_disclosure computed on the whole (pair, rho) table at once,
-    refining every near-tie entry in turn: the reference the block-wise sweep
-    must reproduce bit for bit."""
+    refining the near-tie pairs by decreasing per-pair maximum: the reference
+    the block-wise sweep must reproduce bit for bit."""
     Y, X = problem.grids_product()
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
@@ -453,8 +488,10 @@ def full_table_full_disclosure(problem, m=RHO_M):
     if worst > tol:
         witness, margin = refine(int(np.argmax(gain)))
         return FullDisclosureReport("not_optimal", witness=witness, margin=margin)
-    for k in np.nonzero(gain > -tol * 64)[0][:256]:
-        witness, margin = refine(k)
+    per_pair = gain.reshape(i1.size, rhos.size).max(axis=1)
+    near = [p for p in sorted(range(i1.size), key=lambda p: -per_pair[p]) if per_pair[p] > -tol * 64]
+    for p in near[:256]:
+        witness, margin = refine(p * rhos.size)
         if margin > tol:
             return FullDisclosureReport("not_optimal", witness=witness, margin=margin)
     span = problem.states.hi - problem.states.lo
@@ -470,15 +507,7 @@ def full_table_nad_sweep(problem):
     """check_nad_condition's sweep route on the whole (pair, rho) table."""
     vals = problem.states.points[problem.prior > 0]
     i1, i2 = np.triu_indices(vals.size, k=1)
-    rhos = (np.arange(1, RHO_M) / RHO_M).astype(float)
-    X1 = np.repeat(vals[i1], rhos.size)
-    X2 = np.repeat(vals[i2], rhos.size)
-    RHO = np.tile(rhos, i1.size)
-    disc = structure._disclosed_values(problem, vals)
-    gain = structure._split_gain(
-        problem, X1, X2, RHO, np.repeat(disc[i1], rhos.size), np.repeat(disc[i2], rhos.size)
-    )
-    per_pair = gain.reshape(i1.size, rhos.size).max(axis=1)
+    per_pair = full_table_gain(problem).reshape(i1.size, RHO_M - 1).max(axis=1)
     k = int(np.argmin(per_pair))
     if per_pair[k] <= STRICT_TOL:
         witness = (float(vals[i1[k]]), float(vals[i2[k]]))
@@ -494,7 +523,13 @@ def sweep_route_nad_condition(problem):
 
 
 def assert_sweep_matches_full_table(problem):
-    # repr compares floats bit for bit and lets NaN equal NaN
+    if np.isnan(full_table_gain(problem)).any():
+        with pytest.raises(IllPosed, match="is NaN"):
+            check_full_disclosure(problem)
+        with pytest.raises(IllPosed, match="is NaN"):
+            sweep_route_nad_condition(problem)
+        return
+    # repr compares floats bit for bit
     assert repr(check_full_disclosure(problem)) == repr(full_table_full_disclosure(problem))
     assert repr(sweep_route_nad_condition(problem)) == repr(full_table_nad_sweep(problem))
 
@@ -563,11 +598,11 @@ class TestPoolingSweepAgainstFullTable:
     @pytest.mark.parametrize("bump_at", [0.1, 0.6])
     def test_near_tie_refinement(self, bump_at, block, monkeypatch):
         # V = c y^2 + a narrow bump between two coarse rho samples: on the
-        # k / 64 grid every gain is at most the tolerance, and the first 256
-        # near-tie entries span 13 pairs (x1 <= 0.15) in several blocks.  A
-        # bump at 0.1 lies inside 9 of those pairs, whose fine re-sweep beats
-        # splitting, so the first of them in pair order is the witness; a bump
-        # at 0.6 lies beyond the refined pairs and is not found.
+        # k / 64 grid every gain is at most the tolerance, and 74 pairs lie
+        # within 64 tolerances, spread over several blocks.  The bump lifts
+        # the coarse gain of the neighbouring pair (bump_at, bump_at + 0.05)
+        # above every other, so that pair is refined first wherever the bump
+        # sits, and its fine re-sweep beats splitting.
         step = 0.05 / RHO_M  # coarse rho samples of every pair lie on this lattice
         y0 = bump_at + 0.5 * step
 
@@ -584,17 +619,16 @@ class TestPoolingSweepAgainstFullTable:
         )
         monkeypatch.setattr(structure, "PAIR_BLOCK", block)
         rep = check_full_disclosure(pb)
-        if bump_at == 0.1:
-            assert rep.label == "not_optimal" and rep.witness[:2] == (0.0, float(pb.states.points[3]))
-        else:
-            assert rep.label == "optimal_unique"
+        i = round(bump_at * 20)
+        assert rep.label == "not_optimal"
+        assert rep.witness[:2] == (float(pb.states.points[i]), float(pb.states.points[i + 1]))
         assert repr(rep) == repr(full_table_full_disclosure(pb))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(pooling_problems())
     def test_random_problems(self, case):
         pb, block = case
-        with mock.patch.object(structure, "PAIR_BLOCK", block), np.errstate(invalid="ignore"):
+        with mock.patch.object(structure, "PAIR_BLOCK", block):
             assert_sweep_matches_full_table(pb)
 
 
