@@ -558,8 +558,8 @@ def _affiliated(grid_n, actions_n, x0=0.7071067811865476, beta=8.0):
 
 
 def _stress_test(grid_n, actions_n, x0=0.45, delta=0.2, n_atoms=9):
-    if not (0.0 < x0 < 1.0) or not (0.0 < delta < 1.0):
-        raise ParamOutOfRange("stress_test: x0 and delta must lie in (0, 1)")
+    if not (0.0 < x0 < 1.0) or not (0.0 < delta < 1.0) or n_atoms < 2:
+        raise ParamOutOfRange("stress_test: x0 and delta must lie in (0, 1), and n_atoms be at least 2")
     atoms = np.linspace(0.05, 0.95, n_atoms)
     states = from_points(atoms)
     # disclosure of a below-threshold bank means pricing it exactly, so the
@@ -704,8 +704,8 @@ def preset_ids() -> tuple:
 
 def preset(preset_id: str, grid_n: int = 101, actions_n: Optional[int] = None, **params):
     """Build (Problem, Preset) for a catalog entry.  ``params`` must name
-    keywords of the entry's builder and match the types of their defaults;
-    an integral number for an int default becomes an int."""
+    keywords of the entry's builder and match the types of their defaults,
+    numbers being finite; an integral number for an int default becomes an int."""
     if not isinstance(preset_id, str) or preset_id not in _CATALOG:
         raise UnknownPreset(f"unknown preset {preset_id!r}; known: {', '.join(preset_ids())}")
     if actions_n is None:
@@ -721,6 +721,6 @@ def preset(preset_id: str, grid_n: int = 101, actions_n: Optional[int] = None, *
         if want is int and isinstance(value, float) and value.is_integer():
             params[name] = value = int(value)
         kinds = (str,) if want is str else (int,) if want is int else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if isinstance(value, bool) or not isinstance(value, kinds) or (want is not str and not np.isfinite(value)):
             raise ParamOutOfRange(f"{preset_id}: parameter {name!r} takes {want.__name__} values, got {value!r}")
     return builder(grid_n, actions_n, **params)

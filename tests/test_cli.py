@@ -265,7 +265,11 @@ INLINE_SPEC = {
 NOT_NUMERIC = ["abc", {"a": 1}, ["x", "y", "z"], [0.0, "x", 1.0], [[0.0], "x"], 5, None, True]
 NOT_INTEGER = ["abc", "", [21], {"n": 21}, 2, True]
 # values of the wrong kind for a string, a float and an int default
-WRONG_KIND = {str: [1.0, None, ["a"], True], float: ["abc", "1.5", None, [1.0], True, {"a": 1}], int: ["9", 5.5, None, True]}
+WRONG_KIND = {
+    str: [1.0, None, ["a"], True],
+    float: ["abc", "1.5", None, [1.0], True, {"a": 1}, float("nan"), float("inf")],
+    int: ["9", 5.5, None, True, float("inf")],
+}
 PRESET_PARAMS = {"linear": {"V_shape": str}, "quantile": {"kappa": float}, "stress_test": {"x0": float, "n_atoms": int}}
 
 
@@ -330,6 +334,7 @@ class TestMalformedSpecs:
             ("linear", "V_shape=1"),
             ("quantile", "kappa=abc"),
             ("stress_test", "n_atoms=2.5"),
+            ("linear_receiver", "c=nan"),
         ],
     )
     def test_bad_preset_params_exit_1(self, tmp_path, capsys, pid, params):

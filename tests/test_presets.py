@@ -27,6 +27,8 @@ class TestCatalog:
             preset("linear", grid_n=11, V_shape="wiggly")
         with pytest.raises(ParamOutOfRange):
             preset("linear", grid_n=2)
+        with pytest.raises(ParamOutOfRange):
+            preset("stress_test", grid_n=11, n_atoms=-3)
 
     def test_flag_patterns_documented(self):
         for pid in preset_ids():
