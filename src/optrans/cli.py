@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -56,18 +56,21 @@ class RunConfig:
     def __post_init__(self):
         if self.tol_contact is not None and not self.tol_contact > 0:
             raise ParseError("tol_contact must be positive", field="tol_contact")
-        if self.grid_n is not None:
-            try:
-                parts = [int(p) for p in str(self.grid_n).split(",")]
-            except ValueError:
-                raise ParseError(f"bad --grid-n {self.grid_n!r}", field="grid_n")
-            if any(p < 3 for p in parts):
-                raise ParseError("grid sizes must be at least 3", field="grid_n")
+        self.grid_sizes()
 
     def grid_sizes(self):
+        """Grid sizes from ``grid_n``: ``N`` gives (N, None), ``N,M`` gives
+        (N, M), and no ``grid_n`` gives (101, None)."""
         if self.grid_n is None:
             return 101, None
-        parts = [int(p) for p in str(self.grid_n).split(",")]
+        try:
+            parts = [int(p) for p in str(self.grid_n).split(",")]
+        except ValueError:
+            raise ParseError(f"bad --grid-n {self.grid_n!r}", field="grid_n")
+        if len(parts) > 2:
+            raise ParseError(f"--grid-n takes N or N,M, got {self.grid_n!r}", field="grid_n")
+        if any(p < 3 for p in parts):
+            raise ParseError("grid sizes must be at least 3", field="grid_n")
         return parts[0], (parts[1] if len(parts) > 1 else None)
 
 
@@ -185,60 +188,43 @@ def load_problem(path) -> tuple:
     return pb, None
 
 
+def _csv_block(header: str, columns) -> list:
+    """The header line, then one line per row of the equal-length ``columns``."""
+    return [header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+
+
+def _read_csv_block(block: str, header: str) -> list:
+    """The rows of one ``_csv_block`` as tuples of floats."""
+    lines = block.strip().split("\n")
+    if lines[0] != header:
+        raise ParseError(f"csv header {lines[0]!r}, expected {header!r}", field="header")
+    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
 def write_outcome_csv(path, problem, outcome):
-    lines = ["y,x,mass"]
     iy, ix = np.nonzero(outcome.mass > CSV_MASS_TOL)
-    for a, b in zip(iy, ix):
-        lines.append(
-            f"{_fmt(problem.actions.points[a])},{_fmt(problem.states.points[b])},{_fmt(outcome.mass[a, b])}"
-        )
+    lines = _csv_block("y,x,mass", (problem.actions.points[iy], problem.states.points[ix], outcome.mass[iy, ix]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_outcome_csv(path):
-    rows = Path(path).read_text().strip().split("\n")
-    if rows[0] != "y,x,mass":
-        raise ParseError("outcome csv header mismatch", field="header")
-    out = []
-    for r in rows[1:]:
-        y, x, m = (float(v) for v in r.split(","))
-        out.append((y, x, m))
-    return out
+    return _read_csv_block(Path(path).read_text(), "y,x,mass")
 
 
 def write_prices_csv(path, problem, prices):
-    lines = ["x,p"]
-    for x, p in zip(problem.states.points, prices.p):
-        lines.append(f"{_fmt(x)},{_fmt(p)}")
-    lines.append("")
-    lines.append("y,q")
-    for y, q in zip(problem.actions.points, prices.q):
-        lines.append(f"{_fmt(y)},{_fmt(q)}")
+    lines = _csv_block("x,p", (problem.states.points, prices.p)) + [""]
+    lines += _csv_block("y,q", (problem.actions.points, prices.q))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_prices_csv(path):
-    text = Path(path).read_text().strip()
-    first, second = text.split("\n\n")
-    ps, qs = [], []
-    for r in first.split("\n")[1:]:
-        x, p = (float(v) for v in r.split(","))
-        ps.append((x, p))
-    for r in second.split("\n")[1:]:
-        y, q = (float(v) for v in r.split(","))
-        qs.append((y, q))
-    return ps, qs
+    first, second = Path(path).read_text().strip().split("\n\n")
+    return _read_csv_block(first, "x,p"), _read_csv_block(second, "y,q")
 
 
 def write_nad_csv(path, nad):
-    lines = ["y,chi1,chi2,q,rho"]
-    n = nad.nodes["y"].size
-    for k in range(n):
-        lines.append(
-            ",".join(
-                _fmt(nad.nodes[key][k]) for key in ("y", "chi1", "chi2", "q", "rho")
-            )
-        )
+    keys = ("y", "chi1", "chi2", "q", "rho")
+    lines = _csv_block(",".join(keys), [nad.nodes[key] for key in keys])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -266,14 +252,11 @@ def _build(cfg: RunConfig):
 
 
 def _config_record(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "preset": cfg.preset,
-        "spec": cfg.spec,
-        "params": cfg.params,
-        "grid_n": cfg.grid_n,
-        "tol_contact": cfg.tol_contact,
-    }
+    """Every run parameter except the output directory, which would make the
+    artifacts of two otherwise equal runs differ."""
+    record = asdict(cfg)
+    del record["out"]
+    return record
 
 
 def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
@@ -299,15 +282,6 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _nad_condition_record(nc) -> dict:
-    w = nc.witness
-    return {
-        "label": nc.label,
-        "witness": (list(w) if isinstance(w, tuple) else w) if w is not None else None,
-        "route": nc.route,
-    }
-
-
 def cmd_check(cfg: RunConfig, outdir: Path) -> int:
     pb, ps = _build(cfg)
     verdicts = {}
@@ -318,44 +292,14 @@ def cmd_check(cfg: RunConfig, outdir: Path) -> int:
             {"assumption": a, "at": list(pt), "residual": r} for a, pt, r in rep.violations
         ],
     }
-    tw = check_twist(pb)
-    verdicts["twist"] = {"label": tw.label, "witness": list(tw.witness) if tw.witness else None}
-    sd = check_sdpd_sufficient(pb)
-    verdicts["sdpd"] = {
-        "label": sd.label,
-        "dipped_weak": sd.dipped_weak,
-        "peaked_weak": sd.peaked_weak,
-        "witness": list(sd.witness) if sd.witness else None,
-    }
-    fd = check_full_disclosure(pb)
-    verdicts["full_disclosure"] = {
-        "label": fd.label,
-        "witness": list(fd.witness) if fd.witness else None,
-        "margin": fd.margin,
-        "decided_by": fd.decided_by,
-    }
-    verdicts["nad_condition"] = _nad_condition_record(check_nad_condition(pb))
+    verdicts["twist"] = asdict(check_twist(pb))
+    verdicts["sdpd"] = asdict(check_sdpd_sufficient(pb))
+    verdicts["full_disclosure"] = asdict(check_full_disclosure(pb))
+    verdicts["nad_condition"] = asdict(check_nad_condition(pb))
+    del verdicts["nad_condition"]["margin"]
     lp = build_lp(pb)
     outcome, objective = solve_primal(lp)
-    cls = classify_monotonicity(pb, outcome)
-    verdicts["classification"] = {
-        "label": cls.label,
-        "dipped": cls.dipped,
-        "peaked": cls.peaked,
-        "snap_discounted": cls.snap_discounted,
-        "witness": (
-            {
-                "y1": cls.witness.y1,
-                "y2": cls.witness.y2,
-                "x1": cls.witness.x1,
-                "x2": cls.witness.x2,
-                "x3": cls.witness.x3,
-                "kind": cls.witness.kind,
-            }
-            if cls.witness
-            else None
-        ),
-    }
+    verdicts["classification"] = asdict(classify_monotonicity(pb, outcome))
     verdicts["objective"] = objective
     verdicts["config"] = _config_record(cfg)
     _json_dump(outdir / "verdicts.json", verdicts)
@@ -373,9 +317,7 @@ def cmd_nad(cfg: RunConfig, outdir: Path) -> int:
     if nc.label == "fails":
         # no pooling-everywhere solution to shoot for: report the failed
         # condition as a witness instead of an ODE error
-        record = _nad_condition_record(nc)
-        record["margin"] = nc.margin
-        _json_dump(outdir / "nad_summary.json", {"config": _config_record(cfg), "nad_condition": record})
+        _json_dump(outdir / "nad_summary.json", {"config": _config_record(cfg), "nad_condition": asdict(nc)})
         return 2
     sol = nad_mod.solve_nad(pb, ps.prior_density, prior_cdf=ps.prior_cdf)
     write_nad_csv(outdir / "nad.csv", sol)
@@ -412,19 +354,10 @@ def cmd_certify(cfg: RunConfig, outdir: Path) -> int:
         "duality_gap": prices.dual_objective - objective,
         "dual_feasibility_residual": prices.feasibility_residual,
         "contact_pairs": len(cs.pairs),
-        "applicable": report.applicable,
-        "max_q_residual": None if not report.applicable else report.max_q_residual,
-        "max_foc_residual": None if not report.applicable else report.max_foc_residual,
-        "rows": [
-            {
-                "action": r.action,
-                "mass": r.mass,
-                "q_residual": r.q_residual,
-                "foc_residual": r.foc_residual,
-            }
-            for r in (report.rows if report.applicable else ())
-        ],
+        **asdict(report),
     }
+    if not report.applicable:
+        payload.update(max_q_residual=None, max_foc_residual=None)
     _json_dump(outdir / "certify.json", payload)
     return 0
 
@@ -457,15 +390,7 @@ def main(argv=None) -> int:
         "presets": cmd_presets,
     }
     try:
-        cfg = RunConfig(
-            command=args.command,
-            preset=args.preset,
-            spec=args.spec,
-            params=args.params,
-            grid_n=args.grid_n,
-            out=args.out,
-            tol_contact=args.tol_contact,
-        )
+        cfg = RunConfig(**vars(args))
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return handlers[cfg.command](cfg, outdir)

@@ -72,9 +72,6 @@ class PriceSystem:
     # grid-scale amount there and is arbitrary on disclosed rows.
     q_row: Optional[np.ndarray] = None
 
-    def slack(self, Vmat: np.ndarray, Umat: np.ndarray) -> np.ndarray:
-        return self.p[None, :] - Vmat - self.q[:, None] * Umat
-
 
 @dataclass
 class ContactSet:
@@ -90,7 +87,6 @@ class ContactSet:
 
 @dataclass
 class SlacknessRow:
-    action_index: int
     action: float
     mass: float
     q_residual: float
@@ -245,28 +241,40 @@ def _q_from_row(problem: Problem, outcome: Outcome, iy: int) -> float:
     return float(-num / den)
 
 
+def _no_profit_slack(lp: LPInstance, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p(x) - V(y, x) - q(y) u(y, x) on every LP column, +inf on the cells
+    that are not LP columns."""
+    iy, ix = lp.col_y, lp.col_x
+    slack = np.full(lp.Vmat.shape, np.inf)
+    slack[iy, ix] = p[ix] - lp.Vmat[iy, ix] - q[iy] * lp.Umat[iy, ix]
+    return slack
+
+
 def solve_dual(lp: LPInstance, primal: Outcome) -> PriceSystem:
     """Prices from the final simplex basis of an LP that ``solve_primal`` has
     solved, ``primal`` being the outcome it returned.
 
     If the basis duals are degenerate (infeasible beyond tolerance or with a
-    duality gap), q is re-derived on mass-carrying rows from the row ratio
-    formula; if that still fails, DegenerateBasis is raised.  ``q_row`` stays
-    NaN everywhere when u_y vanishes (``Problem.u_y_vanishes``).
+    duality gap), q is replaced by ``q_row`` wherever that is finite; if that
+    still fails, DegenerateBasis is raised.  ``q_row`` stays NaN everywhere
+    when u_y vanishes (``Problem.u_y_vanishes``).
     """
     res = lp.solution
     nx, ny = lp.problem.n_states, lp.problem.n_actions
     p = res.duals[:nx].copy()
     q = -res.duals[nx:].copy()
 
-    mask = lp.problem.forbidden_mask()
     constrained = lp.problem.constrained_rows()
 
     def feas_residual(qv):
-        slack = p[None, :] - lp.Vmat - qv[:, None] * lp.Umat
-        if mask is not None:
-            slack = np.where(mask, np.inf, slack)
-        return float(np.min(slack[constrained]))
+        return float(np.min(_no_profit_slack(lp, p, qv)[constrained]))
+
+    q_row = np.full(ny, np.nan)
+    if not lp.problem.u_y_vanishes():
+        for iy in primal.support_rows(MASS_TOL):
+            val = _q_from_row(lp.problem, primal, int(iy))
+            if np.isfinite(val):
+                q_row[iy] = val
 
     primal_obj = float(res.objective)
     dual_obj = float(p @ lp.problem.prior)
@@ -274,11 +282,7 @@ def solve_dual(lp: LPInstance, primal: Outcome) -> PriceSystem:
     degenerate = False
     if resid < -DUAL_FEAS_TOL or abs(dual_obj - primal_obj) > GAP_TOL * (1.0 + abs(primal_obj)):
         degenerate = True
-        q_fix = q.copy()
-        for iy in primal.support_rows(MASS_TOL):
-            val = _q_from_row(lp.problem, primal, int(iy))
-            if np.isfinite(val):
-                q_fix[iy] = val
+        q_fix = np.where(np.isnan(q_row), q, q_row)
         resid_fix = feas_residual(q_fix)
         if resid_fix >= -DUAL_FEAS_TOL and abs(dual_obj - primal_obj) <= GAP_TOL * (1.0 + abs(primal_obj)):
             q, resid = q_fix, resid_fix
@@ -287,13 +291,6 @@ def solve_dual(lp: LPInstance, primal: Outcome) -> PriceSystem:
                 f"dual recovery failed: residual {min(resid, resid_fix):.3e}, "
                 f"gap {dual_obj - primal_obj:.3e}"
             )
-
-    q_row = np.full(ny, np.nan)
-    if not lp.problem.u_y_vanishes():
-        for iy in primal.support_rows(MASS_TOL):
-            val = _q_from_row(lp.problem, primal, int(iy))
-            if np.isfinite(val):
-                q_row[iy] = val
     return PriceSystem(
         p=p,
         q=q,
@@ -317,14 +314,11 @@ def contact_set(
     ``lp`` is the instance the prices came from; its V and u tables are
     reused.  ``tol`` defaults to 1e-6 times the largest finite |V|.
     """
-    Vmat, Umat = lp.Vmat, lp.Umat
+    Vmat = lp.Vmat
     scale = max(1.0, float(np.max(np.abs(Vmat[np.isfinite(Vmat)]))))
     if tol is None:
         tol = 1e-6 * scale
-    slack = prices.slack(Vmat, Umat)
-    mask = problem.forbidden_mask()
-    if mask is not None:
-        slack = np.where(mask, np.inf, slack)
+    slack = _no_profit_slack(lp, prices.p, prices.q)
     hit = slack <= tol
     hit[~problem.constrained_rows()] = False
     iy, ix = np.nonzero(hit)
@@ -390,7 +384,6 @@ def verify_complementary_slackness(
         rf = float(np.max(np.abs(foc))) if foc.size else 0.0
         entries.append(
             SlacknessRow(
-                action_index=iy,
                 action=float(ys[iy]),
                 mass=float(row_masses[iy]),
                 q_residual=float(rq),

@@ -377,10 +377,8 @@ def nad_outcome(problem: Problem, nad: NadSolution, prior_cdf: Callable) -> Outc
     c1s = nad.nodes["chi1"]
     c2s = nad.nodes["chi2"]
     for k in range(ys.size - 1):
-        m2 = float(prior_cdf(c2s[k]) - prior_cdf(c2s[k + 1])) * -1.0
-        m1 = float(prior_cdf(c1s[k]) - prior_cdf(c1s[k + 1]))
-        m2 = abs(m2)
-        m1 = abs(m1)
+        m1 = abs(float(prior_cdf(c1s[k]) - prior_cdf(c1s[k + 1])))
+        m2 = abs(float(prior_cdf(c2s[k]) - prior_cdf(c2s[k + 1])))
         if m1 + m2 <= 0:
             continue
         ym = 0.5 * (ys[k] + ys[k + 1])

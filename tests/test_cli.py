@@ -237,6 +237,72 @@ class TestCommands:
             quiet = (tmp_path / "quiet" / name).read_bytes()
             assert quiet == (tmp_path / "debug" / name).read_bytes(), name
 
+    def test_grid_n_with_three_sizes_is_rejected(self, tmp_path, capsys):
+        rc = main(["solve", "--preset", "example_c1", "--grid-n", "11,12,13", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error [ParseError]" in capsys.readouterr().err
+
+    def test_grid_n_sets_states_and_actions(self, tmp_path):
+        rc = main(["solve", "--preset", "example_c1", "--grid-n", "31,41", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["grid_n"] == "31,41"
+        # one obedience row per action after the 31 marginal rows
+        assert summary["lp"]["rows"] == 31 + 41
+        assert summary["lp"]["mass_variables"] <= 31 * 41
+        ps, qs = read_prices_csv(tmp_path / "prices.csv")
+        assert len(ps) == 31 and len(qs) == 41
+
+    def test_artifact_schemas(self, tmp_path):
+        # artifact records are built from report dataclasses, so a renamed
+        # field renames an artifact key; these key sets pin the schemas
+        config = {"command", "preset", "spec", "params", "grid_n", "tol_contact"}
+        witness_keys = {"label", "witness"}
+        for command in ("solve", "check", "certify", "nad"):
+            rc = main([command, "--preset", "example_c1", "--grid-n", "21", "--out", str(tmp_path / command)])
+            assert rc in (0, 2)
+        summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+        assert set(summary) == {
+            "config", "problem", "objective", "dual_objective", "duality_gap", "marginal_residual",
+            "obedience_residual", "dual_feasibility_residual", "lp", "simplex_iterations",
+        }
+        assert set(summary["config"]) == config
+        assert set(summary["lp"]) == {"mass_variables", "slack_variables", "rows", "rank_estimate"}
+
+        verdicts = json.loads((tmp_path / "check" / "verdicts.json").read_text())
+        sections = {
+            "assumptions": {"flags", "violations"},
+            "twist": witness_keys,
+            "sdpd": witness_keys | {"dipped_weak", "peaked_weak"},
+            "full_disclosure": witness_keys | {"margin", "decided_by"},
+            "nad_condition": witness_keys | {"route"},
+            "classification": witness_keys | {"dipped", "peaked", "snap_discounted"},
+            "config": config,
+        }
+        assert set(verdicts) == set(sections) | {"objective"}
+        for name, keys in sections.items():
+            assert set(verdicts[name]) == keys, name
+        assert verdicts["full_disclosure"]["witness"] is not None
+
+        report = json.loads((tmp_path / "certify" / "certify.json").read_text())
+        assert set(report) == {
+            "config", "objective", "duality_gap", "dual_feasibility_residual", "contact_pairs",
+            "applicable", "max_q_residual", "max_foc_residual", "rows",
+        }
+        assert report["rows"]
+        for row in report["rows"]:
+            assert set(row) == {"action", "mass", "q_residual", "foc_residual"}
+
+        shot = json.loads((tmp_path / "nad" / "nad_summary.json").read_text())
+        assert set(shot) == {
+            "config", "y_low", "y_high", "terminal_residual", "route", "lp_objective",
+            "sup_mass_diff", "sup_cdf_diff", "objective_gap", "flagged", "flagged_action",
+        }
+        assert main(["nad", "--preset", "rayo_segal", "--grid-n", "21", "--out", str(tmp_path / "fails")]) == 2
+        failed = json.loads((tmp_path / "fails" / "nad_summary.json").read_text())
+        assert set(failed) == {"config", "nad_condition"}
+        assert set(failed["nad_condition"]) == witness_keys | {"route", "margin"}
+
     def test_csv_roundtrip_is_lossless(self, tmp_path):
         main(["solve", "--preset", "example_c1", "--grid-n", "21", "--out", str(tmp_path)])
         from optrans.presets import preset

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optrans import Posterior, Problem, uniform
-from optrans.errors import SizeLimit
+from optrans.errors import DegenerateBasis, SizeLimit
 from optrans.lp import (
     build_lp,
     contact_set,
@@ -270,3 +270,31 @@ class TestSolvedOnce:
         assert vanishes == (pid in ("example_c2", "quantile"))
         assert rep.applicable == (not vanishes)
         assert bool(np.all(np.isnan(prices.q_row))) == vanishes
+
+
+class TestDegenerateDual:
+    """No catalog preset reaches dual recovery, so these shift the basis dual
+    of one support row and let ``solve_dual`` repair it."""
+
+    @staticmethod
+    def shifted():
+        pb, _ = preset("example_c1", grid_n=21)
+        lp = build_lp(pb)
+        out, _ = solve_primal(lp)
+        clean = solve_dual(lp, out)
+        rows = out.support_rows(1e-9)
+        lp.solution.duals[pb.n_states + rows[rows.size // 2]] += 5.0
+        return lp, out, clean
+
+    def test_failed_recovery_raises(self):
+        lp, out, _ = self.shifted()
+        with pytest.raises(DegenerateBasis, match="dual recovery failed"):
+            solve_dual(lp, out)
+
+    def test_recovery_restores_row_multipliers(self, monkeypatch):
+        lp, out, clean = self.shifted()
+        monkeypatch.setattr("optrans.lp._q_from_row", lambda problem, outcome, iy: float(clean.q[iy]))
+        prices = solve_dual(lp, out)
+        assert prices.degenerate is True
+        assert prices.feasibility_residual >= -1e-7
+        assert np.array_equal(prices.q, clean.q)
