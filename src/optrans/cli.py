@@ -188,13 +188,18 @@ def load_problem(path) -> tuple:
     return pb, None
 
 
-def _csv_block(header: str, columns) -> list:
-    """The header line, then one line per row of the equal-length ``columns``."""
-    return [header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+def _write_csv(path, *blocks):
+    """Write (header, columns) blocks separated by a blank line: the header
+    line, then one line per row of the equal-length columns."""
+    text = "\n\n".join(
+        "\n".join([header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)])
+        for header, columns in blocks
+    )
+    Path(path).write_text(text + "\n")
 
 
 def _read_csv_block(block: str, header: str) -> list:
-    """The rows of one ``_csv_block`` as tuples of floats."""
+    """The rows of one block that ``_write_csv`` wrote, as tuples of floats."""
     lines = block.strip().split("\n")
     if lines[0] != header:
         raise ParseError(f"csv header {lines[0]!r}, expected {header!r}", field="header")
@@ -203,8 +208,7 @@ def _read_csv_block(block: str, header: str) -> list:
 
 def write_outcome_csv(path, problem, outcome):
     iy, ix = np.nonzero(outcome.mass > CSV_MASS_TOL)
-    lines = _csv_block("y,x,mass", (problem.actions.points[iy], problem.states.points[ix], outcome.mass[iy, ix]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("y,x,mass", (problem.actions.points[iy], problem.states.points[ix], outcome.mass[iy, ix])))
 
 
 def read_outcome_csv(path):
@@ -212,9 +216,7 @@ def read_outcome_csv(path):
 
 
 def write_prices_csv(path, problem, prices):
-    lines = _csv_block("x,p", (problem.states.points, prices.p)) + [""]
-    lines += _csv_block("y,q", (problem.actions.points, prices.q))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("x,p", (problem.states.points, prices.p)), ("y,q", (problem.actions.points, prices.q)))
 
 
 def read_prices_csv(path):
@@ -224,8 +226,7 @@ def read_prices_csv(path):
 
 def write_nad_csv(path, nad):
     keys = ("y", "chi1", "chi2", "q", "rho")
-    lines = _csv_block(",".join(keys), [nad.nodes[key] for key in keys])
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, (",".join(keys), [nad.nodes[key] for key in keys]))
 
 
 def _json_dump(path, obj):

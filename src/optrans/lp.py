@@ -314,8 +314,7 @@ def contact_set(
     ``lp`` is the instance the prices came from; its V and u tables are
     reused.  ``tol`` defaults to 1e-6 times the largest finite |V|.
     """
-    Vmat = lp.Vmat
-    scale = max(1.0, float(np.max(np.abs(Vmat[np.isfinite(Vmat)]))))
+    scale = max(1.0, float(np.max(np.abs(lp.Vmat[np.isfinite(lp.Vmat)]))))
     if tol is None:
         tol = 1e-6 * scale
     slack = _no_profit_slack(lp, prices.p, prices.q)

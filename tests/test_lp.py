@@ -4,6 +4,7 @@ import pytest
 from optrans import Posterior, Problem, uniform
 from optrans.errors import DegenerateBasis, SizeLimit
 from optrans.lp import (
+    MASS_TOL,
     build_lp,
     contact_set,
     solve_dual,
@@ -282,7 +283,7 @@ class TestDegenerateDual:
         lp = build_lp(pb)
         out, _ = solve_primal(lp)
         clean = solve_dual(lp, out)
-        rows = out.support_rows(1e-9)
+        rows = out.support_rows(MASS_TOL)
         lp.solution.duals[pb.n_states + rows[rows.size // 2]] += 5.0
         return lp, out, clean
 
