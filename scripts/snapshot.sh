@@ -1,0 +1,50 @@
+#!/bin/sh
+# Record what the CLI prints, writes and returns on a fixed set of runs, so
+# that two checkouts can be compared with `diff -r`:
+#
+#   scripts/snapshot.sh OUT
+#
+# Runs the checkout's own src (not an installed optrans):
+#   - solve, check, certify and nad on every preset at --grid-n 41 and 101;
+#   - solve, check and nad at --grid-n 41 on each preset variant of
+#     tests/test_presets.py::VARIANTS;
+#   - optrans presets.
+# Each run gets a directory OUT/<name> holding its artifacts plus stdout,
+# stderr and exit (the exit code).  At most two runs go at a time.
+set -eu
+[ $# -eq 1 ] || { echo "usage: $0 OUT" >&2; exit 2; }
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+export ROOT
+mkdir -p "$1"
+cd "$1"
+
+# one line per run: <name> <argument>...
+PYTHONPATH="$ROOT/src" python3 - "$ROOT/tests/test_presets.py" <<'PY' |
+import ast
+import sys
+
+from optrans.presets import preset_ids
+
+tree = ast.parse(open(sys.argv[1]).read())
+variants = next(
+    ast.literal_eval(node.value)
+    for node in tree.body
+    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "VARIANTS"
+)
+for n in (41, 101):
+    for pid in preset_ids():
+        for cmd in ("solve", "check", "certify", "nad"):
+            print(f"{cmd}-{pid}-n{n} {cmd} --preset {pid} --grid-n {n}")
+for pid, params in variants:
+    kv = ",".join(f"{k}={v}" for k, v in params.items())
+    for cmd in ("solve", "check", "nad"):
+        print(f"{cmd}-{pid}-{kv.replace(',', '-')}-n41 {cmd} --preset {pid} --params {kv} --grid-n 41")
+print("presets presets")
+PY
+xargs -P 2 -L 1 sh -c '
+    mkdir -p "$0"
+    PYTHONPATH="$ROOT/src" python3 -c "import sys; from optrans.cli import main; sys.exit(main())" \
+        "$@" --out "$0" > "$0/stdout" 2> "$0/stderr"
+    echo $? > "$0/exit"
+'
+echo "$(ls | wc -l) runs in $(pwd)"

@@ -143,12 +143,13 @@ def solve_nad(
     mismatch against -V_y/u_y at the disclosed state is reported as the
     terminal residual.
 
-    Each shot is an RK45 pass at ``RTOL``/``ATOL``.  The first stage scans
-    ``BRACKET_POINTS`` trial top actions for a veer sign change and bisects
-    it in up to ``MAX_BISECT`` shots, a collision meaning a pair gap of
-    ``COLLISION_FRAC`` of the state range; the second stage re-bisects
-    around the hit in up to ``MAX_REBISECT`` shots at a gap 100 times
-    smaller.  Quantile-style instances take the direct route through
+    Each shot is an RK45 pass at ``RTOL``/``ATOL``.  The first stage
+    searches ``BRACKET_POINTS`` trial top actions with up to ``MAX_BISECT``
+    bisection shots, a collision meaning a pair gap of ``COLLISION_FRAC`` of
+    the state range; the second runs the same search on the two ends of a
+    narrow window around the hit, with up to ``MAX_REBISECT`` shots at a gap
+    100 times smaller, and the first-stage hit and gap stand when it catches
+    no collision.  Quantile-style instances take the direct route through
     ``prior_cdf``.
     """
     if problem.quantile_kappa is not None:
@@ -212,22 +213,34 @@ def solve_nad(
             side = -1
         return side, sol
 
-    def bisect(a, b, shots):
-        """Bisect the veer side on [a, b] (too low at a, too high at b).
-        Returns the top action whose shot collided, or None, with the final
-        bracket and whether all ``shots`` ran without the midpoint settling."""
+    def search(points, shots):
+        """Shoot ``points`` in order up to the first collision, else bisect
+        the first change of veer side in up to ``shots`` shots.  Returns the
+        colliding top action or None, the (y_top, side) curve of ``points``,
+        and the last bracket (None if the side never changes)."""
+        curve = []
+        for yt in map(float, points):
+            side, _ = shoot(yt)
+            curve.append((yt, side))
+            if side == 0:
+                return yt, curve, None
+            if len(curve) > 1 and side != curve[-2][1]:
+                break
+        else:
+            return None, curve, None
+        a, b = curve[-2][0], curve[-1][0]
         for _ in range(shots):
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
-                return None, a, b, False
+                break
             side, _ = shoot(mid)
             if side == 0:
-                return mid, a, b, False
+                return mid, curve, (a, b)
             if side < 0:
                 a = mid
             else:
                 b = mid
-        return None, a, b, True
+        return None, curve, (a, b)
 
     def finish(y_top):
         side, sol = shoot(y_top, dense=True)
@@ -284,57 +297,23 @@ def solve_nad(
         pass
     eps = 1e-9 * max(1.0, g_hi - g_lo)
     grid = np.linspace(g_lo + eps, g_hi - eps, BRACKET_POINTS)
-    curve = []
-    bracket = None
-    prev = None
-    hit = None
-    for yt in grid:
-        side, sol = shoot(float(yt))
-        curve.append((float(yt), side))
-        if side == 0:
-            hit = float(yt)
-            break
-        if prev is not None and side != prev[1]:
-            bracket = (prev[0], float(yt))
-            break
-        prev = (float(yt), side)
+    hit, curve, bracket = search(grid, MAX_BISECT)
     if hit is None:
         if bracket is None:
             raise ShootingFailed(
                 "no veer sign change over the admissible bracket", residuals=curve
             )
-        hit, a, b, _ = bisect(*bracket, MAX_BISECT)
-        if hit is None:
-            raise StiffStep(
-                f"veer bisection narrowed to [{a!r}, {b!r}] without catching the collision"
-            )
-    # second stage: shrink the collision gap and re-bisect locally, pinning
-    # the top action two more decades tighter; the first-stage gap comes back
-    # when the re-bisection brackets nothing or runs out of shots
+        a, b = bracket
+        raise StiffStep(f"veer bisection narrowed to [{a!r}, {b!r}] without catching the collision")
+    # second stage: the same search around the hit at a gap 100 times
+    # smaller pins the top action two more decades tighter; the first-stage
+    # gap and hit come back when it catches no collision
     width = max(1e-7 * max(1.0, abs(hit)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
     stop_gap = base_gap / 100.0
-    a2, b2 = hit - width, hit + width
-    side_a, _ = shoot(a2)
-    side_b, _ = shoot(b2)
-    if side_a == 0:
-        hit = a2
-    elif side_b == 0:
-        hit = b2
-    elif side_a < 0 and side_b > 0:
-        found, _, _, spent = bisect(a2, b2, MAX_REBISECT)
-        if found is not None:
-            hit = found
-        elif spent:
-            stop_gap = base_gap
-    else:
-        stop_gap = base_gap
-    try:
-        return finish(hit)
-    except StiffStep:
-        if stop_gap != base_gap:
-            stop_gap = base_gap
-            return finish(hit)
-        raise
+    found, _, _ = search([hit - width, hit + width], MAX_REBISECT)
+    if found is None:
+        stop_gap, found = base_gap, hit
+    return finish(found)
 
 
 def _solve_quantile(problem: Problem, cdf: Callable) -> NadSolution:

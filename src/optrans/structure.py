@@ -25,9 +25,9 @@ STRICT_TOL = 1e-8
 SNAP_CELLS = 2.5  # grid cells within which a classification violation counts as snapping
 FARKAS_TOL = 1e-9  # beta-side LP optimum, relative to max(1, max |R|), that certifies beta
 RHO_M = 64  # pooling sweeps: interior rho = k / RHO_M, k = 1 .. RHO_M - 1
-# pooling sweeps run PAIR_BLOCK (from .model) state pairs x (RHO_M - 1) rho at a time
-REFINE_M = 512  # full-disclosure near-tie re-sweep: rho = k / REFINE_M
-NEAR_MAX = 256  # full-disclosure near-tie pairs re-swept, largest coarse gain first
+# pooling sweeps run at most PAIR_BLOCK (from .model) x (RHO_M - 1) (pair, rho) entries at a time
+REFINE_M = 512  # full-disclosure refinement: rho = k / REFINE_M
+NEAR_MAX = 256  # full-disclosure near-tie pairs refined, largest coarse gain first
 
 
 # ---------------------------------------------------------------------------
@@ -550,110 +550,94 @@ def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
         return pooled - (RHO * v1 + (1.0 - RHO) * v2)
 
 
-@dataclass(frozen=True)
-class _PoolingSweep:
-    """Per-pair reductions of the pooling gain; pairs are the prior-supported
-    state pairs in ``np.triu_indices`` order."""
+class _PooledPairs:
+    """The prior-supported state pairs in ``np.triu_indices`` order, with the
+    disclosed values of their states computed once for every sweep."""
 
-    vals: np.ndarray  # prior-supported states
-    i1: np.ndarray  # per pair, the indices into vals of x1 < x2
-    i2: np.ndarray
-    disc: np.ndarray  # disclosed values of vals
-    per_pair: np.ndarray  # largest gain over rho
+    def __init__(self, problem: Problem):
+        self.problem = problem
+        self.vals = problem.states.points[problem.prior > 0]
+        self.i1, self.i2 = np.triu_indices(self.vals.size, k=1)  # x1 < x2 per pair
+        self.disc = _disclosed_values(problem, self.vals)
 
-    def pair(self, p: int) -> tuple:
-        """(x1, x2, disclosed value of x1, disclosed value of x2) of pair p."""
-        j, k = self.i1[p], self.i2[p]
-        return float(self.vals[j]), float(self.vals[k]), self.disc[j], self.disc[k]
+    def states(self, p: int) -> tuple:
+        """(x1, x2) of pair p."""
+        return float(self.vals[self.i1[p]]), float(self.vals[self.i2[p]])
 
-
-def _pooling_sweep(problem: Problem, m: int) -> _PoolingSweep:
-    """Pooling gain of every prior-supported state pair at every rho = k / m,
-    computed ``PAIR_BLOCK`` pairs at a time: every entry is the same
-    elementwise expression as on the whole (pair, rho) table, which is never
-    built.  Raises ``IllPosed`` on the first pair with a NaN gain, which
-    forbidden cells give where they block both pooling and disclosure."""
-    xs = problem.states.points
-    vals = xs[problem.prior > 0]
-    i1, i2 = np.triu_indices(vals.size, k=1)
-    disc = _disclosed_values(problem, vals)
-    rhos = (np.arange(1, m) / m).astype(float)
-    nr = rhos.size
-    per_pair = np.empty(i1.size)
-    for s in range(0, i1.size, PAIR_BLOCK):
-        b1, b2 = i1[s : s + PAIR_BLOCK], i2[s : s + PAIR_BLOCK]
-        gain = _split_gain(
-            problem,
-            np.repeat(vals[b1], nr),
-            np.repeat(vals[b2], nr),
-            np.tile(rhos, b1.size),
-            np.repeat(disc[b1], nr),
-            np.repeat(disc[b2], nr),
-        )
-        nan = np.nonzero(np.isnan(gain))[0]
-        if nan.size:
-            j, k = i1[s + nan[0] // nr], i2[s + nan[0] // nr]
-            raise IllPosed(
-                f"pooling gain of states ({float(vals[j])!r}, {float(vals[k])!r}) is NaN: "
-                "forbidden cells block both pooling and disclosure, or V is NaN"
+    def sweep(self, m: int, pairs: np.ndarray) -> tuple:
+        """Largest pooling gain over rho = k / m of each of ``pairs`` (indices
+        into the pair list) and the first rho reaching it.  Every entry is the
+        same elementwise expression as on the whole (pair, rho) table, which
+        is never built.  Raises ``IllPosed`` on the first pair with a NaN
+        gain, which forbidden cells give where they block both pooling and
+        disclosure."""
+        rhos = (np.arange(1, m) / m).astype(float)
+        nr = rhos.size
+        block = max(1, PAIR_BLOCK * (RHO_M - 1) // nr)
+        best = np.empty(len(pairs))
+        best_rho = np.empty(len(pairs))
+        for s in range(0, len(pairs), block):
+            j, k = self.i1[pairs[s : s + block]], self.i2[pairs[s : s + block]]
+            gain = _split_gain(
+                self.problem,
+                np.repeat(self.vals[j], nr),
+                np.repeat(self.vals[k], nr),
+                np.tile(rhos, j.size),
+                np.repeat(self.disc[j], nr),
+                np.repeat(self.disc[k], nr),
             )
-        per_pair[s : s + b1.size] = gain.reshape(b1.size, nr).max(axis=1)
-    return _PoolingSweep(vals, i1, i2, disc, per_pair)
+            nan = np.nonzero(np.isnan(gain))[0]
+            if nan.size:
+                x1, x2 = self.states(pairs[s + nan[0] // nr])
+                raise IllPosed(
+                    f"pooling gain of states ({x1!r}, {x2!r}) is NaN: "
+                    "forbidden cells block both pooling and disclosure, or V is NaN"
+                )
+            gain = gain.reshape(j.size, nr)
+            kk = gain.argmax(axis=1)
+            best[s : s + j.size] = gain[np.arange(j.size), kk]
+            best_rho[s : s + j.size] = rhos[kk]
+        return best, best_rho
 
 
 def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosureReport:
     """Sweep all prior-supported state pairs and the rho grid k / m for a
     pooling deviation that beats splitting by more than 1e-9 times the
-    largest finite |V|.  Up to ``NEAR_MAX`` near-tie pairs, whose largest
-    coarse gain exceeds -64 times that tolerance, are re-swept on the finer
-    grid k / ``REFINE_M``, largest coarse gain first.  The sweep
-    runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is built.
-    For a linear receiver the convexity-plus-exchange shortcut is evaluated
-    too and reported when it already decides optimality."""
+    largest finite |V|, then run the same sweep on the finer grid
+    k / ``REFINE_M`` over the best pair if it beats splitting, else over up
+    to ``NEAR_MAX`` near-tie pairs (largest coarse gain above -64 times that
+    tolerance), largest coarse gain first; the first refined pair that beats
+    splitting is reported.  For a linear receiver the convexity-plus-exchange
+    shortcut is evaluated too and reported when it already decides
+    optimality."""
     Y, X = problem.grids_product()
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
     tol = 1e-9 * scale
-    sweep = _pooling_sweep(problem, m)
-    worst_pair = int(np.argmax(sweep.per_pair))
-    worst = float(sweep.per_pair[worst_pair])
+    pooled = _PooledPairs(problem)
+    per_pair, _ = pooled.sweep(m, np.arange(pooled.i1.size))
+    worst = float(np.max(per_pair))
     shortcut = _linear_receiver_shortcut(problem)
-
-    def refine(p):
-        x1, x2, d1, d2 = sweep.pair(p)
-        rhos = (np.arange(1, REFINE_M) / REFINE_M).astype(float)
-        g2 = _split_gain(
-            problem,
-            np.full(rhos.size, x1),
-            np.full(rhos.size, x2),
-            rhos,
-            np.full(rhos.size, d1),
-            np.full(rhos.size, d2),
-        )
-        kk = int(np.argmax(g2))
-        return (x1, x2, float(rhos[kk])), float(g2[kk])
-
-    if worst > tol:
-        witness, margin = refine(worst_pair)
-        return FullDisclosureReport(label="not_optimal", witness=witness, margin=margin)
-    # near-tie refinement; the stable sort sends equal gains in pair order
-    order = np.argsort(-sweep.per_pair, kind="stable")
-    for p in order[sweep.per_pair[order] > -tol * 64][:NEAR_MAX]:
-        witness, margin = refine(p)
-        if margin > tol:
-            return FullDisclosureReport(label="not_optimal", witness=witness, margin=margin)
+    order = np.argsort(-per_pair, kind="stable")  # largest gain first, ties in pair order
+    near = order[:1] if worst > tol else order[per_pair[order] > -tol * 64][:NEAR_MAX]
+    fine, fine_rho = pooled.sweep(REFINE_M, near)
+    above = np.nonzero(fine > tol)[0]
+    if above.size:
+        p = above[0]
+        witness = (*pooled.states(near[p]), float(fine_rho[p]))
+        return FullDisclosureReport(label="not_optimal", witness=witness, margin=float(fine[p]))
     # strictness: the pooling deficit of neighboring states shrinks like the
     # squared separation, so the strict margin is judged per unit separation
     # squared rather than against a flat cut.  The separation is constant
     # within a pair and rounded division by it is monotone, so the per-pair
     # maximum gives the largest ratio.
     span = problem.states.hi - problem.states.lo
-    sep2 = ((sweep.vals[sweep.i2] - sweep.vals[sweep.i1]) / max(span, 1e-300)) ** 2
+    sep2 = ((pooled.vals[pooled.i2] - pooled.vals[pooled.i1]) / max(span, 1e-300)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.where(sep2 > 0, sweep.per_pair / sep2, -np.inf)
+        normalized = np.where(sep2 > 0, per_pair / sep2, -np.inf)
     strict = bool(np.max(normalized) < -STRICT_TOL * scale)
     label = "optimal_unique" if strict else "optimal"
-    decided = "convex_supermodular_shortcut" if (shortcut and label != "not_optimal") else "sweep"
+    decided = "convex_supermodular_shortcut" if shortcut else "sweep"
     return FullDisclosureReport(label=label, witness=None, margin=worst, decided_by=decided)
 
 
@@ -735,12 +719,11 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
             return NadConditionReport("fails", witness=worst_y, route="local", margin=worst)
         return NadConditionReport("holds", route="local", margin=worst)
 
-    sweep = _pooling_sweep(problem, RHO_M)
-    per_pair = sweep.per_pair
+    pooled = _PooledPairs(problem)
+    per_pair, _ = pooled.sweep(RHO_M, np.arange(pooled.i1.size))
     k = int(np.argmin(per_pair))
     if per_pair[k] <= STRICT_TOL:
-        x1, x2, _, _ = sweep.pair(k)
-        return NadConditionReport("fails", witness=(x1, x2), route="sweep", margin=float(per_pair[k]))
+        return NadConditionReport("fails", witness=pooled.states(k), route="sweep", margin=float(per_pair[k]))
     return NadConditionReport("holds", route="sweep", margin=float(per_pair.min()))
 
 

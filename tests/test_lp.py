@@ -278,24 +278,29 @@ class TestDegenerateDual:
     of one support row and let ``solve_dual`` repair it."""
 
     @staticmethod
-    def shifted():
-        pb, _ = preset("example_c1", grid_n=21)
+    def shifted(pid):
+        pb, _ = preset(pid, grid_n=21)
         lp = build_lp(pb)
         out, _ = solve_primal(lp)
-        clean = solve_dual(lp, out)
         rows = out.support_rows(MASS_TOL)
         lp.solution.duals[pb.n_states + rows[rows.size // 2]] += 5.0
-        return lp, out, clean
+        return lp, out
 
     def test_failed_recovery_raises(self):
-        lp, out, _ = self.shifted()
+        # on example_c1@21 q_row itself leaves the no-profit constraints
+        # violated by grid-scale amounts, so the repair cannot succeed
+        lp, out = self.shifted("example_c1")
         with pytest.raises(DegenerateBasis, match="dual recovery failed"):
             solve_dual(lp, out)
 
-    def test_recovery_restores_row_multipliers(self, monkeypatch):
-        lp, out, clean = self.shifted()
-        monkeypatch.setattr("optrans.lp._q_from_row", lambda problem, outcome, iy: float(clean.q[iy]))
-        prices = solve_dual(lp, out)
-        assert prices.degenerate is True
-        assert prices.feasibility_residual >= -1e-7
-        assert np.array_equal(prices.q, clean.q)
+    def test_recovery_restores_row_multipliers(self):
+        # on these presets q_row keeps the clean basis dual feasible, so the
+        # shifted row is repaired from it
+        for pid in ("linear", "rayo_segal"):
+            lp, out = self.shifted(pid)
+            shifted_q = -lp.solution.duals[lp.problem.n_states :]
+            prices = solve_dual(lp, out)
+            assert prices.degenerate is True
+            assert prices.feasibility_residual >= -1e-7
+            assert not np.array_equal(prices.q, shifted_q)
+            assert np.array_equal(prices.q, np.where(np.isnan(prices.q_row), shifted_q, prices.q_row))

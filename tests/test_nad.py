@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from optrans import nad
 from optrans.errors import StiffStep
 from optrans.lp import build_lp, solve_primal
 from optrans.nad import _pair_rhs, _q_pair, nad_outcome, solve_nad, verify_against_lp
@@ -127,6 +129,24 @@ class TestPairRhs:
         with np.errstate(all="raise"):
             with pytest.raises(StiffStep):
                 _pair_rhs(problem, meta.prior_density, 1e-6, 1.2, np.array([0.5, 2.0, 0.0]))
+
+
+class TestShooting:
+    @pytest.mark.parametrize("pid", ["translation_sender", "example_c1"])
+    def test_one_dense_shot(self, pid, monkeypatch):
+        # only the final shot keeps an interpolant; on translation_sender the
+        # second stage catches no collision, and the first-stage hit is
+        # finished at the first-stage gap without a failed dense re-shot
+        problem, meta = preset(pid, grid_n=41)
+        dense = []
+
+        def counted(*args, **kwargs):
+            dense.append(kwargs["dense_output"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(nad, "solve_ivp", counted)
+        solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
+        assert dense.count(True) == 1
 
 
 class TestQuantileRoute:

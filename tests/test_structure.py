@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -437,6 +438,23 @@ class TestNadCondition:
         with pytest.raises(IllPosed, match="is NaN"):
             check_full_disclosure(pb)
 
+    def test_nan_refined_gain_raises(self):
+        # the disclosure of state 0 is forbidden, and so is pooling onto an
+        # action below 0.005: the coarse gains are +inf, but the refinement
+        # reaches rho = 511 / 512, whose pooled action is forbidden too, and
+        # -inf - -inf must not come back as a NaN margin
+        pb = Problem(
+            states=uniform(0.0, 1.0, 2),
+            actions=uniform(0.0, 1.0, 101, "action"),
+            prior=np.array([0.5, 0.5]),
+            V=lambda y, x: np.asarray(y, float) + 0.0 * np.asarray(x, float),
+            u=lambda y, x: np.asarray(x, float) - np.asarray(y, float),
+            tie_break="sender_favorable",
+            forbidden=lambda y, x: (np.asarray(y, float) < 0.005) & (np.asarray(x, float) < 0.5),
+        )
+        with pytest.raises(IllPosed, match=r"states \(0\.0, 1\.0\) is NaN"):
+            check_full_disclosure(pb)
+
 
 def full_table_gain(problem, m=RHO_M):
     """The whole (pair, rho) pooling-gain table, pairs in np.triu_indices
@@ -482,6 +500,8 @@ def full_table_full_disclosure(problem, m=RHO_M):
         g2 = structure._split_gain(
             problem, np.full(n, X1[k]), np.full(n, X2[k]), fine, np.full(n, disc[V1[k]]), np.full(n, disc[V2[k]])
         )
+        if np.isnan(g2).any():
+            raise IllPosed(f"pooling gain of states ({float(X1[k])!r}, {float(X2[k])!r}) is NaN")
         kk = int(np.argmax(g2))
         return (float(X1[k]), float(X2[k]), float(fine[kk])), float(g2[kk])
 
@@ -529,8 +549,14 @@ def assert_sweep_matches_full_table(problem):
         with pytest.raises(IllPosed, match="is NaN"):
             sweep_route_nad_condition(problem)
         return
-    # repr compares floats bit for bit
-    assert repr(check_full_disclosure(problem)) == repr(full_table_full_disclosure(problem))
+    try:
+        expected = repr(full_table_full_disclosure(problem))
+    except IllPosed as exc:  # a NaN refined gain
+        with pytest.raises(IllPosed, match=re.escape(str(exc))):
+            check_full_disclosure(problem)
+    else:
+        # repr compares floats bit for bit
+        assert repr(check_full_disclosure(problem)) == expected
     assert repr(sweep_route_nad_condition(problem)) == repr(full_table_nad_sweep(problem))
 
 
