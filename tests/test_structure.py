@@ -454,6 +454,7 @@ class TestNadCondition:
         )
         with pytest.raises(IllPosed, match=r"states \(0\.0, 1\.0\) is NaN"):
             check_full_disclosure(pb)
+        assert_sweep_matches_full_table(pb)
 
 
 def full_table_gain(problem, m=RHO_M):
