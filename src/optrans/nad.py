@@ -10,9 +10,13 @@ multiplier q solve, for y below the top action:
 where Q and P are the unique solutions (q, q') of the two stationarity
 equations V_y + q u_y + q' u = 0 at chi1 and chi2.  Integration starts at a
 trial top action with (chi1, chi2) at the state range ends and q = Q, runs
-downward with an embedded 4th/5th order Runge-Kutta pair, stops at the
-collision chi1 = chi2 by event detection, and shoots on the top action until
-q at the collision matches -V_y / u_y evaluated at the disclosed state.
+downward with an embedded 4th/5th order Runge-Kutta pair and stops at the
+collision chi1 = chi2 by event detection.  A trial top action that is off
+makes one pair bound veer onto the pivot curve before the collision; the
+squared pair gap at that veer event, signed by the side, is a continuous
+miss, and the top action is shot by regula falsi on it.  The multiplier
+mismatch at the collision against -V_y / u_y evaluated at the disclosed state
+is reported as the terminal residual.
 
 Quantile-style instances (u = 1{x >= y} - kappa) bypass the ODE: there
 chi2(y) = y and chi1 solves kappa * F(chi1) = (1 - kappa) * (1 - F(y)) with
@@ -21,12 +25,13 @@ F the prior cdf, which is solved directly.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NoRoot, ShootingFailed, StiffStep
 from .model import Outcome, Posterior, Problem, _bisect, chi, gamma, outcome_from_mass
@@ -35,9 +40,11 @@ RTOL = 1e-8  # RK45 tolerances of every shot
 ATOL = 1e-10
 COLLISION_FRAC = 1e-4  # pair gap, as a share of the state range, that counts as collided
 BRACKET_POINTS = 33  # trial top actions scanned for a veer sign change
-MAX_BISECT = 120  # shots of the first-stage veer bisection
-MAX_REBISECT = 80  # shots of the second-stage re-bisection
+MAX_BISECT = 120  # shots of the first-stage narrowing of the veer bracket
+MAX_REBISECT = 80  # shots of the second-stage narrowing
 FLAG_FACTOR = 10.0  # action cells of cumulative deviation that flag an LP comparison
+
+logger = logging.getLogger("optrans.nad")
 
 
 @dataclass
@@ -126,47 +133,30 @@ def _rho(problem: Problem, y, c1, c2) -> float:
     return float(u2 / (u2 - u1))
 
 
-def solve_nad(
-    problem: Problem,
-    prior_density: Callable,
-    *,
-    prior_cdf: Callable,
-) -> NadSolution:
-    """Negative assortative solution by downward integration and shooting.
+def _shoot(problem: Problem, density: Callable, y_top: float, gap: float, dense: bool = False):
+    """One downward RK45 pass of the pairing system from the trial top action
+    ``y_top``, the pair bounds counting as collided at a gap of ``gap``.
 
-    The shot misses in one of two recognizable ways: the lower pair bound
-    crosses the pivot curve (u at chi1 reaches 0; the trial top action was
-    too low) or the upper bound does (too high).  Bisection on those veer
-    events converges onto the narrow window where the pair bounds genuinely
-    collide; the collision is caught at a small gap, the exact meeting point
-    is recovered from the square-root profile of the gap, and the multiplier
-    mismatch against -V_y/u_y at the disclosed state is reported as the
-    terminal residual.
-
-    Each shot is an RK45 pass at ``RTOL``/``ATOL``.  The first stage
-    searches ``BRACKET_POINTS`` trial top actions with up to ``MAX_BISECT``
-    bisection shots, a collision meaning a pair gap of ``COLLISION_FRAC`` of
-    the state range; the second runs the same search on the two ends of a
-    narrow window around the hit, with up to ``MAX_REBISECT`` shots at a gap
-    100 times smaller, and the first-stage hit and gap stand when it catches
-    no collision.  Quantile-style instances take the direct route through
-    ``prior_cdf``.
+    Returns (side, miss, sol).  side 0 means the bounds collided (``sol``
+    carries the arc), side < 0 that y_top is too low (the lower bound veered
+    onto the pivot curve first) and side > 0 too high (the upper one did).  A
+    veering shot reports miss = side * (pair gap / state span)^2 at its veer
+    event.  A shot that reaches the action floor reports miss None and is
+    sided by where the pair midpoint sits against chi there.
     """
-    if problem.quantile_kappa is not None:
-        return _solve_quantile(problem, prior_cdf)
+    # imported here: scipy.integrate pulls in scipy.optimize, which no other
+    # route needs, and every CLI start would pay for both
+    from scipy.integrate import solve_ivp
 
     lo, hi = problem.states.lo, problem.states.hi
     span = hi - lo
-    base_gap = COLLISION_FRAC * span
-    stop_gap = base_gap  # the collide event's gap; the second stage shrinks it
-
     h = 1e-6 * span
 
     def rhs(y, state):
-        return _pair_rhs(problem, prior_density, h, y, state)
+        return _pair_rhs(problem, density, h, y, state)
 
     def collide(y, state):
-        return (state[1] - state[0]) - stop_gap
+        return (state[1] - state[0]) - gap
 
     collide.terminal = True
     collide.direction = -1
@@ -183,67 +173,133 @@ def solve_nad(
     veer_high.terminal = True
     veer_high.direction = -1
 
-    y_floor = problem.actions.lo
+    q0, _ = _q_pair(problem, y_top, lo, hi)
+    sol = solve_ivp(
+        rhs,
+        (y_top, problem.actions.lo),
+        [lo, hi, q0],
+        method="RK45",
+        rtol=RTOL,
+        atol=ATOL,
+        events=[collide, veer_low, veer_high],
+        dense_output=dense,
+    )
+    if sol.status == 1 and sol.t_events[0].size:
+        return 0, None, sol
+    for side, k in ((-1, 1), (1, 2)):
+        if sol.status == 1 and sol.t_events[k].size:
+            c1, c2, _ = sol.y_events[k][0]
+            return side, side * float((c2 - c1) / span) ** 2, sol
+    # reached the action floor: classify by where the midpoint sits
+    mid = 0.5 * (sol.y[0, -1] + sol.y[1, -1])
+    try:
+        side = -1 if mid > chi(problem, float(sol.t[-1])) else 1
+    except NoRoot:
+        side = -1
+    return side, None, sol
+
+
+def solve_nad(
+    problem: Problem,
+    prior_density: Callable,
+    *,
+    prior_cdf: Callable,
+) -> NadSolution:
+    """Negative assortative solution by downward integration and shooting.
+
+    The shot misses in one of two recognizable ways: the lower pair bound
+    crosses the pivot curve (u at chi1 reaches 0; the trial top action was
+    too low) or the upper bound does (too high).  The squared pair gap at
+    that veer event, signed by the side, is a continuous miss, monotone and
+    near the solution about linear in the top action.  A scan of
+    ``BRACKET_POINTS`` trial top actions brackets the first change of side,
+    and regula falsi on the miss, in its Illinois variant (Dowell and
+    Jarratt, BIT 1971), narrows the bracket until a shot collides, that is,
+    until its pair gap falls to ``COLLISION_FRAC`` of the state range.  A step
+    takes the bracket midpoint instead when an end reached the action floor
+    (it carries no miss) or when the false-position point is not strictly
+    inside.  The exact meeting point is recovered from the square-root
+    profile of the gap, and the multiplier mismatch against -V_y/u_y at the
+    disclosed state is reported as the terminal residual.
+
+    Each shot is an RK45 pass at ``RTOL``/``ATOL``; the first stage narrows
+    in up to ``MAX_BISECT`` shots.  The second narrows in up to
+    ``MAX_REBISECT`` shots at a gap 100 times smaller, starting from the
+    first-stage bracket and its measured misses (a shot that veered never
+    came within the larger gap, so its side and miss stand), or from the two
+    ends of a narrow window when the scan itself hit.  It stops at the
+    miss's noise floor, a shot whose |miss| is not below the smaller of its
+    bracket ends' (on a line every false-position step lands below both),
+    and the first-stage hit and gap stand when it catches no collision.  Only
+    the final shot keeps a dense interpolant.  One DEBUG record on logger
+    ``optrans.nad`` gives the shots per stage, the RHS evaluations, how the
+    second stage ended and the midpoint steps an end at the action floor
+    forced.  Quantile-style instances take the direct route through
+    ``prior_cdf``.
+    """
+    if problem.quantile_kappa is not None:
+        return _solve_quantile(problem, prior_cdf)
+
+    base_gap = COLLISION_FRAC * (problem.states.hi - problem.states.lo)
+    stop_gap = base_gap  # the collide event's gap; the second stage shrinks it
+    tally = Counter()  # shots, RHS evaluations, midpoint steps forced by the floor
 
     def shoot(y_top, dense=False):
-        """Returns (side, payload): side < 0 means y_top too low, > 0 too
-        high, 0 means the pair bounds collided (payload carries the arc)."""
-        q0, _ = _q_pair(problem, y_top, lo, hi)
-        sol = solve_ivp(
-            rhs,
-            (y_top, y_floor),
-            [lo, hi, q0],
-            method="RK45",
-            rtol=RTOL,
-            atol=ATOL,
-            events=[collide, veer_low, veer_high],
-            dense_output=dense,
-        )
-        if sol.status == 1 and sol.t_events[0].size:
-            return 0, sol
-        if sol.status == 1 and sol.t_events[1].size:
-            return -1, sol
-        if sol.status == 1 and sol.t_events[2].size:
-            return 1, sol
-        # reached the action floor: classify by where the midpoint sits
-        mid = 0.5 * (sol.y[0, -1] + sol.y[1, -1])
-        try:
-            side = -1 if mid > chi(problem, float(sol.t[-1])) else 1
-        except NoRoot:
-            side = -1
-        return side, sol
+        side, miss, sol = _shoot(problem, prior_density, y_top, stop_gap, dense)
+        tally["shots"] += 1
+        tally["rhs"] += sol.nfev
+        return side, miss, sol
+
+    def probe(y_top):
+        side, miss, _ = shoot(y_top)
+        return y_top, side, miss
 
     def search(points, shots):
-        """Shoot ``points`` in order up to the first collision, else bisect
-        the first change of veer side in up to ``shots`` shots.  Returns the
-        colliding top action or None, the (y_top, side) curve of ``points``,
-        and the last bracket (None if the side never changes)."""
+        """Take the measured shots ``points``, (y_top, side, miss) each, in
+        order up to the first collision, else narrow the first change of side
+        in up to ``shots`` shots.  Returns the colliding top action or None,
+        the points taken, and the last bracket as two measured shots (None if
+        the side never changes).  A lazy ``points`` shoots only as far as the
+        scan goes."""
         curve = []
-        for yt in map(float, points):
-            side, _ = shoot(yt)
-            curve.append((yt, side))
-            if side == 0:
-                return yt, curve, None
-            if len(curve) > 1 and side != curve[-2][1]:
+        for pt in points:
+            curve.append(pt)
+            if pt[1] == 0:
+                return pt[0], curve, None
+            if len(curve) > 1 and pt[1] != curve[-2][1]:
                 break
         else:
             return None, curve, None
-        a, b = curve[-2][0], curve[-1][0]
+        a, b = curve[-2], curve[-1]
+        weight = {a[1]: 1.0, b[1]: 1.0}  # Illinois scaling of each end's miss, by side
+        last = 0  # side of the previous narrowing shot
         for _ in range(shots):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
+            (ya, sa, ma), (yb, sb, mb) = a, b
+            y = 0.5 * (ya + yb)
+            floored = ma is None or mb is None
+            if not floored:
+                fa, fb = weight[sa] * ma, weight[sb] * mb
+                y_rf = (ya * fb - yb * fa) / (fb - fa)
+                if min(ya, yb) < y_rf < max(ya, yb):
+                    y = y_rf
+            if y == ya or y == yb:
                 break
-            side, _ = shoot(mid)
+            tally["floor"] += floored
+            pt = probe(y)
+            side, miss = pt[1], pt[2]
             if side == 0:
-                return mid, curve, (a, b)
-            if side < 0:
-                a = mid
-            else:
-                b = mid
+                return y, curve, (a, b)
+            if stop_gap < base_gap and not floored and miss is not None and abs(miss) >= min(abs(ma), abs(mb)):
+                break  # the miss's noise floor: the first-stage hit stands
+            weight[side] = 1.0
+            if side == last:  # the other end is kept a second time running
+                weight[-side] *= 0.5
+            last = side
+            a, b = (pt, b) if side == sa else (a, pt)
         return None, curve, (a, b)
 
     def finish(y_top):
-        side, sol = shoot(y_top, dense=True)
+        side, _, sol = shoot(y_top, dense=True)
         if side != 0:
             raise StiffStep("winning shot failed to reproduce the collision")
         ye = float(sol.t_events[0][0])
@@ -297,23 +353,38 @@ def solve_nad(
         pass
     eps = 1e-9 * max(1.0, g_hi - g_lo)
     grid = np.linspace(g_lo + eps, g_hi - eps, BRACKET_POINTS)
-    hit, curve, bracket = search(grid, MAX_BISECT)
+    hit, curve, bracket = search(map(probe, grid.tolist()), MAX_BISECT)
     if hit is None:
         if bracket is None:
             raise ShootingFailed(
                 "no veer sign change over the admissible bracket", residuals=curve
             )
-        a, b = bracket
+        (a, _, _), (b, _, _) = bracket
         raise StiffStep(f"veer bisection narrowed to [{a!r}, {b!r}] without catching the collision")
-    # second stage: the same search around the hit at a gap 100 times
-    # smaller pins the top action two more decades tighter; the first-stage
-    # gap and hit come back when it catches no collision
-    width = max(1e-7 * max(1.0, abs(hit)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
+    stage1 = tally["shots"]
+    # second stage: the same narrowing at a gap 100 times smaller pins the
+    # top action tighter; the first-stage bracket keeps its sides and misses
+    # there, and only a scan hit, which has no bracket, opens a narrow window
+    if bracket is None:
+        width = max(1e-7 * max(1.0, abs(hit)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
+        bracket = map(probe, [hit - width, hit + width])
     stop_gap = base_gap / 100.0
-    found, _, _ = search([hit - width, hit + width], MAX_REBISECT)
+    found, _, _ = search(bracket, MAX_REBISECT)
+    stage2 = tally["shots"] - stage1
+    ended = "collided" if found is not None else "fell back to the stage-1 hit"
     if found is None:
         stop_gap, found = base_gap, hit
-    return finish(found)
+    sol = finish(found)
+    logger.debug(
+        "ode: %d shots in stage 1, %d in stage 2 (%s), 1 dense shot, "
+        "%d RHS evaluations, %d midpoint steps at the action floor",
+        stage1,
+        stage2,
+        ended,
+        tally["rhs"],
+        tally["floor"],
+    )
+    return sol
 
 
 def _solve_quantile(problem: Problem, cdf: Callable) -> NadSolution:

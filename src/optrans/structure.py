@@ -550,13 +550,22 @@ def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
         return pooled - (RHO * v1 + (1.0 - RHO) * v2)
 
 
+def _supported_states(problem: Problem) -> np.ndarray:
+    """The state points that carry prior mass; ``IllPosed`` if fewer than two,
+    since a pooling deviation needs a pair of them."""
+    vals = problem.states.points[problem.prior > 0]
+    if vals.size < 2:
+        raise IllPosed(f"{vals.size} state(s) carry prior mass; pooling needs two")
+    return vals
+
+
 class _PooledPairs:
     """The prior-supported state pairs in ``np.triu_indices`` order, with the
     disclosed values of their states computed once for every sweep."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self.vals = problem.states.points[problem.prior > 0]
+        self.vals = _supported_states(problem)
         self.i1, self.i2 = np.triu_indices(self.vals.size, k=1)  # x1 < x2 per pair
         self.disc = _disclosed_values(problem, self.vals)
 
@@ -609,7 +618,8 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     tolerance), largest coarse gain first; the first refined pair that beats
     splitting is reported.  For a linear receiver the convexity-plus-exchange
     shortcut is evaluated too and reported when it already decides
-    optimality."""
+    optimality.  Raises ``IllPosed`` when fewer than two states carry prior
+    mass."""
     Y, X = problem.grids_product()
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
@@ -688,8 +698,9 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
     direct sweep: every prior-supported state pair must admit some pooling
     weight on the grid k / ``RHO_M`` that strictly beats splitting.  The
     sweep runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is
-    built.
+    built.  Raises ``IllPosed`` when fewer than two states carry prior mass.
     """
+    _supported_states(problem)
     sdpd = check_sdpd_sufficient(problem)
     if sdpd.label == "dipped_strict" and problem.smooth:
         ys = problem.actions.points

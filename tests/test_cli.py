@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import optrans
 from optrans.cli import (
     load_problem,
     main,
     read_outcome_csv,
     read_prices_csv,
 )
-from optrans.errors import OptransError, ParseError, SchemaVersionMismatch, ShapeMismatch
+from optrans.errors import IllPosed, OptransError, ParseError, SchemaVersionMismatch, ShapeMismatch
 from optrans.presets import preset
 
 
@@ -236,6 +240,52 @@ class TestCommands:
         for name in ("outcome.csv", "prices.csv", "summary.json"):
             quiet = (tmp_path / "quiet" / name).read_bytes()
             assert quiet == (tmp_path / "debug" / name).read_bytes(), name
+
+    def test_nad_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
+        argv = ["nad", "--preset", "translation_receiver", "--grid-n", "41", "--out"]
+        assert main(argv + [str(tmp_path / "quiet")]) == 0
+        with caplog.at_level(logging.DEBUG, logger="optrans.nad"):
+            assert main(argv + [str(tmp_path / "debug")]) == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.nad"]
+        assert re.fullmatch(
+            r"ode: \d+ shots in stage 1, \d+ in stage 2 \(collided\), 1 dense shot, "
+            r"\d+ RHS evaluations, [1-9]\d* midpoint steps at the action floor",
+            line,
+        )
+        for name in ("nad.csv", "nad_summary.json"):
+            quiet = (tmp_path / "quiet" / name).read_bytes()
+            assert quiet == (tmp_path / "debug" / name).read_bytes(), name
+
+    def test_one_supported_state_is_ill_posed(self, tmp_path, capsys):
+        # no state pair carries prior mass, so there is no pooling sweep
+        doc = {
+            "schema_version": 1,
+            "states": [0.0, 0.5, 1.0],
+            "actions": [0.0, 0.5, 1.0],
+            "prior": [1.0, 0.0, 0.0],
+            "V": [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]],
+            "u": [[0.0, 0.5, 1.0], [-0.5, 0.0, 0.5], [-1.0, -0.5, 0.0]],
+        }
+        path = write_spec(tmp_path, doc)
+        assert main(["check", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error [IllPosed]" in err
+        assert "Traceback" not in err
+        problem, _ = load_problem(path)
+        from optrans.structure import check_full_disclosure, check_nad_condition
+
+        for check in (check_full_disclosure, check_nad_condition):
+            with pytest.raises(IllPosed):
+                check(problem)
+
+    def test_cli_import_leaves_the_integrator_out(self):
+        # only the pairing ODE route integrates; it imports scipy.integrate
+        # (and with it scipy.optimize) when it runs
+        src = str(Path(optrans.__file__).resolve().parents[1])
+        code = "import sys, optrans.cli; print('scipy.integrate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_grid_n_with_three_sizes_is_rejected(self, tmp_path, capsys):
         rc = main(["solve", "--preset", "example_c1", "--grid-n", "11,12,13", "--out", str(tmp_path)])

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -5,7 +8,7 @@ from scipy.integrate import solve_ivp
 from optrans import nad
 from optrans.errors import StiffStep
 from optrans.lp import build_lp, solve_primal
-from optrans.nad import _pair_rhs, _q_pair, nad_outcome, solve_nad, verify_against_lp
+from optrans.nad import _pair_rhs, _q_pair, _shoot, nad_outcome, solve_nad, verify_against_lp
 from optrans.presets import preset
 
 E = float(np.e)
@@ -144,9 +147,72 @@ class TestShooting:
             dense.append(kwargs["dense_output"])
             return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(nad, "solve_ivp", counted)
+        monkeypatch.setattr("scipy.integrate.solve_ivp", counted)
         solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
         assert dense.count(True) == 1
+
+    @pytest.mark.parametrize(
+        "pid,budget",
+        [
+            ("example_c1", 22),
+            ("contest", 19),
+            ("translation_sender", 19),
+            ("option_pricing", 50),
+            ("translation_receiver", 70),
+        ],
+    )
+    def test_shots_per_solve(self, pid, budget, monkeypatch):
+        # regula falsi on the miss; option_pricing and translation_receiver
+        # reach the action floor below the top action and still bisect there
+        problem, meta = preset(pid, grid_n=101)
+        shots = []
+
+        def counted(*args, **kwargs):
+            shots.append(kwargs["dense_output"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr("scipy.integrate.solve_ivp", counted)
+        solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
+        assert 0 < len(shots) <= budget
+
+    @pytest.mark.parametrize("pid", ["translation_sender", "translation_receiver"])
+    def test_debug_record_counts_every_shot(self, pid, monkeypatch, caplog):
+        problem, meta = preset(pid, grid_n=41)
+        nfev = []
+
+        def counted(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr("scipy.integrate.solve_ivp", counted)
+        with caplog.at_level(logging.DEBUG, logger="optrans.nad"):
+            solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.nad"]
+        m = re.fullmatch(
+            r"ode: (\d+) shots in stage 1, (\d+) in stage 2 "
+            r"\((collided|fell back to the stage-1 hit)\), 1 dense shot, "
+            r"(\d+) RHS evaluations, (\d+) midpoint steps at the action floor",
+            line,
+        )
+        assert m, line
+        assert int(m[1]) + int(m[2]) + 1 == len(nfev)
+        assert int(m[4]) == sum(nfev)
+        assert int(m[5]) <= int(m[1]) + int(m[2])
+
+    def test_miss_grows_with_the_offset(self, c1_nad):
+        # the premise of regula falsi: near the solved top action the miss has
+        # the sign of the offset and grows with it (the second-stage gap
+        # keeps every one of these shots short of a collision)
+        problem, meta, sol = c1_nad
+        gap = nad.COLLISION_FRAC * problem.states.span / 100.0
+        for sign in (-1.0, 1.0):
+            sizes = []
+            for delta in (1e-9, 1e-7, 1e-5, 1e-3):
+                side, miss, _ = _shoot(problem, meta.prior_density, sol.y_high + sign * delta, gap)
+                assert side == sign and miss is not None and np.sign(miss) == sign
+                sizes.append(abs(miss))
+            assert sizes == sorted(set(sizes))
 
 
 class TestQuantileRoute:
