@@ -133,9 +133,10 @@ def _rho(problem: Problem, y, c1, c2) -> float:
     return float(u2 / (u2 - u1))
 
 
-def _shoot(problem: Problem, density: Callable, y_top: float, gap: float, dense: bool = False):
+def _shoot(problem: Problem, density: Callable, y_top: float, gap: float, dense: bool):
     """One downward RK45 pass of the pairing system from the trial top action
-    ``y_top``, the pair bounds counting as collided at a gap of ``gap``.
+    ``y_top``, the pair bounds counting as collided at a gap of ``gap``; only
+    a ``dense`` pass keeps the interpolant.
 
     Returns (side, miss, sol).  side 0 means the bounds collided (``sol``
     carries the arc), side < 0 that y_top is too low (the lower bound veered
@@ -210,8 +211,8 @@ def solve_nad(
     The shot misses in one of two recognizable ways: the lower pair bound
     crosses the pivot curve (u at chi1 reaches 0; the trial top action was
     too low) or the upper bound does (too high).  The squared pair gap at
-    that veer event, signed by the side, is a continuous miss, monotone and
-    near the solution about linear in the top action.  A scan of
+    that veer event, signed by the side, is a continuous miss, monotone in
+    the top action near the solution.  A scan of
     ``BRACKET_POINTS`` trial top actions brackets the first change of side,
     and regula falsi on the miss, in its Illinois variant (Dowell and
     Jarratt, BIT 1971), narrows the bracket until a shot collides, that is,
@@ -371,9 +372,9 @@ def solve_nad(
     stop_gap = base_gap / 100.0
     found, _, _ = search(bracket, MAX_REBISECT)
     stage2 = tally["shots"] - stage1
-    ended = "collided" if found is not None else "fell back to the stage-1 hit"
+    ended = "collided"
     if found is None:
-        stop_gap, found = base_gap, hit
+        stop_gap, found, ended = base_gap, hit, "fell back to the stage-1 hit"
     sol = finish(found)
     logger.debug(
         "ode: %d shots in stage 1, %d in stage 2 (%s), 1 dense shot, "

@@ -209,7 +209,7 @@ class TestShooting:
         for sign in (-1.0, 1.0):
             sizes = []
             for delta in (1e-9, 1e-7, 1e-5, 1e-3):
-                side, miss, _ = _shoot(problem, meta.prior_density, sol.y_high + sign * delta, gap)
+                side, miss, _ = _shoot(problem, meta.prior_density, sol.y_high + sign * delta, gap, False)
                 assert side == sign and miss is not None and np.sign(miss) == sign
                 sizes.append(abs(miss))
             assert sizes == sorted(set(sizes))
