@@ -1,6 +1,7 @@
 #!/bin/sh
 # Record what the CLI prints, writes and returns on a fixed set of runs, so
-# that two checkouts can be compared with `diff -r`:
+# that two checkouts can be compared with `diff -r` or, key by key and row by
+# row, with scripts/snapshot_diff.py:
 #
 #   scripts/snapshot.sh OUT
 #

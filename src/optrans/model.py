@@ -4,14 +4,17 @@ A ``Problem`` bundles a state grid, an action grid, a prior, and vectorized
 evaluators for the sender utility V(y, x) and the receiver marginal utility
 u(y, x) together with the partial derivatives the analysis needs.  The
 receiver's best response ``gamma`` solves the aggregate first-order condition
-E_mu[u(y, x)] = 0 by bisection (strict mode) or picks the highest grid action
-with a nonnegative aggregate (sender-favorable mode, for discontinuous u).
-``chi`` inverts u in the state argument: the state at which a given action is
-exactly optimal.
+E_mu[u(y, x)] = 0 (strict mode) or picks the highest grid action with a
+nonnegative aggregate (sender-favorable mode, for discontinuous u); strict
+mode bisects for a single posterior and runs a safeguarded Newton iteration,
+vectorized, for the two-point posteriors of ``gamma_binary``.  ``chi``
+inverts u in the state argument by bisection: the state at which a given
+action is exactly optimal.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,7 +26,7 @@ from .grids import Grid
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 BISECT_CAP = 200
-BINARY_ITERS = 60  # bisection steps of gamma_binary's strict_foc branch
+BINARY_ITERS = 60  # most rounds of gamma_binary's strict_foc iteration per entry
 PLAUSIBLE_TOL = 1e-8  # Bayes plausibility: largest deviation of the state marginal
 PRIOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -33,6 +36,8 @@ INTERIOR_TOL = 1e-8  # sign slack, relative to max |u|, of the interiority check
 # two-point posteriors per chunk of gamma_binary's sender-favorable scan, and
 # state pairs per block of the structure module's pooling sweeps
 PAIR_BLOCK = 256
+
+logger = logging.getLogger("optrans.model")
 
 
 def _central_y(f: Evaluator, h: float) -> Evaluator:
@@ -134,10 +139,10 @@ class Problem:
 
     Evaluators take (y, x) arrays and broadcast.  Missing derivatives are
     filled with central finite differences (step 1e-5 of the relevant range).
-    ``tie_break`` selects the best-response rule: 'strict_foc' bisects the
-    aggregate first-order condition; 'sender_favorable' returns the largest
-    grid action with nonnegative aggregate marginal utility (used by the
-    quantile-style presets whose u is discontinuous).
+    ``tie_break`` selects the best-response rule: 'strict_foc' solves the
+    aggregate first-order condition for its root; 'sender_favorable' returns
+    the largest grid action with nonnegative aggregate marginal utility (used
+    by the quantile-style presets whose u is discontinuous).
     """
 
     states: Grid
@@ -349,9 +354,25 @@ def gamma(problem: Problem, mu: Posterior) -> float:
 
 
 def gamma_binary(problem: Problem, x1, x2, rho) -> np.ndarray:
-    """Vectorized best response for two-point posteriors rho*d(x1)+(1-rho)*d(x2).
+    """Vectorized best response for two-point posteriors rho*d(x1)+(1-rho)*d(x2);
+    inputs broadcast to a common shape.
 
-    strict_foc instances only; inputs broadcast to a common shape.
+    sender_favorable: the largest grid action with a nonnegative aggregate,
+    scanned in chunks of ``PAIR_BLOCK`` posteriors.  strict_foc: the root of
+    g(y) = rho*u(y, x1) + (1-rho)*u(y, x2) on the action range, by a Newton
+    iteration on g' = rho*u_y(y, x1) + (1-rho)*u_y(y, x2) kept inside the
+    sign-change bracket ("rtsafe", Press et al., Numerical Recipes, 3rd ed.,
+    section 9.4).  Each entry starts at the bracket midpoint; every iterate
+    moves the bracket end whose g has its sign (NaN moves the upper end).  A
+    Newton point that is not finite, not strictly inside the bracket, or
+    farther than half the step before last (rtsafe's guard against Newton
+    cycles) is replaced by the bracket midpoint.  An entry stops when g = 0,
+    when the Newton step is a few ulps of the action range, or when the
+    bracket is two adjacent floats, and at the latest after ``BINARY_ITERS``
+    rounds; an end where g = 0 exactly is returned as it is.  Raises
+    ``NoRoot`` when g does not change sign over the range.  One DEBUG record
+    on logger ``optrans.model`` gives the entries, the rounds summed over
+    entries, the midpoint steps and the entries stopped at the cap.
     """
     x1, x2, rho = np.broadcast_arrays(
         np.asarray(x1, float), np.asarray(x2, float), np.asarray(rho, float)
@@ -376,26 +397,59 @@ def gamma_binary(problem: Problem, x1, x2, rho) -> np.ndarray:
             res[s:e] = ys[ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)]
         return out
 
+    def agg(f, y, a, b, r):
+        return r * f(y, a) + (1.0 - r) * f(y, b)
+
     lo = np.full(x1.shape, problem.actions.lo)
     hi = np.full(x1.shape, problem.actions.hi)
-
-    def agg(y):
-        return rho * problem.u(y, x1) + (1.0 - rho) * problem.u(y, x2)
-
-    flo = agg(lo)
-    fhi = agg(hi)
+    flo = agg(problem.u, lo, x1, x2, rho)
+    fhi = agg(problem.u, hi, x1, x2, rho)
     bad = np.sign(flo) == np.sign(fhi)
     bad &= (flo != 0.0) & (fhi != 0.0)
     if np.any(bad):
         raise NoRoot("aggregate FOC does not bracket for some pair")
+    out = np.where(flo == 0.0, lo, hi)  # exact-zero ends stand as they are
+    res = out.ravel()
+    idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    a, b, r = x1.ravel()[idx], x2.ravel()[idx], rho.ravel()[idx]
+    lo, hi, flo = lo.ravel()[idx], hi.ravel()[idx], flo.ravel()[idx]
+    y = 0.5 * (lo + hi)
+    last = before = hi - lo  # the last two steps; the first are measured against the range
+    tiny = 4.0 * np.spacing(max(abs(problem.actions.lo), abs(problem.actions.hi)))
+    rounds = mids = 0
     for _ in range(BINARY_ITERS):
+        if idx.size == 0:
+            break
+        rounds += idx.size
+        g = agg(problem.u, y, a, b, r)
+        same = np.sign(g) == np.sign(flo)  # NaN never matches, so it moves hi
+        lo, flo, hi = np.where(same, y, lo), np.where(same, g, flo), np.where(same, hi, y)
         mid = 0.5 * (lo + hi)
-        fm = agg(mid)
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0 * inf, g / 0
+            yn = y - g / agg(problem.u_y, y, a, b, r)
+        zero = g == 0.0
+        converged = np.abs(yn - y) <= tiny  # a step of a few ulps of the action range
+        done = zero | converged | (mid == lo) | (mid == hi)
+        res[idx[done]] = np.select([zero, converged], [y, yn], mid)[done]
+        # a Newton point that is not finite, not strictly inside the bracket or
+        # not within half the step before last (a Newton cycle) takes the midpoint
+        newton = (lo < yn) & (yn < hi) & (2.0 * np.abs(yn - y) <= before)
+        mids += np.count_nonzero(~newton & ~done)
+        yn = np.where(newton, yn, mid)
+        before, last = last, np.abs(yn - y)
+        keep = ~done
+        idx, a, b, r, lo, hi, flo, y, last, before = (
+            v[keep] for v in (idx, a, b, r, lo, hi, flo, yn, last, before)
+        )
+    res[idx] = y
+    logger.debug(
+        "gamma_binary: %d entries, %d rounds, %d midpoint steps, %d stopped at the cap",
+        res.size,
+        rounds,
+        mids,
+        idx.size,
+    )
+    return out
 
 
 def chi(problem: Problem, y: float) -> float:

@@ -133,10 +133,10 @@ def _rho(problem: Problem, y, c1, c2) -> float:
     return float(u2 / (u2 - u1))
 
 
-def _shoot(problem: Problem, density: Callable, y_top: float, gap: float, dense: bool):
-    """One downward RK45 pass of the pairing system from the trial top action
-    ``y_top``, the pair bounds counting as collided at a gap of ``gap``; only
-    a ``dense`` pass keeps the interpolant.
+def _shoot(problem: Problem, density: Callable, y_top: float, gap: float):
+    """One downward RK45 pass, with its dense interpolant, of the pairing
+    system from the trial top action ``y_top``, the pair bounds counting as
+    collided at a gap of ``gap``.
 
     Returns (side, miss, sol).  side 0 means the bounds collided (``sol``
     carries the arc), side < 0 that y_top is too low (the lower bound veered
@@ -183,7 +183,7 @@ def _shoot(problem: Problem, density: Callable, y_top: float, gap: float, dense:
         rtol=RTOL,
         atol=ATOL,
         events=[collide, veer_low, veer_high],
-        dense_output=dense,
+        dense_output=True,
     )
     if sol.status == 1 and sol.t_events[0].size:
         return 0, None, sol
@@ -231,8 +231,9 @@ def solve_nad(
     ends of a narrow window when the scan itself hit.  It stops at the
     miss's noise floor, a shot whose |miss| is not below the smaller of its
     bracket ends' (on a line every false-position step lands below both),
-    and the first-stage hit and gap stand when it catches no collision.  Only
-    the final shot keeps a dense interpolant.  One DEBUG record on logger
+    and the first-stage hit stands when it catches no collision.  Every shot
+    keeps its dense interpolant, and the solution is read off the colliding
+    shot's, so no top action is integrated twice.  One DEBUG record on logger
     ``optrans.nad`` gives the shots per stage, the RHS evaluations, how the
     second stage ended and the midpoint steps an end at the action floor
     forced.  Quantile-style instances take the direct route through
@@ -245,20 +246,16 @@ def solve_nad(
     stop_gap = base_gap  # the collide event's gap; the second stage shrinks it
     tally = Counter()  # shots, RHS evaluations, midpoint steps forced by the floor
 
-    def shoot(y_top, dense=False):
-        side, miss, sol = _shoot(problem, prior_density, y_top, stop_gap, dense)
+    def probe(y_top):
+        side, miss, sol = _shoot(problem, prior_density, y_top, stop_gap)
         tally["shots"] += 1
         tally["rhs"] += sol.nfev
-        return side, miss, sol
-
-    def probe(y_top):
-        side, miss, _ = shoot(y_top)
-        return y_top, side, miss
+        return y_top, side, miss, (sol if side == 0 else None)  # only a collision's arc is kept
 
     def search(points, shots):
-        """Take the measured shots ``points``, (y_top, side, miss) each, in
-        order up to the first collision, else narrow the first change of side
-        in up to ``shots`` shots.  Returns the colliding top action or None,
+        """Take the measured shots ``points``, (y_top, side, miss, sol) each,
+        in order up to the first collision, else narrow the first change of
+        side in up to ``shots`` shots.  Returns the colliding shot or None,
         the points taken, and the last bracket as two measured shots (None if
         the side never changes).  A lazy ``points`` shoots only as far as the
         scan goes."""
@@ -266,7 +263,7 @@ def solve_nad(
         for pt in points:
             curve.append(pt)
             if pt[1] == 0:
-                return pt[0], curve, None
+                return pt, curve, None
             if len(curve) > 1 and pt[1] != curve[-2][1]:
                 break
         else:
@@ -275,7 +272,7 @@ def solve_nad(
         weight = {a[1]: 1.0, b[1]: 1.0}  # Illinois scaling of each end's miss, by side
         last = 0  # side of the previous narrowing shot
         for _ in range(shots):
-            (ya, sa, ma), (yb, sb, mb) = a, b
+            (ya, sa, ma, _), (yb, sb, mb, _) = a, b
             y = 0.5 * (ya + yb)
             floored = ma is None or mb is None
             if not floored:
@@ -289,7 +286,7 @@ def solve_nad(
             pt = probe(y)
             side, miss = pt[1], pt[2]
             if side == 0:
-                return y, curve, (a, b)
+                return pt, curve, (a, b)
             if stop_gap < base_gap and not floored and miss is not None and abs(miss) >= min(abs(ma), abs(mb)):
                 break  # the miss's noise floor: the first-stage hit stands
             weight[side] = 1.0
@@ -299,10 +296,8 @@ def solve_nad(
             a, b = (pt, b) if side == sa else (a, pt)
         return None, curve, (a, b)
 
-    def finish(y_top):
-        side, _, sol = shoot(y_top, dense=True)
-        if side != 0:
-            raise StiffStep("winning shot failed to reproduce the collision")
+    def finish(hit):
+        y_top, _, _, sol = hit
         ye = float(sol.t_events[0][0])
         c1e, c2e, qe = (float(v) for v in sol.y_events[0][0])
         # gap^2 is asymptotically linear in y: extrapolate the meeting point
@@ -358,26 +353,28 @@ def solve_nad(
     if hit is None:
         if bracket is None:
             raise ShootingFailed(
-                "no veer sign change over the admissible bracket", residuals=curve
+                "no veer sign change over the admissible bracket",
+                residuals=[pt[:3] for pt in curve],
             )
-        (a, _, _), (b, _, _) = bracket
+        (a, *_), (b, *_) = bracket
         raise StiffStep(f"veer bisection narrowed to [{a!r}, {b!r}] without catching the collision")
     stage1 = tally["shots"]
     # second stage: the same narrowing at a gap 100 times smaller pins the
     # top action tighter; the first-stage bracket keeps its sides and misses
     # there, and only a scan hit, which has no bracket, opens a narrow window
     if bracket is None:
-        width = max(1e-7 * max(1.0, abs(hit)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
-        bracket = map(probe, [hit - width, hit + width])
+        y = hit[0]
+        width = max(1e-7 * max(1.0, abs(y)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
+        bracket = map(probe, [y - width, y + width])
     stop_gap = base_gap / 100.0
     found, _, _ = search(bracket, MAX_REBISECT)
     stage2 = tally["shots"] - stage1
     ended = "collided"
     if found is None:
-        stop_gap, found, ended = base_gap, hit, "fell back to the stage-1 hit"
+        found, ended = hit, "fell back to the stage-1 hit"
     sol = finish(found)
     logger.debug(
-        "ode: %d shots in stage 1, %d in stage 2 (%s), 1 dense shot, "
+        "ode: %d shots in stage 1, %d in stage 2 (%s), "
         "%d RHS evaluations, %d midpoint steps at the action floor",
         stage1,
         stage2,

@@ -248,13 +248,30 @@ class TestCommands:
             assert main(argv + [str(tmp_path / "debug")]) == 0
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.nad"]
         assert re.fullmatch(
-            r"ode: \d+ shots in stage 1, \d+ in stage 2 \(collided\), 1 dense shot, "
+            r"ode: \d+ shots in stage 1, \d+ in stage 2 \(collided\), "
             r"\d+ RHS evaluations, [1-9]\d* midpoint steps at the action floor",
             line,
         )
         for name in ("nad.csv", "nad_summary.json"):
             quiet = (tmp_path / "quiet" / name).read_bytes()
             assert quiet == (tmp_path / "debug" / name).read_bytes(), name
+
+    def test_check_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
+        # contest takes the sweep route, so both pooling sweeps log; its
+        # full-disclosure witness makes the exit code 2
+        argv = ["check", "--preset", "contest", "--grid-n", "31", "--out"]
+        assert main(argv + [str(tmp_path / "quiet")]) == 2
+        with caplog.at_level(logging.DEBUG, logger="optrans.model"):
+            assert main(argv + [str(tmp_path / "debug")]) == 2
+        lines = [r.getMessage() for r in caplog.records if r.name == "optrans.model"]
+        assert lines
+        for line in lines:
+            assert re.fullmatch(
+                r"gamma_binary: \d+ entries, \d+ rounds, \d+ midpoint steps, 0 stopped at the cap",
+                line,
+            ), line
+        quiet = (tmp_path / "quiet" / "verdicts.json").read_bytes()
+        assert quiet == (tmp_path / "debug" / "verdicts.json").read_bytes()
 
     def test_one_supported_state_is_ill_posed(self, tmp_path, capsys):
         # no state pair carries prior mass, so there is no pooling sweep

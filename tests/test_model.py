@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optrans import (
     Posterior,
@@ -15,7 +19,9 @@ from optrans import (
     uniform,
 )
 from optrans.errors import GridSnapError, IllPosed, NoRoot
-from optrans.presets import preset
+from optrans.model import BINARY_ITERS, gamma_binary
+from optrans.presets import preset, preset_ids
+from optrans.structure import RHO_M, check_full_disclosure
 
 E = float(np.e)
 
@@ -212,3 +218,164 @@ class TestSignalToOutcome:
         # the best response at the top state exceeds the action range by a cell
         with pytest.raises((GridSnapError, NoRoot)):
             signal_to_outcome(pb, full_disclosure_signal(pb))
+
+
+def bisect_binary(problem, x1, x2, rho):
+    """The 60-step bisection gamma_binary's strict_foc branch ran before its
+    Newton iteration, kept as the reference."""
+    x1, x2, rho = np.broadcast_arrays(*(np.asarray(v, float) for v in (x1, x2, rho)))
+    lo = np.full(x1.shape, problem.actions.lo)
+    hi = np.full(x1.shape, problem.actions.hi)
+
+    def agg(y):
+        return rho * problem.u(y, x1) + (1.0 - rho) * problem.u(y, x2)
+
+    flo = agg(lo)
+    for _ in range(BINARY_ITERS):
+        mid = 0.5 * (lo + hi)
+        fm = agg(mid)
+        same = np.sign(fm) == np.sign(flo)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+STRICT_FOC = [pid for pid in preset_ids() if preset(pid, grid_n=11)[0].tie_break == "strict_foc"]
+
+
+def pooling_table(problem):
+    """Every (x1, x2, rho) entry of the pooling sweeps: each prior-supported
+    state pair at rho = k / RHO_M, and each state disclosed (rho = 1)."""
+    vals = problem.states.points[problem.prior > 0]
+    i1, i2 = np.triu_indices(vals.size, k=1)
+    rhos = np.arange(1, RHO_M) / RHO_M
+    x1 = np.concatenate([np.repeat(vals[i1], rhos.size), vals])
+    x2 = np.concatenate([np.repeat(vals[i2], rhos.size), vals])
+    rho = np.concatenate([np.tile(rhos, i1.size), np.ones(vals.size)])
+    return x1, x2, rho
+
+
+@st.composite
+def awkward_receivers(draw):
+    """u(y, x) = exp(b x) tanh(k (x - s(y))) / k on states and actions in
+    [0, 1], with s rising from 0 to 1 and flat on an optional stretch (where
+    u is flat in y), an analytic u_y that may be 0 or NaN on a stretch of y,
+    and u NaN above an optional action.  ``shift`` is added to u; a large one
+    leaves some pair without a sign change.  Returns the problem and the
+    middle action of the flat stretch (None without one)."""
+    b = draw(st.floats(-2.0, 2.0))
+    k = draw(st.floats(0.2, 6.0))
+    f0 = draw(st.floats(0.0, 0.9))
+    w = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    defect = draw(st.sampled_from([None, 0.0, np.nan]))
+    d0 = draw(st.floats(0.0, 0.9))
+    dw = draw(st.sampled_from([1e-3, 0.1, 0.5]))
+    nan_above = draw(st.one_of(st.none(), st.floats(0.3, 1.0)))
+    shift = draw(st.sampled_from([0.0, 0.0, 0.0, 2.0]))
+    n = draw(st.integers(3, 12))
+
+    def s(y):
+        return (y - (np.clip(y, f0, f0 + w) - f0)) / (1.0 - w)
+
+    def u(y, x):
+        y, x = np.asarray(y, float), np.asarray(x, float)
+        out = np.exp(b * x) * np.tanh(k * (x - s(y))) / k + shift
+        return out if nan_above is None else np.where(y > nan_above, np.nan, out)
+
+    def u_y(y, x):
+        y, x = np.asarray(y, float), np.asarray(x, float)
+        t = np.tanh(k * (x - s(y)))
+        slope = np.where((y > f0) & (y < f0 + w), 0.0, 1.0 / (1.0 - w))
+        out = -np.exp(b * x) * (1.0 - t * t) * slope
+        return out if defect is None else np.where((y >= d0) & (y <= d0 + dw), defect, out)
+
+    problem = Problem(
+        states=uniform(0.0, 1.0, n),
+        actions=uniform(0.0, 1.0, n, "action"),
+        prior=np.full(n, 1.0 / n),
+        V=lambda y, x: y + 0.0 * x,
+        u=u,
+        u_y=u_y,
+    )
+    return problem, (f0 + 0.5 * w if w else None)
+
+
+class TestGammaBinary:
+    @pytest.mark.parametrize("pid", STRICT_FOC)
+    def test_matches_bisection_on_pooling_table(self, pid):
+        pb, _ = preset(pid, grid_n=41)
+        x1, x2, rho = pooling_table(pb)
+        got = gamma_binary(pb, x1, x2, rho)
+        assert np.max(np.abs(got - bisect_binary(pb, x1, x2, rho))) <= 1e-14 * pb.actions.span
+
+    @pytest.mark.parametrize("pid", STRICT_FOC)
+    def test_rounds_per_entry(self, pid, caplog):
+        # 2 rounds per entry where u is affine in y, 3.9 to 5.6 on the others
+        pb, _ = preset(pid, grid_n=101)
+        with caplog.at_level(logging.DEBUG, logger="optrans.model"):
+            gamma_binary(pb, *pooling_table(pb))
+        (rec,) = [r for r in caplog.records if r.name == "optrans.model"]
+        entries, rounds, _, capped = rec.args
+        assert rounds <= 8 * entries
+        assert capped == 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(awkward_receivers())
+    def test_matches_bisection_on_awkward_receivers(self, case):
+        pb, y_flat = case
+        x = pb.states.points
+        i1, i2 = np.triu_indices(x.size)
+        rho = np.linspace(0.0, 1.0, 9)[:, None]
+        x1, x2 = x[i1][None, :], x[i2][None, :]
+
+        def agg(y):
+            return rho * pb.u(y, x1) + (1.0 - rho) * pb.u(y, x2)
+
+        agg_lo, agg_hi = agg(pb.actions.lo), agg(pb.actions.hi)
+        if np.any((np.sign(agg_lo) == np.sign(agg_hi)) & (agg_lo != 0.0) & (agg_hi != 0.0)):
+            with pytest.raises(NoRoot):
+                gamma_binary(pb, x1, x2, rho)
+            return
+        got = gamma_binary(pb, x1, x2, rho)
+        want = bisect_binary(pb, x1, x2, rho)
+        # where the aggregate vanishes on u's flat stretch up to rounding,
+        # every point of the stretch is a root
+        flat = np.zeros(got.shape, bool) if y_flat is None else np.abs(agg(y_flat)) <= 1e-12
+        diff = np.abs(got - want)
+        assert np.max(diff[~flat], initial=0.0) <= 1e-14 * pb.actions.span
+
+    def test_newton_cycle_falls_back_to_midpoints(self):
+        # u = -sign(y - x) |y - x|^0.51: every Newton step lands on the other
+        # side of the root, 0.96 times as far, a cycle that closes in too
+        # slowly for the round cap; an infinite u_y at the root is fine too
+        def u(y, x):
+            t = np.asarray(y, float) - np.asarray(x, float)
+            return -np.sign(t) * np.abs(t) ** 0.51
+
+        def u_y(y, x):
+            t = np.abs(np.asarray(y, float) - np.asarray(x, float))
+            with np.errstate(divide="ignore"):
+                return -0.51 * t**-0.49
+
+        pb = Problem(
+            states=uniform(0.0, 1.0, 11),
+            actions=uniform(0.0, 1.0, 11, "action"),
+            prior=np.full(11, 1.0 / 11),
+            V=lambda y, x: y + 0.0 * x,
+            u=u,
+            u_y=u_y,
+        )
+        x = pb.states.points
+        assert np.max(np.abs(gamma_binary(pb, x, x, 1.0) - x)) <= 1e-14
+
+    def test_check_full_disclosure_evaluator_calls(self):
+        # 2,778 evaluator calls with the 60-step bisection; at most a fifth
+        # of that with the Newton iteration
+        pb, _ = preset("example_c1", grid_n=101)
+        calls = []
+        for name in ("V", "u", "V_y", "V_yx", "u_y", "u_x", "u_yx"):
+            fn = getattr(pb, name)
+            setattr(pb, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+        assert check_full_disclosure(pb).label == "not_optimal"
+        assert len(calls) <= 2778 // 5
