@@ -135,6 +135,34 @@ class TestPairRhs:
 
 
 class TestShooting:
+    @pytest.mark.parametrize("pid", ["translation_sender", "example_c1"])
+    def test_one_dense_shot(self, pid, monkeypatch):
+        # every shot keeps its interpolant, and the solution samples exactly
+        # one of them: the colliding shot at the returned top action; on
+        # translation_sender and example_c1 the second stage catches no
+        # collision and the first-stage hit's interpolant is the one read
+        problem, meta = preset(pid, grid_n=41)
+        dense, sampled = [], []
+
+        def counted(*args, **kwargs):
+            dense.append(kwargs["dense_output"])
+            res = solve_ivp(*args, **kwargs)
+            interp = res.sol
+
+            def read(t):
+                sampled.append(res)
+                return interp(t)
+
+            res.sol = read
+            return res
+
+        monkeypatch.setattr("scipy.integrate.solve_ivp", counted)
+        sol = solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
+        assert dense and all(dense)
+        (res,) = {id(r): r for r in sampled}.values()
+        assert res.t_events[0].size == 1
+        assert res.t[0] == sol.y_high
+
     @pytest.mark.parametrize(
         "pid,cap",
         [
