@@ -118,14 +118,18 @@ def _spec_int(doc: dict, key: str, default):
 
 
 def _spec_array(doc: dict, key: str) -> np.ndarray:
-    """``doc[key]`` as a float array: ShapeMismatch if ragged, ParseError if not numeric."""
+    """``doc[key]`` as a float array: ShapeMismatch if ragged, ParseError if
+    not numeric or not finite."""
     value = doc[key]
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         if isinstance(value, list) and len({len(r) if isinstance(r, list) else None for r in value}) > 1:
             raise ShapeMismatch(f"field {key!r} has rows of unequal lengths", field=key)
         raise ParseError(f"field {key!r} is not a numeric array: {exc}", field=key)
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"field {key!r} holds a non-finite entry", field=key)
+    return arr
 
 
 def load_problem(path) -> tuple:

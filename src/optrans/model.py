@@ -5,11 +5,11 @@ evaluators for the sender utility V(y, x) and the receiver marginal utility
 u(y, x) together with the partial derivatives the analysis needs.  The
 receiver's best response ``gamma`` solves the aggregate first-order condition
 E_mu[u(y, x)] = 0 (strict mode) or picks the highest grid action with a
-nonnegative aggregate (sender-favorable mode, for discontinuous u); strict
-mode bisects for a single posterior and runs a safeguarded Newton iteration,
-vectorized, for the two-point posteriors of ``gamma_binary``.  ``chi``
-inverts u in the state argument by bisection: the state at which a given
-action is exactly optimal.
+nonnegative aggregate (sender-favorable mode, for discontinuous u);
+``gamma_binary`` does the same, vectorized, for two-point posteriors.
+``chi`` inverts u in the state argument: the state at which a given action
+is exactly optimal.  Every root comes from one vectorized safeguarded Newton
+iteration, ``_root``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .grids import Grid
 
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-BISECT_CAP = 200
-BINARY_ITERS = 60  # most rounds of gamma_binary's strict_foc iteration per entry
+ROOT_ITERS = 200  # most rounds of _root's iteration per entry
 PLAUSIBLE_TOL = 1e-8  # Bayes plausibility: largest deviation of the state marginal
 PRIOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -168,6 +167,8 @@ class Problem:
         self.prior = np.asarray(self.prior, dtype=float)
         if self.prior.shape != (len(self.states),):
             raise IllPosed("prior length must match the state grid")
+        if not np.all(np.isfinite(self.prior)):
+            raise IllPosed("prior weights must be finite")
         if np.any(self.prior < 0):
             raise IllPosed("prior weights must be nonnegative")
         if abs(self.prior.sum() - 1.0) > PRIOR_TOL:
@@ -300,56 +301,96 @@ class Outcome:
         return Posterior.from_weights(tuple(int(i) for i in keep), row[keep])
 
 
-def _aggregate_u(problem: Problem, xs: np.ndarray, w: np.ndarray):
-    def f(y):
-        return float(w @ problem.u(np.full(xs.shape, y), xs))
-
-    return f
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    """Sign-change bisection; runs to float resolution, capped at ``BISECT_CAP`` steps."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise NoRoot(f"no sign change on [{lo}, {hi}]: f={flo:.3e}..{fhi:.3e}")
-    for _ in range(BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def _root(f, df, lo, hi, *params):
+    """Roots of f(y, *params) = 0, one per entry of the broadcast of ``lo``,
+    ``hi`` and the per-entry ``params``, each inside its sign-change bracket
+    [lo, hi], by a vectorized Newton iteration on df(y, *params) kept inside
+    the bracket ("rtsafe", Press et al., Numerical Recipes, 3rd ed., 9.4).
+    An end where f = 0 exactly is returned as it is.  Each other entry
+    starts at the bracket midpoint; every iterate moves the bracket end whose
+    f has its sign.  A Newton point that is not finite, not strictly inside
+    the bracket, or farther than half the step before last (rtsafe's guard
+    against Newton cycles) is replaced by the bracket midpoint.  An entry
+    stops when f = 0, when the Newton step is at most 4 ulps of the largest
+    |end| over all entries, or when the bracket is two adjacent floats, and
+    at the latest after ``ROOT_ITERS`` rounds; finished entries and their
+    params leave the working arrays.  Raises ``IllPosed`` when f is NaN at an
+    end or an iterate and ``NoRoot`` when f does not change sign over a
+    bracket.  Returns the roots in the broadcast shape, the rounds summed
+    over entries, the midpoint steps and the entries stopped at the cap.
+    """
+    lo, hi, *params = np.broadcast_arrays(*(np.asarray(v, float) for v in (lo, hi, *params)))
+    shape = lo.shape
+    lo, hi, params = lo.ravel(), hi.ravel(), [p.ravel() for p in params]
+    flo, fhi = f(lo, *params), f(hi, *params)
+    if np.isnan(flo).any() or np.isnan(fhi).any():
+        raise IllPosed("first-order condition is NaN at an end of its bracket")
+    bad = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0) & (fhi != 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NoRoot(f"no sign change on [{lo[k]}, {hi[k]}]: f={flo[k]:.3e}..{fhi[k]:.3e}")
+    res = np.where(flo == 0.0, lo, hi)
+    idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    tiny = 4.0 * np.spacing(max(np.max(np.abs(lo), initial=0.0), np.max(np.abs(hi), initial=0.0)))
+    lo, hi, flo, params = lo[idx], hi[idx], flo[idx], [p[idx] for p in params]
+    y = 0.5 * (lo + hi)
+    last = before = hi - lo  # the last two steps; the first are measured against the bracket
+    rounds = mids = 0
+    for _ in range(ROOT_ITERS):
+        if idx.size == 0:
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi) if lo != hi else lo
+        rounds += idx.size
+        g = f(y, *params)
+        if np.isnan(g).any():
+            raise IllPosed(f"first-order condition is NaN at {float(y[np.argmax(np.isnan(g))])!r}")
+        same = np.sign(g) == np.sign(flo)
+        lo, flo, hi = np.where(same, y, lo), np.where(same, g, flo), np.where(same, hi, y)
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0 * inf, g / 0
+            yn = y - g / df(y, *params)
+        zero = g == 0.0
+        converged = np.abs(yn - y) <= tiny
+        done = zero | converged | (mid == lo) | (mid == hi)
+        res[idx[done]] = np.select([zero, converged], [y, yn], mid)[done]
+        newton = (lo < yn) & (yn < hi) & (2.0 * np.abs(yn - y) <= before)
+        mids += np.count_nonzero(~newton & ~done)
+        yn = np.where(newton, yn, mid)
+        before, last = last, np.abs(yn - y)
+        keep = ~done
+        idx, lo, hi, flo, y, last, before = (v[keep] for v in (idx, lo, hi, flo, yn, last, before))
+        params = [p[keep] for p in params]
+    res[idx] = y
+    return res.reshape(shape), rounds, mids, idx.size
+
+
+def _highest_obeyed(problem: Problem, agg: np.ndarray) -> np.ndarray:
+    """Sender-favorable rule, per row of ``agg`` (posteriors x grid actions,
+    the aggregate marginal utility): the largest grid action with aggregate
+    at least -1e-12, else the bottom action when it is the declared outside
+    option; ``NoRoot`` otherwise."""
+    ok = agg >= -1e-12
+    misses = ~ok.any(axis=1)
+    if np.any(misses):
+        if problem.constrain_bottom_row:
+            raise NoRoot("aggregate marginal utility negative at every grid action")
+        ok[misses, 0] = True
+    return problem.actions.points[ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)]
 
 
 def gamma(problem: Problem, mu: Posterior) -> float:
     """Receiver best response to ``mu``.
 
-    strict_foc: the (off-grid) root of E_mu[u(y, x)] = 0 on the action range;
-    sender_favorable: the largest grid action with E_mu[u(y, x)] >= 0.
+    strict_foc: the (off-grid) root of E_mu[u(y, x)] = 0 on the action range,
+    by ``_root`` with derivative E_mu[u_y(y, x)]; sender_favorable: the
+    largest grid action with E_mu[u(y, x)] >= 0.
     """
     xs = mu.states(problem.states)
     w = mu.weights
     if problem.tie_break == "sender_favorable":
         ys = problem.actions.points
-        agg = problem.u(ys[:, None], xs[None, :]) @ w
-        ok = np.nonzero(agg >= -1e-12)[0]
-        if ok.size == 0:
-            if not problem.constrain_bottom_row:
-                # the bottom action is the declared outside option
-                return float(ys[0])
-            raise NoRoot("aggregate marginal utility negative at every grid action")
-        return float(ys[ok[-1]])
-    f = _aggregate_u(problem, xs, w)
-    y = _bisect(f, problem.actions.lo, problem.actions.hi)
+        return float(_highest_obeyed(problem, (problem.u(ys[:, None], xs[None, :]) @ w)[None, :])[0])
+    lo, hi = problem.actions.lo, problem.actions.hi
+    y, *_ = _root(lambda y: problem.u(y[:, None], xs) @ w, lambda y: problem.u_y(y[:, None], xs) @ w, lo, hi)
     return float(y)
 
 
@@ -359,19 +400,9 @@ def gamma_binary(problem: Problem, x1, x2, rho) -> np.ndarray:
 
     sender_favorable: the largest grid action with a nonnegative aggregate,
     scanned in chunks of ``PAIR_BLOCK`` posteriors.  strict_foc: the root of
-    g(y) = rho*u(y, x1) + (1-rho)*u(y, x2) on the action range, by a Newton
-    iteration on g' = rho*u_y(y, x1) + (1-rho)*u_y(y, x2) kept inside the
-    sign-change bracket ("rtsafe", Press et al., Numerical Recipes, 3rd ed.,
-    section 9.4).  Each entry starts at the bracket midpoint; every iterate
-    moves the bracket end whose g has its sign (NaN moves the upper end).  A
-    Newton point that is not finite, not strictly inside the bracket, or
-    farther than half the step before last (rtsafe's guard against Newton
-    cycles) is replaced by the bracket midpoint.  An entry stops when g = 0,
-    when the Newton step is a few ulps of the action range, or when the
-    bracket is two adjacent floats, and at the latest after ``BINARY_ITERS``
-    rounds; an end where g = 0 exactly is returned as it is.  Raises
-    ``NoRoot`` when g does not change sign over the range.  One DEBUG record
-    on logger ``optrans.model`` gives the entries, the rounds summed over
+    g(y) = rho*u(y, x1) + (1-rho)*u(y, x2) on the action range by ``_root``,
+    with g' = rho*u_y(y, x1) + (1-rho)*u_y(y, x2).  One DEBUG record on
+    logger ``optrans.model`` gives the entries, the rounds summed over
     entries, the midpoint steps and the entries stopped at the cap.
     """
     x1, x2, rho = np.broadcast_arrays(
@@ -387,78 +418,31 @@ def gamma_binary(problem: Problem, x1, x2, rho) -> np.ndarray:
             agg = flatr[s:e, None] * problem.u(ys[None, :], flat1[s:e, None]) + (
                 1.0 - flatr[s:e, None]
             ) * problem.u(ys[None, :], flat2[s:e, None])
-            ok = agg >= -1e-12
-            misses = ~ok.any(axis=1)
-            if np.any(misses):
-                if not problem.constrain_bottom_row:
-                    ok[misses, 0] = True  # bottom action is the outside option
-                else:
-                    raise NoRoot("some pair admits no grid action with E[u] >= 0")
-            res[s:e] = ys[ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)]
+            res[s:e] = _highest_obeyed(problem, agg)
         return out
 
-    def agg(f, y, a, b, r):
-        return r * f(y, a) + (1.0 - r) * f(y, b)
+    def agg(f):
+        return lambda y, a, b, r: r * f(y, a) + (1.0 - r) * f(y, b)
 
-    lo = np.full(x1.shape, problem.actions.lo)
-    hi = np.full(x1.shape, problem.actions.hi)
-    flo = agg(problem.u, lo, x1, x2, rho)
-    fhi = agg(problem.u, hi, x1, x2, rho)
-    bad = np.sign(flo) == np.sign(fhi)
-    bad &= (flo != 0.0) & (fhi != 0.0)
-    if np.any(bad):
-        raise NoRoot("aggregate FOC does not bracket for some pair")
-    out = np.where(flo == 0.0, lo, hi)  # exact-zero ends stand as they are
-    res = out.ravel()
-    idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    a, b, r = x1.ravel()[idx], x2.ravel()[idx], rho.ravel()[idx]
-    lo, hi, flo = lo.ravel()[idx], hi.ravel()[idx], flo.ravel()[idx]
-    y = 0.5 * (lo + hi)
-    last = before = hi - lo  # the last two steps; the first are measured against the range
-    tiny = 4.0 * np.spacing(max(abs(problem.actions.lo), abs(problem.actions.hi)))
-    rounds = mids = 0
-    for _ in range(BINARY_ITERS):
-        if idx.size == 0:
-            break
-        rounds += idx.size
-        g = agg(problem.u, y, a, b, r)
-        same = np.sign(g) == np.sign(flo)  # NaN never matches, so it moves hi
-        lo, flo, hi = np.where(same, y, lo), np.where(same, g, flo), np.where(same, hi, y)
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0 * inf, g / 0
-            yn = y - g / agg(problem.u_y, y, a, b, r)
-        zero = g == 0.0
-        converged = np.abs(yn - y) <= tiny  # a step of a few ulps of the action range
-        done = zero | converged | (mid == lo) | (mid == hi)
-        res[idx[done]] = np.select([zero, converged], [y, yn], mid)[done]
-        # a Newton point that is not finite, not strictly inside the bracket or
-        # not within half the step before last (a Newton cycle) takes the midpoint
-        newton = (lo < yn) & (yn < hi) & (2.0 * np.abs(yn - y) <= before)
-        mids += np.count_nonzero(~newton & ~done)
-        yn = np.where(newton, yn, mid)
-        before, last = last, np.abs(yn - y)
-        keep = ~done
-        idx, a, b, r, lo, hi, flo, y, last, before = (
-            v[keep] for v in (idx, a, b, r, lo, hi, flo, yn, last, before)
-        )
-    res[idx] = y
+    out, rounds, mids, capped = _root(
+        agg(problem.u), agg(problem.u_y), problem.actions.lo, problem.actions.hi, x1, x2, rho
+    )
     logger.debug(
         "gamma_binary: %d entries, %d rounds, %d midpoint steps, %d stopped at the cap",
-        res.size,
+        out.size,
         rounds,
         mids,
-        idx.size,
+        capped,
     )
     return out
 
 
 def chi(problem: Problem, y: float) -> float:
-    """The state at which action ``y`` is exactly optimal: root of u(y, .)."""
-
-    def f(x):
-        return float(problem.u(np.array([y]), np.array([x]))[0])
-
-    return float(_bisect(f, problem.states.lo, problem.states.hi))
+    """The state at which action ``y`` is exactly optimal: the root of u(y, .)
+    on the state range, by ``_root`` with derivative u_x(y, .)."""
+    lo, hi = problem.states.lo, problem.states.hi
+    x, *_ = _root(lambda x, a: problem.u(a, x), lambda x, a: problem.u_x(a, x), lo, hi, y)
+    return float(x)
 
 
 def indirect_utility(problem: Problem, mu: Posterior) -> float:

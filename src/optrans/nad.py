@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoRoot, ShootingFailed, StiffStep
-from .model import Outcome, Posterior, Problem, _bisect, chi, gamma, outcome_from_mass
+from .model import Outcome, Posterior, Problem, _root, chi, gamma, outcome_from_mass
 
 RTOL = 1e-8  # RK45 tolerances of every shot
 ATOL = 1e-10
@@ -237,10 +237,10 @@ def solve_nad(
     ``optrans.nad`` gives the shots per stage, the RHS evaluations, how the
     second stage ended and the midpoint steps an end at the action floor
     forced.  Quantile-style instances take the direct route through
-    ``prior_cdf``.
+    ``prior_density`` and ``prior_cdf``.
     """
     if problem.quantile_kappa is not None:
-        return _solve_quantile(problem, prior_cdf)
+        return _solve_quantile(problem, prior_density, prior_cdf)
 
     base_gap = COLLISION_FRAC * (problem.states.hi - problem.states.lo)
     stop_gap = base_gap  # the collide event's gap; the second stage shrinks it
@@ -385,25 +385,18 @@ def solve_nad(
     return sol
 
 
-def _solve_quantile(problem: Problem, cdf: Callable) -> NadSolution:
+def _solve_quantile(problem: Problem, density: Callable, cdf: Callable) -> NadSolution:
     kappa = float(problem.quantile_kappa)
     lo, hi = problem.states.lo, problem.states.hi
 
     def ylow_eq(t):
         return kappa * cdf(t) - (1.0 - kappa) * (1.0 - cdf(t))
 
-    y_low = _bisect(ylow_eq, lo, hi)
+    y_low, *_ = _root(ylow_eq, density, lo, hi)  # ylow_eq' = kappa f + (1 - kappa) f = f
     ys = np.linspace(hi, y_low, 513)
-
-    def chi1_of(y):
-        rhs_val = (1.0 - kappa) * (1.0 - cdf(y))
-
-        def eq(t):
-            return kappa * cdf(t) - rhs_val
-
-        return _bisect(eq, lo, hi)
-
-    c1s = np.array([chi1_of(float(y)) for y in ys])
+    # chi1 solves kappa * F(chi1) = (1 - kappa) * (1 - F(y)) at every node
+    rhs = (1.0 - kappa) * (1.0 - cdf(ys))
+    c1s, *_ = _root(lambda t, r: kappa * cdf(t) - r, lambda t, r: kappa * density(t), lo, hi, rhs)
     c2s = ys.copy()
     qs = np.full(ys.shape, np.nan)  # u_y vanishes here; no multiplier exists
     rhos = np.full(ys.shape, 1.0 - kappa)

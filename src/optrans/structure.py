@@ -129,7 +129,7 @@ def pairwise_split(problem: Problem, mu: Posterior) -> list:
     States where u(gamma(mu), .) vanishes become degenerate atoms; the rest
     are pooled across the sign change with exact two-point obedience weights.
     Pairing consumes the smallest residual chunks first so the aggregate
-    first-order-condition residual of the bisected gamma lands on the largest
+    first-order-condition residual left at gamma's root lands on the largest
     final piece.  Mass bookkeeping is exact rational arithmetic on the float
     inputs, so the pieces recombine to the input to within one rounding.
     """

@@ -458,6 +458,24 @@ class TestMalformedSpecs:
                 load_problem(path)
             assert main(["solve", "--spec", str(path), "--out", tmp]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("field", ["prior", "V"])
+    def test_non_finite_entry_exit_1(self, tmp_path, capsys, command, field):
+        # a NaN here used to give "objective": NaN from solve and a raw
+        # ValueError traceback from check
+        doc = json.loads(json.dumps(INLINE_SPEC))
+        if field == "prior":
+            doc["prior"][1] = float("nan")
+        else:
+            doc["V"][1][2] = float("nan")
+        path = write_spec(tmp_path, doc)
+        with pytest.raises(ParseError) as exc:
+            load_problem(path)
+        assert exc.value.field == field
+        assert main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error [ParseError]: {exc.value}"]
+
     @pytest.mark.parametrize(
         "pid,params",
         [

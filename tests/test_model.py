@@ -1,3 +1,4 @@
+import functools
 import logging
 
 import numpy as np
@@ -19,8 +20,9 @@ from optrans import (
     uniform,
 )
 from optrans.errors import GridSnapError, IllPosed, NoRoot
-from optrans.model import BINARY_ITERS, gamma_binary
-from optrans.presets import preset, preset_ids
+from optrans.grids import from_points
+from optrans.model import gamma_binary
+from optrans.presets import MEAN_RECEIVER, preset, preset_ids
 from optrans.structure import RHO_M, check_full_disclosure
 
 E = float(np.e)
@@ -231,7 +233,7 @@ def bisect_binary(problem, x1, x2, rho):
         return rho * problem.u(y, x1) + (1.0 - rho) * problem.u(y, x2)
 
     flo = agg(lo)
-    for _ in range(BINARY_ITERS):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         fm = agg(mid)
         same = np.sign(fm) == np.sign(flo)
@@ -333,6 +335,10 @@ class TestGammaBinary:
             return rho * pb.u(y, x1) + (1.0 - rho) * pb.u(y, x2)
 
         agg_lo, agg_hi = agg(pb.actions.lo), agg(pb.actions.hi)
+        if np.isnan(agg_lo).any() or np.isnan(agg_hi).any():  # no sign to bracket by
+            with pytest.raises(IllPosed):
+                gamma_binary(pb, x1, x2, rho)
+            return
         if np.any((np.sign(agg_lo) == np.sign(agg_hi)) & (agg_lo != 0.0) & (agg_hi != 0.0)):
             with pytest.raises(NoRoot):
                 gamma_binary(pb, x1, x2, rho)
@@ -379,3 +385,132 @@ class TestGammaBinary:
             setattr(pb, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
         assert check_full_disclosure(pb).label == "not_optimal"
         assert len(calls) <= 2778 // 5
+
+
+def bisect_scalar(f, lo, hi):
+    """The scalar sign-change bisection gamma and chi ran before the shared
+    Newton iteration, capped at 200 steps, kept as the reference."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if np.sign(flo) == np.sign(fhi):
+        raise NoRoot(f"no sign change on [{lo}, {hi}]")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if np.sign(fm) == np.sign(flo):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return 0.5 * (lo + hi) if lo != hi else lo
+
+
+@functools.lru_cache(maxsize=None)
+def preset41(pid):
+    return preset(pid, grid_n=41)[0]
+
+
+class TestRootAgainstBisection:
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_chi_on_the_action_grid(self, pid):
+        pb = preset41(pid)
+        # where u = x - y, chi(y) is a grid state, and one ulp off would move
+        # that state to the other side of the pivot in check_twist
+        exact = pb.u is MEAN_RECEIVER["u"]
+        for y in pb.actions.points:
+
+            def f(x):
+                return float(pb.u(np.array([y]), np.array([x]))[0])
+
+            try:
+                want = bisect_scalar(f, pb.states.lo, pb.states.hi)
+            except NoRoot:
+                with pytest.raises(NoRoot):
+                    chi(pb, float(y))
+                continue
+            got = chi(pb, float(y))
+            if exact:
+                assert got == want, y
+            else:
+                assert abs(got - want) <= 1e-15 * pb.states.span, y
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(STRICT_FOC), st.data())
+    def test_gamma_on_random_posteriors(self, pid, data):
+        pb = preset41(pid)
+        support = data.draw(st.lists(st.integers(0, pb.n_states - 1), min_size=1, max_size=6, unique=True))
+        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+        mu = Posterior.from_weights(support, weights)  # sorts the support with its weights
+        xs, w = mu.states(pb.states), mu.weights
+
+        def f(y):
+            return float(w @ pb.u(np.full(xs.shape, y), xs))
+
+        try:
+            want = bisect_scalar(f, pb.actions.lo, pb.actions.hi)
+        except NoRoot:
+            with pytest.raises(NoRoot):
+                gamma(pb, mu)
+            return
+        assert abs(gamma(pb, mu) - want) <= 1e-14 * pb.actions.span
+
+
+def nan_receiver(nan_at):
+    """u = x - y on five states, NaN where ``nan_at(y, x)`` holds."""
+    return Problem(
+        states=from_points([0.0, 0.1, 0.25, 0.5, 1.0]),
+        actions=uniform(0.0, 1.0, 5, "action"),
+        prior=np.full(5, 0.2),
+        V=lambda y, x: y + 0.0 * x,
+        u=lambda y, x: np.where(nan_at(y, x), np.nan, x - y),
+        u_y=lambda y, x: -1.0 + 0.0 * (x + y),
+        u_x=lambda y, x: 1.0 + 0.0 * (x + y),
+    )
+
+
+class TestNaNFirstOrderCondition:
+    """A NaN first-order condition is ill-posed input: neither a sign change
+    nor a root."""
+
+    @pytest.mark.parametrize(
+        "nan_at",
+        [
+            lambda y, x: y > 0.3,  # NaN at the top action
+            lambda y, x: y < 0.2,  # NaN at the bottom action
+            lambda y, x: (y > 0.4) & (y < 0.6),  # finite at both ends, NaN at the midpoint
+        ],
+        ids=["top", "bottom", "interior"],
+    )
+    def test_best_responses_raise(self, nan_at):
+        pb = nan_receiver(nan_at)
+        x = pb.states.points
+        with pytest.raises(IllPosed):
+            gamma_binary(pb, x, x, 1.0)
+        with pytest.raises(IllPosed):
+            gamma(pb, Posterior.degenerate(3))
+
+    @pytest.mark.parametrize(
+        "nan_at",
+        [lambda y, x: x > 0.8, lambda y, x: (x > 0.4) & (x < 0.6)],
+        ids=["end", "interior"],
+    )
+    def test_chi_raises(self, nan_at):
+        pb = nan_receiver(nan_at)
+        with pytest.raises(IllPosed):
+            chi(pb, 0.3)
+
+    def test_non_finite_prior(self):
+        with pytest.raises(IllPosed):
+            Problem(
+                states=uniform(0.0, 1.0, 3),
+                actions=uniform(0.0, 1.0, 3, "action"),
+                prior=np.array([0.5, np.nan, 0.5]),
+                V=lambda y, x: y + 0.0 * x,
+                u=lambda y, x: x - y,
+            )
