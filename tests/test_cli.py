@@ -273,6 +273,18 @@ class TestCommands:
         quiet = (tmp_path / "quiet" / "verdicts.json").read_bytes()
         assert quiet == (tmp_path / "debug" / "verdicts.json").read_bytes()
 
+    def test_twist_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
+        argv = ["check", "--preset", "example_c1", "--grid-n", "31", "--out"]
+        code = main(argv + [str(tmp_path / "quiet")])
+        with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
+            assert main(argv + [str(tmp_path / "debug")]) == code
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
+        assert re.fullmatch(
+            r"twist: 29 of 29 actions certified \(least margin \S+\), exact sweep not run", line
+        ), line
+        quiet = (tmp_path / "quiet" / "verdicts.json").read_bytes()
+        assert quiet == (tmp_path / "debug" / "verdicts.json").read_bytes()
+
     def test_one_supported_state_is_ill_posed(self, tmp_path, capsys):
         # no state pair carries prior mass, so there is no pooling sweep
         doc = {

@@ -1,5 +1,7 @@
+import logging
 import re
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -96,6 +98,65 @@ class TestCheckTwist:
         assert rep.witness is not None
         y, x1, x2, x3 = rep.witness
         assert x1 < x2 < x3
+
+    @staticmethod
+    def nan_problem(nan_at, actions=(0.05, 0.95)):
+        """u = x - y, V = y x^2 on 11 states and 7 actions; V_y is NaN at
+        (y, x) where ``nan_at(y, x)`` holds."""
+
+        def V_y(y, x):
+            y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
+            return np.where(nan_at(y, x), np.nan, x * x)
+
+        return Problem(
+            states=uniform(0.0, 1.0, 11),
+            actions=uniform(*actions, 7, "action"),
+            prior=np.full(11, 1.0 / 11),
+            V=lambda y, x: y * x**2,
+            V_y=V_y,
+            u=lambda y, x: x - y,
+        )
+
+    def test_non_finite_rows_raise(self):
+        # the NaN used to pass for a sign change: 'fails' with witness
+        # (0.05, 0.0, 0.1, 0.5)
+        pb = self.nan_problem(lambda y, x: x == 0.5)
+        with pytest.raises(IllPosed, match=r"not finite at \(y, x\) = \(0\.05, 0\.5\)"):
+            check_twist(pb)
+
+    def test_non_finite_rows_of_skipped_action_pass(self):
+        # the action 0.0 has no state below its pivot, so the scan skips it
+        # and never reads its NaN row
+        clean = check_twist(self.nan_problem(lambda y, x: np.zeros(x.shape, bool), (0.0, 1.0)))
+        assert check_twist(self.nan_problem(lambda y, x: y == 0.0, (0.0, 1.0))) == clean
+
+    def test_debug_record_certified(self, caplog):
+        pb, _ = preset("example_c1", grid_n=41)
+        visited = len(list(structure._twist_actions(pb)))
+        with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
+            assert check_twist(pb).label == "holds_positive"
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
+        m = re.fullmatch(
+            r"twist: (\d+) of (\d+) actions certified \(least margin \S+\), exact sweep not run", line
+        )
+        assert m and int(m[1]) == int(m[2]) == visited == 39, line
+
+    def test_debug_record_fallback(self, caplog):
+        # affiliated: the certificate proves the first 37 actions at n=41,
+        # then a triple beside x0 = 1/sqrt(2), where u vanishes, is too small
+        pb, _ = preset("affiliated", grid_n=41)
+        with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
+            assert check_twist(pb).label == "holds_negative"
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
+        m = re.fullmatch(
+            r"twist: (\d+) actions certified, certificate stopped at action y=(\S+) \((\w+)\), "
+            r"exact sweep ran",
+            line,
+        )
+        assert m, line
+        ys = [act[0] for act in structure._twist_actions(pb)]
+        assert ys.index(float(m[2])) == int(m[1]) == 37
+        assert m[3] == "margin"
 
 
 def brute_force_twist(problem, zero_tol=1e-12):
@@ -196,11 +257,68 @@ class TestTwistSweepAgainstBruteForce:
         pb, _ = preset(pid, grid_n=21)
         assert check_twist(pb) == brute_force_twist(pb)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(smooth_problems())
-    def test_random_smooth_problems(self, case):
-        pb, zero_tol = case
-        assert check_twist(pb, zero_tol=zero_tol) == brute_force_twist(pb, zero_tol)
+    def test_random_smooth_problems(self):
+        # both routes must be exercised: the certificate alone, and the exact
+        # sweep after the certificate stopped
+        routes = Counter()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(smooth_problems())
+        def run(case):
+            pb, zero_tol = case
+            with mock.patch.object(structure, "_twist_sweep", wraps=structure._twist_sweep) as sweep:
+                assert check_twist(pb, zero_tol=zero_tol) == brute_force_twist(pb, zero_tol)
+            routes["sweep" if sweep.called else "certificate"] += 1
+
+        run()
+        assert routes["certificate"] > 0 and routes["sweep"] > 0, routes
+
+
+# the presets whose twist label holds, and contest's holds_negative regime
+TWIST_HOLDS = [
+    (pid, {})
+    for pid in (
+        "contest",
+        "example_c1",
+        "example_c3",
+        "gerrymander",
+        "linear_receiver",
+        "option_pricing",
+        "translation_receiver",
+        "translation_sender",
+    )
+] + [("contest", {"xmin": 0.62, "xmax": 0.95})]
+
+
+def exact_twist(problem, zero_tol=1e-12):
+    """check_twist's report from the exact sweep alone."""
+    return structure._twist_sweep(structure._twist_actions(problem), problem.states.points, zero_tol)
+
+
+class TestTwistRoutes:
+    @pytest.mark.parametrize("grid_n", [41, 101])
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_equals_exact_sweep(self, pid, grid_n):
+        pb, _ = preset(pid, grid_n=grid_n)
+        assert check_twist(pb) == exact_twist(pb)
+
+    @pytest.mark.parametrize("grid_n", [101, 201])
+    @pytest.mark.parametrize("pid, kwargs", TWIST_HOLDS)
+    def test_holding_presets_certified(self, pid, kwargs, grid_n):
+        # the fast path must keep deciding these: no exact sweep
+        pb, _ = preset(pid, grid_n=grid_n, **kwargs)
+        with mock.patch.object(structure, "_twist_sweep", side_effect=AssertionError("sweep ran")):
+            rep = check_twist(pb)
+        assert rep.label == ("holds_negative" if kwargs else "holds_positive")
+
+    def test_affiliated_witness_through_fallback(self):
+        # u vanishes at x0 = 1/sqrt(2) for every action; the triple of
+        # neighbours beside it is within zero_tol of the running scale
+        pb, _ = preset("affiliated", grid_n=201)
+        with mock.patch.object(structure, "_twist_sweep", wraps=structure._twist_sweep) as sweep:
+            rep = check_twist(pb)
+        assert sweep.called
+        assert rep == TwistReport("fails", (0.9, 0.705, 0.71, 0.715))
 
 
 class TestPairwiseSplit:
