@@ -11,9 +11,7 @@ full-disclosure / pooling condition sweeps.
 
 from __future__ import annotations
 
-import itertools
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,11 +32,11 @@ RHO_M = 64  # pooling sweeps: interior rho = k / RHO_M, k = 1 .. RHO_M - 1
 REFINE_M = 512  # full-disclosure refinement: rho = k / REFINE_M
 NEAR_MAX = 256  # full-disclosure near-tie pairs refined, largest coarse gain first
 _EPS = float(np.finfo(float).eps)
-# twist certificate: E = _TWIST_ROUNDING * _EPS * max|V_y| max|u| max|u_y| bounds
-# the sweep's rounding of one determinant, and _TWIST_ROUNDING * _EPS that of
-# the certificate's own bound on rows scaled into [-1, 1]; a lower bound must
-# clear _TWIST_SAFETY times (zero_tol * scale bound + E + its own rounding).
-# A chunk of blocks holds at most _TWIST_CHUNK (state, block) entries.
+# twist certificate: _TWIST_ROUNDING * _EPS bounds the rounding of one
+# determinant, the sweep's or the certificate's own bound, on rows scaled into
+# [-1, 1]; a lower bound must clear _TWIST_SAFETY times (zero_tol * the
+# action's Hadamard bound + both roundings).  A chunk of blocks holds at most
+# _TWIST_CHUNK (state, block) entries.
 _TWIST_ROUNDING = 32.0
 _TWIST_SAFETY = 4.0
 _TWIST_CHUNK = 1 << 16
@@ -50,18 +48,19 @@ logger = logging.getLogger("optrans.structure")
 # twist determinant
 
 
+def _det3(a, b, c) -> float:
+    """Determinant of the 3x3 matrix with rows (a_t, b_t, c_t), t = 0, 1, 2,
+    in the twist sweep's arithmetic."""
+    return float(
+        a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0]) + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
 def twist_determinant(problem: Problem, y: float, x1: float, x2: float, x3: float) -> float:
     """Determinant of the 3x3 matrix with rows (V_y, u, u_y) at (y, x_i)."""
     xs = np.array([x1, x2, x3], dtype=float)
     yv = np.full(3, float(y))
-    a = np.asarray(problem.V_y(yv, xs), dtype=float)
-    b = np.asarray(problem.u(yv, xs), dtype=float)
-    c = np.asarray(problem.u_y(yv, xs), dtype=float)
-    return float(
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+    return _det3(*(np.asarray(f(yv, xs), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)))
 
 
 @dataclass(frozen=True)
@@ -74,67 +73,82 @@ def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
     """Sign-constancy sweep of the twist determinant over grid triples
     x1 < x2 < x3 with x1 < chi(y) < x3.
 
-    Scans lexicographically in (y, x1, x2, x3); the first zero or
-    sign-conflicting determinant is returned as the witness.  A determinant
-    counts as zero when its magnitude is within ``zero_tol`` times the largest
-    magnitude seen so far, the current (y, x1) block included.
+    Scans lexicographically in (y, x1, x2, x3); the first triple sets the
+    sign, and the first zero or sign-conflicting determinant is returned as
+    the witness.  Each triple is judged against its own scale: at action y
+    let the columns V_y, u and u_y of the rows r_x = (V_y, u, u_y)(y, x) be
+    scaled by 2^-e0, 2^-e1 and 2^-e2 so that each column's largest magnitude
+    over the states lies in [0.5, 1), giving rows R_x; a determinant counts
+    as zero when |det| <= ``zero_tol`` 2^(e0+e1+e2) |R_i| |R_j| |R_k|, its
+    own Hadamard bound in the scaled frame.  So the only state one action
+    hands the next is the sign.
 
-    Two routes give that report, by construction the same one.  A
-    certificate first tries to prove, action by action in O(nx) work per
-    (y, x1) block, that every triple clears the zero test with the sign of
-    the sweep's first triple; when it proves every action, the label is
-    returned without the sweep.  It rests on a projection identity: with
-    r = (V_y, u, u_y)(y, x), a frame whose third axis is r_i and w_x the
-    projection of r_x onto the other two axes,
-    det(r_i, r_j, r_k) = |r_i| |w_j| |w_k| sin(phi_k - phi_j), phi the angle
-    of w.  So a block has one sign when the angles rise with the state within
-    a quarter turn, a prefix-maximum test, and the angle gaps, split at the
-    midpoint between x1 and x3, bound every |det| from below; that bound must
-    clear ``zero_tol`` times an upper bound of the running scale plus the
-    rounding of the sweep's formula, with a safety factor (``_certify_action``
-    has the details).  At the first action it cannot decide (a degenerate
-    frame, angles out of order, or too small a margin) it stops, and the
-    exact sweep runs from the first action, since its running scale makes a
-    partial restart inexact.  Both routes read each action's rows and chi(y)
-    once.  One DEBUG record on logger ``optrans.structure`` says how many
-    actions the certificate proved and, if it stopped, where and why.
-
-    The sweep lists the valid (x2, x3) index pairs of x1 = xs[0] once per
-    action, in lexicographic order; those of x1 = xs[i] are the suffix from
-    x2 = xs[i + 1].  Each (y, x1) block is reduced to its minimum and
-    maximum, and only a failing block is searched for its witness.  Raises
-    ``IllPosed`` when the scan reaches an action whose rows are not finite.
+    Each action is decided by one of two routes, by construction with the
+    same result.  A certificate first tries to prove, in O(nx) work per
+    (y, x1) block, that every triple of the action clears the zero test
+    with the sign.  It rests on a projection identity: in a frame whose
+    third axis is R_i, with w_x the projection of R_x onto the other two
+    axes, det(R_i, R_j, R_k) = |R_i| |w_j| |w_k| sin(phi_k - phi_j), phi the
+    angle of w.  So a block has one sign when the angles rise with the state
+    within a quarter turn, a prefix-maximum test, and the angle gaps, split
+    at the midpoint between x1 and x3, bound every |det| from below; that
+    bound must clear ``zero_tol`` times the action's Hadamard bound plus the
+    rounding of the sweep's formula, with a safety factor
+    (``_certify_action`` has the details).  An action the certificate
+    cannot decide (a degenerate frame, angles out of order, too small a
+    margin, or no sign yet because the first triple is zero) goes to the
+    exact sweep, which lists the action's valid (x2, x3) index pairs once
+    and checks each (y, x1) block against them.  One DEBUG record on logger
+    ``optrans.structure`` counts the actions each route decided, with the
+    certificate's least margin and the first swept action and its reason.
+    Raises ``IllPosed`` when the scan reaches an action whose rows are not
+    finite.
     """
-    actions = _twist_actions(problem)
-    seen = []  # the actions the certificate read, handed on to the sweep
-    sign = _twist_certificate(actions, seen, zero_tol)
-    if sign is not None:
-        return _twist_report(sign)
-    return _twist_sweep(itertools.chain(seen, actions), problem.states.points, zero_tol)
-
-
-def _twist_report(sign_seen: int) -> TwistReport:
-    if sign_seen > 0:
-        return TwistReport("holds_positive")
-    if sign_seen < 0:
-        return TwistReport("holds_negative")
-    return TwistReport("fails", None)
+    xs = problem.states.points
+    nx = xs.size
+    sign, certified, swept, least, first, witness = 0, 0, 0, np.inf, "", None
+    for y, R, norms, n_low, kh in _twist_actions(problem):
+        if sign == 0 and nx > 2:  # the scan's first triple (0, 1, max(kh, 2)) sets the sign
+            k = max(kh, 2)
+            d, tol = _det3(*R[[0, 1, k]].T), zero_tol * norms[0] * norms[1] * norms[k]
+            sign = 1 if d > tol else -1 if d < -tol else 0
+        if sign == 0:
+            reason = "sign"
+        elif nx - kh < n_low:
+            # fewer blocks counted down from the top state, with the states
+            # reversed: det(R_k, R_j, R_i) = -det(R_i, R_j, R_k)
+            reason, margin = _certify_action(R[::-1], norms[::-1], min(nx - kh, nx - 2), nx - n_low, -sign, zero_tol)
+        else:
+            reason, margin = _certify_action(R, norms, min(n_low, nx - 2), kh, sign, zero_tol)
+        if reason is None:
+            certified += 1
+            least = min(least, margin)
+            continue
+        swept += 1
+        first = first or f", first at y={y!r} ({reason})"
+        hit = _twist_sweep(R, norms, n_low, kh, sign, zero_tol)
+        if hit is not None:
+            witness = (y, *(float(xs[t]) for t in hit))
+            break
+    logger.debug("twist: %d actions certified (least margin %.3g), %d swept%s", certified, least, swept, first)
+    if witness is not None or sign == 0:
+        return TwistReport("fails", witness)
+    return TwistReport("holds_positive" if sign > 0 else "holds_negative")
 
 
 def _twist_actions(problem: Problem):
     """The actions the twist sweep visits, in scan order, as
-    (y, a, b, c, n_low, kh): the rows a = V_y, b = u, c = u_y at (y, xs), the
-    number of states below chi(y) and the index of the first state above it.
-    Actions without a pivot, or with every state on one side of it, are
-    skipped.  Raises ``IllPosed`` on reaching an action whose rows are not
-    finite."""
+    (y, R, norms, n_low, kh): the rows R = (V_y, u, u_y) at (y, xs) with each
+    column scaled by a power of two so that its largest magnitude lies in
+    [0.5, 1), exactly; their norms; the number of states below chi(y); and
+    the index of the first state above it.  Actions without a pivot, or with
+    every state on one side of it, are skipped.  Raises ``IllPosed`` on
+    reaching an action whose rows are not finite."""
     xs = problem.states.points
     nx = xs.size
     for y in problem.actions.points:
         yv = np.full(nx, float(y))
-        a = np.asarray(problem.V_y(yv, xs), dtype=float)
-        b = np.asarray(problem.u(yv, xs), dtype=float)
-        c = np.asarray(problem.u_y(yv, xs), dtype=float)
+        R = np.stack([np.asarray(f(yv, xs), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)], axis=1)
         try:
             pivot = chi(problem, float(y))
         except NoRoot:
@@ -143,138 +157,80 @@ def _twist_actions(problem: Problem):
         kh = int(np.searchsorted(xs, pivot, side="right"))  # first state above chi(y)
         if n_low == 0 or kh == nx:
             continue
-        bad = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))
+        bad = ~np.isfinite(R).all(axis=1)
         if bad.any():
             x = float(xs[int(np.argmax(bad))])
             raise IllPosed(f"twist rows (V_y, u, u_y) are not finite at (y, x) = ({float(y)!r}, {x!r})")
-        yield float(y), a, b, c, n_low, kh
+        R = np.ldexp(R, -np.frexp(np.max(np.abs(R), axis=0))[1])
+        yield float(y), R, np.sqrt(R[:, 0] ** 2 + R[:, 1] ** 2 + R[:, 2] ** 2), n_low, kh
 
 
-def _twist_sweep(actions, xs: np.ndarray, zero_tol: float) -> TwistReport:
-    """The exact sweep of ``check_twist`` over ``_twist_actions`` rows."""
-    nx = xs.size
-    sign_seen = 0
-    scale = 1.0
-    for y, a, b, c, n_low, kh in actions:
-        M = b[:, None] * c[None, :] - b[None, :] * c[:, None]
-        # pairs j < k with k >= kh, for j = 1 .. nx - 2
-        k_first = np.maximum(kh, np.arange(2, nx))
-        counts = nx - k_first
-        start = np.concatenate([[0], np.cumsum(counts)])  # pairs of j begin at start[j - 1]
-        J = np.repeat(np.arange(1, nx - 1), counts)
-        K = np.arange(start[-1]) - np.repeat(start[:-1] - k_first, counts)
-        MJK, aJ, aK = M[J, K], a[J], a[K]
-        for i in range(n_low):
-            s = start[i]
-            if s == start[-1]:
-                continue
-            Mi = M[i]
-            # det(i, j, k) = a[i] M[j, k] - a[j] M[i, k] + a[k] M[i, j]
-            d = a[i] * MJK[s:] - aJ[s:] * Mi[K[s:]] + aK[s:] * Mi[J[s:]]
-            lo, hi = float(d.min()), float(d.max())
-            scale = max(scale, abs(lo), abs(hi))
-            tol = zero_tol * scale
-            if sign_seen == 0:  # the first triple (i, i + 1, max(kh, i + 2)) sets the sign
-                sign_seen = 1 if d[0] > tol else -1 if d[0] < -tol else 0
-            if sign_seen > 0 and lo > tol or sign_seen < 0 and hi < -tol:
-                continue
-            on_sign = d > tol if sign_seen > 0 else d < -tol
+def _twist_sweep(R, norms, n_low: int, kh: int, sign: int, zero_tol: float) -> Optional[tuple]:
+    """The exact sweep of ``check_twist`` over one action's ``_twist_actions``
+    rows: the state indices (i, j, k) of the first triple whose determinant is
+    not ``sign`` times a nonzero (every triple when ``sign`` is 0), or None."""
+    a, b, c = R.T
+    nx = a.size
+    M = b[:, None] * c[None, :] - b[None, :] * c[:, None]
+    # pairs j < k with k >= kh, for j = 1 .. nx - 2
+    k_first = np.maximum(kh, np.arange(2, nx))
+    counts = nx - k_first
+    start = np.concatenate([[0], np.cumsum(counts)])  # pairs of j begin at start[j - 1]
+    J = np.repeat(np.arange(1, nx - 1), counts)
+    K = np.arange(start[-1]) - np.repeat(start[:-1] - k_first, counts)
+    MJK, aJ, aK, nJ, nK = M[J, K], a[J], a[K], norms[J], norms[K]
+    for i in range(n_low):
+        s = start[i]
+        Mi = M[i]
+        # det(i, j, k) = a[i] M[j, k] - a[j] M[i, k] + a[k] M[i, j]
+        d = a[i] * MJK[s:] - aJ[s:] * Mi[K[s:]] + aK[s:] * Mi[J[s:]]
+        on_sign = sign * d > zero_tol * norms[i] * nJ[s:] * nK[s:]
+        if not on_sign.all():
             n = s + int(np.argmin(on_sign))  # first triple off the sign
-            return TwistReport("fails", (y, float(xs[i]), float(xs[J[n]]), float(xs[K[n]])))
-    return _twist_report(sign_seen)
+            return i, int(J[n]), int(K[n])
+    return None
 
 
-def _twist_certificate(actions, seen: list, zero_tol: float) -> Optional[int]:
-    """The sign every triple of the sweep has, proved action by action, or
-    None at the first action the proof cannot decide.  Every action read is
-    appended to ``seen``, the undecided one included."""
-    sign, H, least, done = 0, 1.0, np.inf, 0
-    for act in actions:
-        seen.append(act)
-        y, a, b, c, n_low, kh = act
-        nx = a.size
-        if nx >= 3:  # otherwise no block holds a triple
-            if sign == 0:  # the sweep's first triple (0, 1, max(kh, 2)), in its arithmetic;
-                # a zero leaves sign 0, which no block passes
-                k = max(kh, 2)
-                d0 = a[0] * (b[1] * c[k] - b[k] * c[1]) - a[1] * (b[0] * c[k] - b[k] * c[0]) + a[k] * (
-                    b[0] * c[1] - b[1] * c[0]
-                )
-                sign = 1 if d0 > 0 else -1 if d0 < 0 else 0
-            if nx - kh < n_low:
-                # fewer blocks counted down from the top state, with the
-                # states reversed: det(r_k, r_j, r_i) = -det(r_i, r_j, r_k)
-                flipped = (a[::-1], b[::-1], c[::-1], min(nx - kh, nx - 2), nx - n_low, -sign)
-                reason, H, margin = _certify_action(*flipped, H, zero_tol)
-            else:
-                reason, H, margin = _certify_action(a, b, c, min(n_low, nx - 2), kh, sign, H, zero_tol)
-            if reason is not None:
-                logger.debug(
-                    "twist: %d actions certified, certificate stopped at action y=%r (%s), exact sweep ran",
-                    done,
-                    y,
-                    reason,
-                )
-                return None
-            least = min(least, margin)
-        done += 1
-    logger.debug(
-        "twist: %d of %d actions certified (least margin %.3g), exact sweep not run", done, done, least
-    )
-    return sign
-
-
-def _certify_action(a, b, c, nb: int, kh: int, sign: int, H: float, zero_tol: float) -> tuple:
+def _certify_action(R, norms, nb: int, kh: int, sign: int, zero_tol: float) -> tuple:
     """Prove that every triple (i, j, k) of the sweep's blocks i < nb at one
     action (i < j < k, k >= kh) has a determinant the sweep counts as
-    nonzero, of sign ``sign``.
+    nonzero, of sign ``sign``, on the scaled rows R of ``_twist_actions``.
 
-    The columns of the rows are first scaled by powers of two, exactly.  In
-    block i's frame (e3 along r_i, e1 along the part of r_{nx-1} orthogonal
-    to it, e2 = sign * (e3 x e1)) let (w1, w2)_x be r_x's coordinates on
-    (e1, e2) and s_x = w2 / w1.  Then sign * det(r_i, r_j, r_k) =
-    |r_i| w1_j w1_k (s_k - s_j).  The block is proved when every w_x, x > i,
-    lies in the quarter plane w1 > 0 >= w2, every third state k >=
+    In block i's frame (e3 along R_i, e1 along the part of R_{nx-1}
+    orthogonal to it, e2 = sign * (e3 x e1)) let (w1, w2)_x be R_x's
+    coordinates on (e1, e2) and s_x = w2 / w1.  Then sign * det(R_i, R_j,
+    R_k) = |R_i| w1_j w1_k (s_k - s_j).  The block is proved when every w_x,
+    x > i, lies in the quarter plane w1 > 0 >= w2, every third state k >=
     max(kh, i + 2) has s_k above the prefix maximum of s over (i, k), and
     the lower bound, with m = (i + k) // 2,
 
-        |r_i| w1_k min(min w1 over (i, m] * (s_k - max s over (i, m]),
+        |R_i| w1_k min(min w1 over (i, m] * (s_k - max s over (i, m]),
                        min w1 over (m, nx) * (s_k - max s over (i, k)))
 
     clears ``_TWIST_SAFETY`` times (zero_tol * H + E) plus the rounding of
-    this bound itself.  H bounds the sweep's running scale (Hadamard:
-    |det| <= |r_i| max_{x > i} |r_x|^2, plus E, over this action and all
-    before); E bounds the sweep's rounding of one determinant.
+    this bound itself.  H = max_{i < nb} |R_i| max_{x > i} |R_x|^2 is the
+    action's Hadamard bound, which bounds every triple's own scale
+    |R_i| |R_j| |R_k|; E bounds the sweep's rounding of one determinant.
 
-    Returns (reason, H, margin): reason is None when the action is proved,
-    else 'frame', 'ordering' or 'margin'; H is the scale bound after the
-    action, and margin the least ratio of a lower bound to what it must
-    clear."""
-    tops = [float(np.max(np.abs(v))) for v in (a, b, c)]
-    E = _TWIST_ROUNDING * _EPS * tops[0] * tops[1] * tops[2]  # bounds the sweep's rounding of a det
-    exps = [int(np.frexp(t)[1]) for t in tops]
-    unit = math.ldexp(1.0, sum(exps))  # det of the rows = unit * det of the scaled rows
-    if not (E > 0 and math.isfinite(unit)):
-        return "frame", H, 0.0
-    # columns scaled by powers of two, which is exact: every entry in [-1, 1]
-    R = np.stack([np.ldexp(v, -e) for v, e in zip((a, b, c), exps)], axis=1)
-    norms = np.sqrt(np.einsum("ij,ij->i", R, R))
-    nx = a.size
-    low = np.inf  # least lower bound of |det| / unit over the blocks
+    Returns (reason, margin): reason is None when the action is proved, else
+    'frame', 'ordering' or 'margin'; margin is the least ratio of a lower
+    bound to what it must clear."""
+    nx = norms.size
+    low = np.inf  # least lower bound of |det| over the blocks
     step = max(1, _TWIST_CHUNK // nx)
     for i0 in range(0, nb, step):
         I = np.arange(i0, min(nb, i0 + step))
         nbc = I.size
         ri = norms[I]
         if not np.all(ri > 0):
-            return "frame", H, 0.0
+            return "frame", 0.0
         e3 = R[I] / ri[:, None]
         v = R[-1]
         e1 = v - (e3 @ v)[:, None] * e3
         e1 -= np.einsum("ij,ij->i", e1, e3)[:, None] * e3  # Gram-Schmidt twice
         n1 = np.sqrt(np.einsum("ij,ij->i", e1, e1))
         if not np.all(n1 > 4.0 * _EPS * norms[-1]):
-            return "frame", H, 0.0
+            return "frame", 0.0
         e1 /= n1[:, None]
         e2 = np.stack(
             [
@@ -291,7 +247,7 @@ def _certify_action(a, b, c, nb: int, kh: int, sign: int, H: float, zero_tol: fl
         W2[-1] = 0.0  # w_{nx-1} lies along e1
         after = np.arange(Rs.shape[0])[:, None] >= (I - i0)[None, :]  # x > i
         if np.any(after & ((W1 <= 0.0) | (W2 > 0.0))):
-            return "ordering", H, 0.0
+            return "ordering", 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
             s = W2 / W1
         Smax = np.maximum.accumulate(np.where(after, s, -np.inf), axis=0)
@@ -303,18 +259,18 @@ def _certify_action(a, b, c, nb: int, kh: int, sign: int, H: float, zero_tol: fl
         valid = K >= np.maximum(kh, I + 2)[None, :]
         sk = s[k0:]
         if np.any(valid & ~(sk > Smax[k0 - 1 : -1])):
-            return "ordering", H, 0.0
+            return "ordering", 0.0
         mid = ((K + I[None, :]) // 2 - (i0 + 1)) * nbc + np.arange(nbc)  # m = (i + k) // 2
         with np.errstate(invalid="ignore"):
             left = np.take(Wpre, mid) * (sk - np.take(Smax, mid))
             right = np.take(Wsuf, mid + nbc) * (sk - Smax[k0 - 1 : -1])
             lb = np.minimum(left, right) * W1[k0:]
         low = min(low, float(np.min(np.min(lb, axis=0, where=valid, initial=np.inf) * ri)))
-    # Hadamard: |det| <= unit |r_i| max_{x > i} |r_x|^2, the scale bound up to this action
     top = np.maximum.accumulate((norms * norms)[::-1])[::-1]
-    H = max(H, unit * float(np.max(norms[:nb] * top[1 : nb + 1])) + E)
-    margin = low / (_TWIST_SAFETY * ((zero_tol * H + E) / unit + _TWIST_ROUNDING * _EPS))
-    return (None if margin > 1.0 else "margin"), H, margin
+    H = float(np.max(norms[:nb] * top[1 : nb + 1]))
+    E = _TWIST_ROUNDING * _EPS * float(np.prod(np.max(np.abs(R), axis=0)))
+    margin = low / (_TWIST_SAFETY * (zero_tol * H + E + _TWIST_ROUNDING * _EPS))
+    return (None if margin > 1.0 else "margin"), margin
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +853,8 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
     direct sweep: every prior-supported state pair must admit some pooling
     weight on the grid k / ``RHO_M`` that strictly beats splitting.  The
     sweep runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is
-    built.  Raises ``IllPosed`` when fewer than two states carry prior mass.
+    built.  Raises ``IllPosed`` when fewer than two states carry prior mass,
+    or when u_y or u_x vanishes at (y, chi(y)) on the local route.
     """
     _supported_states(problem)
     sdpd = check_sdpd_sufficient(problem)
@@ -919,6 +876,11 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
             uyy = float(problem.u_yy(yv, xv)[0])
             uyx = float(problem.u_yx(yv, xv)[0])
             ux = float(problem.u_x(yv, xv)[0])
+            if uy == 0.0 or ux == 0.0:
+                raise IllPosed(
+                    f"NAD condition: u_y = {uy!r} and u_x = {ux!r} at action y = {float(y)!r}, chi(y) = {cx!r}; "
+                    "the local criterion divides by both"
+                )
             lhs = Vyy
             rhs = Vy * uyy / uy + 2.0 * (Vyx * uy - Vy * uyx) / ux
             if lhs - rhs > worst:

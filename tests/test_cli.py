@@ -280,7 +280,7 @@ class TestCommands:
             assert main(argv + [str(tmp_path / "debug")]) == code
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
         assert re.fullmatch(
-            r"twist: 29 of 29 actions certified \(least margin \S+\), exact sweep not run", line
+            r"twist: 29 actions certified \(least margin \S+\), 0 swept", line
         ), line
         quiet = (tmp_path / "quiet" / "verdicts.json").read_bytes()
         assert quiet == (tmp_path / "debug" / "verdicts.json").read_bytes()

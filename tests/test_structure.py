@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -136,58 +137,60 @@ class TestCheckTwist:
         with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
             assert check_twist(pb).label == "holds_positive"
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
-        m = re.fullmatch(
-            r"twist: (\d+) of (\d+) actions certified \(least margin \S+\), exact sweep not run", line
-        )
-        assert m and int(m[1]) == int(m[2]) == visited == 39, line
+        m = re.fullmatch(r"twist: (\d+) actions certified \(least margin \S+\), 0 swept", line)
+        assert m and int(m[1]) == visited == 39, line
 
-    def test_debug_record_fallback(self, caplog):
-        # affiliated: the certificate proves the first 37 actions at n=41,
-        # then a triple beside x0 = 1/sqrt(2), where u vanishes, is too small
-        pb, _ = preset("affiliated", grid_n=41)
+    def test_debug_record_swept(self, caplog):
+        # the scan's first triple on linear is zero, so its first action has
+        # no sign to certify and the sweep reports that triple
+        pb, _ = preset("linear", grid_n=11, V_shape="linear")
         with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
-            assert check_twist(pb).label == "holds_negative"
+            rep = check_twist(pb)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
-        m = re.fullmatch(
-            r"twist: (\d+) actions certified, certificate stopped at action y=(\S+) \((\w+)\), "
-            r"exact sweep ran",
-            line,
-        )
-        assert m, line
-        ys = [act[0] for act in structure._twist_actions(pb)]
-        assert ys.index(float(m[2])) == int(m[1]) == 37
-        assert m[3] == "margin"
+        y = rep.witness[0]
+        assert line == f"twist: 0 actions certified (least margin inf), 1 swept, first at y={y!r} (sign)"
+
+    @pytest.mark.parametrize("grid_n", [41, 101, 141, 201])
+    def test_affiliated_grid_independent(self, grid_n):
+        # u vanishes at x0 = 1/sqrt(2) for every action; the triples of
+        # neighbours beside it shrink like the cube of the state spacing, so a
+        # zero test against any scale fixed across the grid would fail them
+        # once n is large enough
+        pb, _ = preset("affiliated", grid_n=grid_n)
+        assert check_twist(pb) == TwistReport("holds_negative")
 
 
 def brute_force_twist(problem, zero_tol=1e-12):
     """check_twist's verdict from scalar twist_determinant on every triple:
-    per (y, x1) block the running scale takes the block's largest |det|, the
-    first valid triple fixes the sign, and the first triple off that sign
-    (zero within the tolerance included) is the witness."""
+    at each action the columns (V_y, u, u_y) are scaled by powers of two
+    2^-e so that each column's largest magnitude lies in [0.5, 1), a
+    triple's determinant counts as zero within zero_tol 2^(e0+e1+e2) times
+    the product of its three scaled row norms, the first valid triple fixes
+    the sign, and the first triple off that sign is the witness."""
     xs = problem.states.points
-    sign_seen, scale = 0, 1.0
+    sign_seen = 0
     for y in problem.actions.points:
         try:
             pivot = chi(problem, float(y))
         except NoRoot:
             continue
+        yv = np.full(xs.size, float(y))
+        cols = [np.asarray(f(yv, xs), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)]
+        exps = [int(np.frexp(np.max(np.abs(col)))[1]) for col in cols]
+        scaled = [np.ldexp(col, -e) for col, e in zip(cols, exps)]
+        norm = [math.sqrt(r0 * r0 + r1 * r1 + r2 * r2) for r0, r1, r2 in zip(*scaled)]
         for i in np.nonzero(xs < pivot)[0]:
-            block = [
-                ((j, k), twist_determinant(problem, y, xs[i], xs[j], xs[k]))
-                for j in range(i + 1, xs.size)
-                for k in range(j + 1, xs.size)
-                if xs[k] > pivot
-            ]
-            if not block:
-                continue
-            scale = max(scale, max(abs(d) for _, d in block))
-            tol = zero_tol * scale
-            for (j, k), d in block:
-                sign = 1 if d > tol else -1 if d < -tol else 0
-                if sign_seen == 0:
-                    sign_seen = sign
-                if sign == 0 or sign != sign_seen:
-                    return TwistReport("fails", (float(y), float(xs[i]), float(xs[j]), float(xs[k])))
+            for j in range(i + 1, xs.size):
+                for k in range(j + 1, xs.size):
+                    if not xs[k] > pivot:
+                        continue
+                    d = twist_determinant(problem, y, xs[i], xs[j], xs[k])
+                    tol = math.ldexp(zero_tol * norm[i] * norm[j] * norm[k], sum(exps))
+                    sign = 1 if d > tol else -1 if d < -tol else 0
+                    if sign_seen == 0:
+                        sign_seen = sign
+                    if sign == 0 or sign != sign_seen:
+                        return TwistReport("fails", (float(y), float(xs[i]), float(xs[j]), float(xs[k])))
     if sign_seen == 0:
         return TwistReport("fails", None)
     return TwistReport("holds_positive" if sign_seen > 0 else "holds_negative")
@@ -199,8 +202,9 @@ def smooth_problems(draw):
     root in x per action where p crosses y.  Where p is flat (slope 0) the
     states there share one (V_y, u, u_y) column, so triples with two of them
     have exact zero determinants; a slope of 1e-3 makes those determinants
-    merely small, and a large magnitude of V_y puts them between the zero
-    tolerance of the running scale and that of the block's own scale."""
+    merely small against their own scale.  A large magnitude of V_y, which
+    the per-column power-of-two scaling takes out exactly, checks that the
+    scaled sweep agrees with determinants taken on the unscaled rows."""
     nx = draw(st.integers(3, 9))
     ny = draw(st.integers(2, 6))
     coef = st.floats(-1.0, 1.0)
@@ -259,7 +263,7 @@ class TestTwistSweepAgainstBruteForce:
 
     def test_random_smooth_problems(self):
         # both routes must be exercised: the certificate alone, and the exact
-        # sweep after the certificate stopped
+        # sweep on an action the certificate could not decide
         routes = Counter()
 
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -291,8 +295,9 @@ TWIST_HOLDS = [
 
 
 def exact_twist(problem, zero_tol=1e-12):
-    """check_twist's report from the exact sweep alone."""
-    return structure._twist_sweep(structure._twist_actions(problem), problem.states.points, zero_tol)
+    """check_twist's report with every action decided by the exact sweep."""
+    with mock.patch.object(structure, "_certify_action", return_value=("margin", 0.0)):
+        return check_twist(problem, zero_tol=zero_tol)
 
 
 class TestTwistRoutes:
@@ -305,20 +310,35 @@ class TestTwistRoutes:
     @pytest.mark.parametrize("grid_n", [101, 201])
     @pytest.mark.parametrize("pid, kwargs", TWIST_HOLDS)
     def test_holding_presets_certified(self, pid, kwargs, grid_n):
-        # the fast path must keep deciding these: no exact sweep
+        # the fast path must keep deciding these: no action swept
         pb, _ = preset(pid, grid_n=grid_n, **kwargs)
         with mock.patch.object(structure, "_twist_sweep", side_effect=AssertionError("sweep ran")):
             rep = check_twist(pb)
         assert rep.label == ("holds_negative" if kwargs else "holds_positive")
 
-    def test_affiliated_witness_through_fallback(self):
-        # u vanishes at x0 = 1/sqrt(2) for every action; the triple of
-        # neighbours beside it is within zero_tol of the running scale
-        pb, _ = preset("affiliated", grid_n=201)
-        with mock.patch.object(structure, "_twist_sweep", wraps=structure._twist_sweep) as sweep:
-            rep = check_twist(pb)
-        assert sweep.called
-        assert rep == TwistReport("fails", (0.9, 0.705, 0.71, 0.715))
+    def test_hand_over_one_action_at_a_time(self):
+        # with zero_tol = 1e-5 the certificate proves contest's first 11
+        # actions at n=21 and cannot decide the last 8 ('margin'); the sweep
+        # runs once on each of those and on no other
+        pb, _ = preset("contest", grid_n=21)
+        routes = []
+        certify, sweep = structure._certify_action, structure._twist_sweep
+
+        def certify_logged(*args):
+            reason, margin = certify(*args)
+            routes.append("C" if reason is None else "u")
+            return reason, margin
+
+        def sweep_logged(*args):
+            routes.append("S")
+            return sweep(*args)
+
+        with mock.patch.object(structure, "_certify_action", side_effect=certify_logged), mock.patch.object(
+            structure, "_twist_sweep", side_effect=sweep_logged
+        ):
+            rep = check_twist(pb, zero_tol=1e-5)
+        assert "".join(routes) == "C" * 11 + "uS" * 8
+        assert rep == brute_force_twist(pb, 1e-5) == TwistReport("holds_positive")
 
 
 class TestPairwiseSplit:
@@ -537,6 +557,20 @@ class TestNadCondition:
         rep = check_nad_condition(pb)
         assert rep.label == "fails"
         assert rep.witness < 0
+
+    def test_vanishing_u_y_at_pivot_raises(self):
+        # u = (x - 0.5) e^-y: chi(y) = 0.5 at every action, where u_y vanishes;
+        # the local route used to raise a bare ZeroDivisionError
+        pb = Problem(
+            states=uniform(0.0, 1.0, 21),
+            actions=uniform(0.0, 1.0, 21, "action"),
+            prior=np.full(21, 1.0 / 21),
+            V=lambda y, x: y * x**2 + y,
+            u=lambda y, x: (x - 0.5) * np.exp(-y),
+        )
+        assert check_sdpd_sufficient(pb).label == "dipped_strict"
+        with pytest.raises(IllPosed, match=r"u_y = 0\.0 .* at action y = 0\.0, chi\(y\) = 0\.5"):
+            check_nad_condition(pb)
 
     def test_nan_gain_raises(self):
         # cells below x - 0.1 are forbidden, so the sender-favorable pooled
