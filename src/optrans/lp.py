@@ -11,20 +11,26 @@ with equality form the contact set, which supports every optimal outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateBasis, Infeasible, SizeLimit
+from .grids import Grid
 from .model import Outcome, Posterior, Problem, outcome_from_mass
-from .simplex import SimplexResult, solve_standard_form
+from .simplex import PIVOT_TOL, SimplexResult, solve_standard_form
 
 DEFAULT_SIZE_LIMIT = 4_000_000
 DUAL_FEAS_TOL = 1e-7
 GAP_TOL = 1e-8
 MASS_TOL = 1e-9
+SIFT_MIN_STATES = 60  # larger state grids are solved coarse to fine
+SIFT_BAND = 1e-4  # working-set cut on the coarse reduced cost, times max |V|
+
+logger = logging.getLogger("optrans.lp")
 
 
 @dataclass
@@ -167,21 +173,176 @@ def build_lp(problem: Problem, *, size_limit: int = DEFAULT_SIZE_LIMIT) -> LPIns
 
 
 def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, float]:
-    """Solve the LP; returns the outcome and the optimal objective."""
+    """Solve the LP; returns the outcome and the optimal objective.
+
+    A state grid of more than ``SIFT_MIN_STATES`` points is solved coarse to
+    fine: ``_solve_coarse`` solves the problem on the half grid, and this one
+    is sifted from its duals (``_sift``).  Any other grid, or one whose half
+    grid is infeasible, is solved directly.  ``lp.solution`` is over all
+    columns either way, its iterations summed over every level and pricing
+    round that finished.  One DEBUG record on ``optrans.lp`` describes each
+    level, also when the LP is infeasible.
+    """
+    chain = [lp]
+    while chain[-1].problem.n_states > SIFT_MIN_STATES:
+        chain.append(build_lp(_coarsen(chain[-1].problem)))
+    levels = []
     try:
-        res = solve_standard_form(lp.A, lp.b, lp.c, start=_crash_basis(lp), policy=policy)
+        coarse = _solve_coarse(chain[1:], policy, levels)
+        if coarse is None:
+            res = _direct(lp, policy, levels)
+        else:
+            res = _sift(lp, chain[1], coarse, policy, levels)
     except Infeasible as exc:
+        levels.append((f"n={lp.problem.n_states}: infeasible", 0, 0))
         raise Infeasible(
             f"{exc}; the obedience rows admit no exact transport at this "
             f"resolution - refine the action grid or relax forbidden cells"
         ) from exc
-    lp.solution = res
+    finally:
+        logger.debug("outcome LP: %s", "; ".join(line for line, _, _ in levels))
+    lp.solution = replace(
+        res,
+        iterations=sum(its for _, its, _ in levels),
+        phase1_iterations=sum(ph1 for _, _, ph1 in levels),
+    )
     ny, nx = lp.problem.n_actions, lp.problem.n_states
     mass = np.zeros((ny, nx))
     mass[lp.col_y, lp.col_x] = res.x[: lp.n_mass]
     np.maximum(mass, 0.0, out=mass)
     outcome = outcome_from_mass(lp.problem, mass)
     return outcome, float(res.objective)
+
+
+def _solve_coarse(chain: list, policy: str, levels: list) -> Optional[SimplexResult]:
+    """Solve ``chain[0]`` from the coarsest problem of ``chain`` (each entry
+    ``_coarsen``-ed from the one before) up: the coarsest directly, each finer
+    one sifted from the level below.  None when ``chain`` is empty, or when a
+    level is infeasible: a coarser grid may admit no exact transport where
+    the finer one does.
+    """
+    if not chain:
+        return None
+    level = chain[-1]
+    try:
+        res = _direct(level, policy, levels)
+        for level, coarse in zip(chain[-2::-1], chain[:0:-1]):
+            res = _sift(level, coarse, res, policy, levels)
+        return res
+    except Infeasible:
+        levels.append((f"n={level.problem.n_states}: infeasible", 0, 0))
+        return None
+
+
+def _direct(lp: LPInstance, policy: str, levels: list) -> SimplexResult:
+    """The simplex over all columns from ``_crash_basis``."""
+    start = _crash_basis(lp)
+    res = solve_standard_form(lp.A, lp.b, lp.c, start=start, policy=policy)
+    levels.append(_level(lp, lp.c.size, 0, 0, start, res.iterations, res.phase1_iterations))
+    return res
+
+
+def _sift(
+    lp: LPInstance, coarse: LPInstance, coarse_res: SimplexResult, policy: str, levels: list
+) -> SimplexResult:
+    """Solve ``lp`` by sifting (Bixby et al., Operations Research 1992) from
+    the solution of the same problem on a coarser grid.
+
+    The coarse duals, interpolated to this grid, pick the working set: the
+    start basis columns, every slack and surplus column, and every cell whose
+    reduced cost lies above -``SIFT_BAND``·max|V|.  After each solve over the
+    working set, a pricing pass over all columns adds every cell above
+    ``PIVOT_TOL``, and the next solve starts from the last optimal basis;
+    only a pass that adds nothing ends the loop.  When the crash leaves rows
+    artificial, phase 1 runs over all columns first, so that the working set
+    never decides feasibility.
+    """
+    A, b, c = lp.A, lp.b, lp.c
+    n = c.size
+    start = _crash_basis(lp)
+    iterations = phase1 = 0
+    start_cols = start
+    if np.any(start < 0):
+        feas = solve_standard_form(A, b, np.zeros(n), start=start, policy=policy)
+        iterations, phase1 = feas.iterations, feas.phase1_iterations
+        start_cols = _warm_start(feas, np.arange(n), lp.n_rows)
+    # the coarse row duals, p on the states and -q on the actions, interpolated
+    pb, cpb = lp.problem, coarse.problem
+    y = np.concatenate(
+        [
+            np.interp(pb.states.points, cpb.states.points, coarse_res.duals[: cpb.n_states]),
+            np.interp(pb.actions.points, cpb.actions.points, coarse_res.duals[cpb.n_states :]),
+        ]
+    )
+    work = c - A.T @ y > -SIFT_BAND * float(np.max(np.abs(c)))
+    work[lp.n_mass :] = True
+    work[start_cols[start_cols >= 0]] = True
+    size, rounds = int(work.sum()), 0
+    while True:
+        cols = np.nonzero(work)[0]
+        sub_start = np.where(start_cols >= 0, np.searchsorted(cols, start_cols), -1)
+        sub = solve_standard_form(A[:, cols], b, c[cols], start=sub_start, policy=policy)
+        iterations, phase1 = iterations + sub.iterations, phase1 + sub.phase1_iterations
+        rounds += 1
+        attractive = (c - A.T @ sub.duals > PIVOT_TOL) & ~work
+        if not attractive.any():
+            break
+        work |= attractive
+        start_cols = _warm_start(sub, cols, lp.n_rows)
+    levels.append(_level(lp, size, rounds, int(work.sum()) - size, start, iterations, phase1))
+    x = np.zeros(n)
+    x[cols] = sub.x
+    return SimplexResult(
+        x=x,
+        objective=sub.objective,
+        duals=sub.duals,
+        basis=cols[sub.basis],
+        iterations=iterations,
+        phase1_iterations=phase1,
+        dropped_rows=sub.dropped_rows,
+    )
+
+
+def _coarsen(problem: Problem) -> Problem:
+    """The problem on every other state and action, both ends kept; each
+    dropped state's prior goes to its two kept neighbours, in proportion to
+    closeness."""
+
+    def every_other(grid: Grid) -> Grid:
+        keep = np.arange(0, len(grid), 2)
+        if keep[-1] != len(grid) - 1:
+            keep = np.append(keep, len(grid) - 1)
+        return Grid(grid.points[keep], grid.kind)
+
+    states = every_other(problem.states)
+    # fractional position of each state on the kept ones: floor is the kept
+    # neighbour below, the fraction the share of the one above
+    t = np.interp(problem.states.points, states.points, np.arange(len(states)))
+    below = np.floor(t).astype(int)
+    share = (t - below) * problem.prior
+    prior = np.bincount(below, problem.prior - share, len(states))
+    prior += np.bincount(np.minimum(below + 1, len(states) - 1), share, len(states))
+    return replace(problem, states=states, actions=every_other(problem.actions), prior=prior)
+
+
+def _warm_start(res: SimplexResult, cols: np.ndarray, n_rows: int) -> np.ndarray:
+    """Start basis, in LP column indices, from an optimal basis over the
+    columns ``cols``: each row the simplex dropped keeps its artificial."""
+    start = np.full(n_rows, -1)
+    start[np.setdiff1d(np.arange(n_rows), res.dropped_rows)] = cols[res.basis]
+    return start
+
+
+def _level(lp: LPInstance, size, rounds, added, start, iterations, phase1) -> tuple:
+    """One level of ``solve_primal``'s DEBUG record, with its iterations and
+    phase-1 iterations; phase 1 runs over all columns when the crash
+    ``start`` leaves rows artificial."""
+    line = (
+        f"n={lp.problem.n_states}: {size} of {lp.c.size} columns, {rounds} pricing rounds, "
+        f"{added} columns added, {iterations} iterations, "
+        f"phase 1 over all columns {'yes' if np.any(start < 0) else 'no'}"
+    )
+    return line, iterations, phase1
 
 
 def _crash_basis(lp: LPInstance) -> np.ndarray:

@@ -24,6 +24,7 @@ give identical bases.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,7 +161,8 @@ def solve_standard_form(
     duals[st.live_rows] = st.duals(c2)
     return SimplexResult(
         x=x,
-        objective=float(c @ x),
+        # correctly rounded, so the bytes do not depend on how BLAS splits a sum
+        objective=math.fsum(c[st.basis[inside]] * st.xB[inside]),
         duals=np.where(flip, -duals, duals),
         basis=st.basis.copy(),
         iterations=st.iterations,

@@ -241,6 +241,34 @@ class TestCommands:
             quiet = (tmp_path / "quiet" / name).read_bytes()
             assert quiet == (tmp_path / "debug" / name).read_bytes(), name
 
+    def test_lp_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
+        # n=81 is sifted from n=41; contest's crash leaves rows artificial
+        argv = ["solve", "--preset", "contest", "--grid-n", "81", "--out"]
+        assert main(argv + [str(tmp_path / "quiet")]) == 0
+        with caplog.at_level(logging.DEBUG, logger="optrans.lp"):
+            assert main(argv + [str(tmp_path / "debug")]) == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
+        level = (
+            r"n=(\d+): \d+ of \d+ columns, \d+ pricing rounds, \d+ columns added, "
+            r"\d+ iterations, phase 1 over all columns (yes|no)"
+        )
+        assert re.fullmatch(rf"outcome LP: {level}(; {level})*", line)
+        assert re.findall(r"n=(\d+):", line) == ["41", "81"]
+        for name in ("outcome.csv", "prices.csv", "summary.json"):
+            quiet = (tmp_path / "quiet" / name).read_bytes()
+            assert quiet == (tmp_path / "debug" / name).read_bytes(), name
+
+    def test_objective_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        src = str(Path(optrans.__file__).resolve().parents[1])
+        code = "import sys; from optrans.cli import main; sys.exit(main())"
+        argv = ["solve", "--preset", "linear", "--grid-n", "101", "--out"]
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            cmd = [sys.executable, "-c", code, *argv, str(tmp_path / threads)]
+            subprocess.run(cmd, env=env, capture_output=True, check=True)
+        one, two = ((tmp_path / t / "summary.json").read_bytes() for t in ("1", "2"))
+        assert one == two
+
     def test_nad_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
         argv = ["nad", "--preset", "translation_receiver", "--grid-n", "41", "--out"]
         assert main(argv + [str(tmp_path / "quiet")]) == 0

@@ -1,10 +1,17 @@
+import logging
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from optrans import Posterior, Problem, uniform
-from optrans.errors import DegenerateBasis, SizeLimit
+from optrans.errors import DegenerateBasis, Infeasible, SizeLimit
 from optrans.lp import (
     MASS_TOL,
+    SIFT_MIN_STATES,
+    _crash_basis,
     build_lp,
     contact_set,
     solve_dual,
@@ -12,6 +19,7 @@ from optrans.lp import (
     verify_complementary_slackness,
 )
 from optrans.presets import preset, preset_ids
+from optrans.simplex import solve_standard_form
 
 E = float(np.e)
 
@@ -304,3 +312,104 @@ class TestDegenerateDual:
             assert prices.feasibility_residual >= -1e-7
             assert not np.array_equal(prices.q, shifted_q)
             assert np.array_equal(prices.q, np.where(np.isnan(prices.q_row), shifted_q, prices.q_row))
+
+
+def direct_objective(lp):
+    """The simplex over all columns from the crash basis, without sifting."""
+    return solve_standard_form(lp.A, lp.b, lp.c, start=_crash_basis(lp)).objective
+
+
+class TestSifting:
+    """State grids above SIFT_MIN_STATES are solved coarse to fine; the
+    answer must be the direct simplex's, certified by pricing every column."""
+
+    @pytest.mark.parametrize("n", [61, 101])
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_matches_direct_path_and_highs(self, solved_cache, pid, n):
+        bundle = solved_cache(pid, grid_n=n)
+        lp, obj = bundle["lp"], bundle["objective"]
+        direct = direct_objective(lp)
+        assert abs(obj - direct) <= 1e-12 * abs(direct)
+        ref = linprog(
+            -lp.c,
+            A_eq=lp.A,
+            b_eq=lp.b,
+            bounds=(0, None),
+            method="highs-ipm",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert ref.status == 0, ref.message
+        assert abs(obj + ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+        # a pricing pass over all columns with the returned duals
+        assert np.max(lp.c - lp.A.T @ lp.solution.duals) <= 1e-9
+        # solve_dual accepts the basis duals without falling back
+        assert bundle["prices"].degenerate is False
+
+    def test_phase_one_runs_over_all_columns(self, caplog):
+        # contest's crash leaves rows artificial that a working set of
+        # near-tight cells cannot cover: the working set must not decide
+        # feasibility
+        lp = build_lp(preset("contest", grid_n=201)[0])
+        with caplog.at_level(logging.DEBUG, logger="optrans.lp"):
+            _, obj = solve_primal(lp)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
+        assert "n=201: " in line and line.endswith("phase 1 over all columns yes")
+        direct = direct_objective(lp)
+        assert abs(obj - direct) <= 1e-12 * abs(direct)
+
+    @staticmethod
+    def columns_per_solve(monkeypatch):
+        """The column count of each simplex call from here on."""
+        widths = []
+
+        def counted(A, *args, **kwargs):
+            widths.append(A.shape[1])
+            return solve_standard_form(A, *args, **kwargs)
+
+        monkeypatch.setattr("optrans.lp.solve_standard_form", counted)
+        return widths
+
+    def test_small_grid_takes_the_direct_path(self, monkeypatch):
+        widths = self.columns_per_solve(monkeypatch)
+        lp = build_lp(preset("example_c1", grid_n=SIFT_MIN_STATES)[0])
+        solve_primal(lp)
+        assert widths == [lp.c.size]
+
+    def test_large_grid_is_sifted(self, monkeypatch):
+        widths = self.columns_per_solve(monkeypatch)
+        lp = build_lp(preset("example_c1", grid_n=2 * SIFT_MIN_STATES + 1)[0])
+        solve_primal(lp)
+        assert len(widths) > 2 and widths[0] < lp.c.size
+        assert lp.c.size not in widths
+
+    def test_infeasible_fine_level_runs_phase_one_once(self, monkeypatch, caplog):
+        # state 1 has no kept cell; the half grid drops it and is feasible,
+        # so the fine level's phase 1 over all columns is the final answer
+        problem = preset("example_c1", grid_n=101)[0]
+        x1 = problem.states.points[1]
+        lp = build_lp(replace(problem, forbidden=lambda y, x: (x == x1) & (y == y)))
+        widths = self.columns_per_solve(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="optrans.lp"), pytest.raises(Infeasible):
+            solve_primal(lp)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
+        assert re.fullmatch(r"outcome LP: n=51: [^;]+; n=101: infeasible", line)
+        assert widths.count(lp.c.size) == 1
+
+    def test_infeasible_coarse_level_falls_back_to_direct(self, caplog):
+        # only odd actions are allowed, and the coarse grid keeps the even
+        # ones: it has no column, while the fine LP pools even states
+        n = SIFT_MIN_STATES + 1
+        pb = Problem(
+            states=uniform(0.0, 1.0, n),
+            actions=uniform(0.0, 1.0, n, "action"),
+            prior=np.full(n, 1.0 / n),
+            V=lambda y, x: y * y + 0.0 * x,
+            u=lambda y, x: x - y,
+            forbidden=lambda y, x: np.round(y * (n - 1)) % 2 == 0,
+        )
+        lp = build_lp(pb)
+        with caplog.at_level(logging.DEBUG, logger="optrans.lp"):
+            _, obj = solve_primal(lp)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
+        assert line.startswith(f"outcome LP: n={n // 2 + 1}: infeasible; n={n}: ")
+        assert abs(obj - direct_objective(lp)) <= 1e-12 * abs(obj)
