@@ -5,9 +5,9 @@
 #
 #   scripts/snapshot.sh OUT
 #
-# Runs the checkout's own src (not an installed optrans):
+# Runs the checkout's own src (not an installed optrans), 200 runs:
 #   - solve, check, certify and nad on every preset at --grid-n 41 and 101;
-#   - solve and check on every preset at --grid-n 201;
+#   - solve, check and certify on every preset at --grid-n 201;
 #   - solve, check and nad at --grid-n 41 on each preset variant of
 #     tests/test_presets.py::VARIANTS;
 #   - optrans presets.
@@ -38,7 +38,7 @@ for n in (41, 101):
         for cmd in ("solve", "check", "certify", "nad"):
             print(f"{cmd}-{pid}-n{n} {cmd} --preset {pid} --grid-n {n}")
 for pid in preset_ids():
-    for cmd in ("solve", "check"):
+    for cmd in ("solve", "check", "certify"):
         print(f"{cmd}-{pid}-n201 {cmd} --preset {pid} --grid-n 201")
 for pid, params in variants:
     kv = ",".join(f"{k}={v}" for k, v in params.items())

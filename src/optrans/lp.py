@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from .errors import DegenerateBasis, Infeasible, SizeLimit
 from .grids import Grid
 from .model import Outcome, Posterior, Problem, outcome_from_mass
-from .simplex import PIVOT_TOL, SimplexResult, solve_standard_form
+from .simplex import SimplexResult, solve_standard_form
 
 DEFAULT_SIZE_LIMIT = 4_000_000
 DUAL_FEAS_TOL = 1e-7
@@ -176,23 +176,30 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
     """Solve the LP; returns the outcome and the optimal objective.
 
     A state grid of more than ``SIFT_MIN_STATES`` points is solved coarse to
-    fine: ``_solve_coarse`` solves the problem on the half grid, and this one
-    is sifted from its duals (``_sift``).  Any other grid, or one whose half
-    grid is infeasible, is solved directly.  ``lp.solution`` is over all
-    columns either way, its iterations summed over every level and pricing
-    round that finished.  One DEBUG record on ``optrans.lp`` describes each
-    level, also when the LP is infeasible.
+    fine: the problem is ``_coarsen``-ed until its state grid is small
+    enough, the coarsest level is solved over every column, and each finer
+    level is sifted from the solution of the level below (``_solve_level``),
+    one simplex call per level.  A coarse level that is infeasible (a coarse
+    grid may admit no exact transport where the finer one does) sends this
+    LP to one call over every column.  ``lp.solution`` is the call on this
+    LP, its iterations summed over every level that finished.  One DEBUG
+    record on ``optrans.lp`` describes each level, also when the LP is
+    infeasible.
     """
     chain = [lp]
     while chain[-1].problem.n_states > SIFT_MIN_STATES:
         chain.append(build_lp(_coarsen(chain[-1].problem)))
     levels = []
+    coarse = None  # the level below, with its solution
     try:
-        coarse = _solve_coarse(chain[1:], policy, levels)
-        if coarse is None:
-            res = _direct(lp, policy, levels)
-        else:
-            res = _sift(lp, chain[1], coarse, policy, levels)
+        for level in chain[:0:-1]:
+            try:
+                coarse = level, _solve_level(level, coarse, policy, levels)
+            except Infeasible:
+                levels.append((f"n={level.problem.n_states}: infeasible", 0, 0))
+                coarse = None
+                break
+        res = _solve_level(lp, coarse, policy, levels)
     except Infeasible as exc:
         levels.append((f"n={lp.problem.n_states}: infeasible", 0, 0))
         raise Infeasible(
@@ -214,93 +221,40 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
     return outcome, float(res.objective)
 
 
-def _solve_coarse(chain: list, policy: str, levels: list) -> Optional[SimplexResult]:
-    """Solve ``chain[0]`` from the coarsest problem of ``chain`` (each entry
-    ``_coarsen``-ed from the one before) up: the coarsest directly, each finer
-    one sifted from the level below.  None when ``chain`` is empty, or when a
-    level is infeasible: a coarser grid may admit no exact transport where
-    the finer one does.
-    """
-    if not chain:
-        return None
-    level = chain[-1]
-    try:
-        res = _direct(level, policy, levels)
-        for level, coarse in zip(chain[-2::-1], chain[:0:-1]):
-            res = _sift(level, coarse, res, policy, levels)
-        return res
-    except Infeasible:
-        levels.append((f"n={level.problem.n_states}: infeasible", 0, 0))
-        return None
-
-
-def _direct(lp: LPInstance, policy: str, levels: list) -> SimplexResult:
-    """The simplex over all columns from ``_crash_basis``."""
-    start = _crash_basis(lp)
-    res = solve_standard_form(lp.A, lp.b, lp.c, start=start, policy=policy)
-    levels.append(_level(lp, lp.c.size, 0, 0, start, res.iterations, res.phase1_iterations))
-    return res
-
-
-def _sift(
-    lp: LPInstance, coarse: LPInstance, coarse_res: SimplexResult, policy: str, levels: list
+def _solve_level(
+    lp: LPInstance, coarse: Optional[tuple[LPInstance, SimplexResult]], policy: str, levels: list
 ) -> SimplexResult:
-    """Solve ``lp`` by sifting (Bixby et al., Operations Research 1992) from
-    the solution of the same problem on a coarser grid.
-
-    The coarse duals, interpolated to this grid, pick the working set: the
-    start basis columns, every slack and surplus column, and every cell whose
-    reduced cost lies above -``SIFT_BAND``·max|V|.  After each solve over the
-    working set, a pricing pass over all columns adds every cell above
-    ``PIVOT_TOL``, and the next solve starts from the last optimal basis;
-    only a pass that adds nothing ends the loop.  When the crash leaves rows
-    artificial, phase 1 runs over all columns first, so that the working set
-    never decides feasibility.
+    """One simplex call on ``lp`` from ``_crash_basis``, over every column
+    when ``coarse`` is None.  Otherwise sifted (Bixby et al., Operations
+    Research 1992) from ``coarse``, the same problem on a coarser grid and
+    its solution: its row duals, interpolated to this grid, pick the first
+    working set, namely every slack and surplus column and every cell whose
+    reduced cost lies above -``SIFT_BAND``·max|V|.  The simplex adds the
+    columns basic after phase 1, runs phase 1 over every column, and widens
+    the set by its passes over every column.  Appends the level's DEBUG
+    line, iterations and phase-1 iterations to ``levels``.
     """
-    A, b, c = lp.A, lp.b, lp.c
-    n = c.size
     start = _crash_basis(lp)
-    iterations = phase1 = 0
-    start_cols = start
-    if np.any(start < 0):
-        feas = solve_standard_form(A, b, np.zeros(n), start=start, policy=policy)
-        iterations, phase1 = feas.iterations, feas.phase1_iterations
-        start_cols = _warm_start(feas, np.arange(n), lp.n_rows)
-    # the coarse row duals, p on the states and -q on the actions, interpolated
-    pb, cpb = lp.problem, coarse.problem
-    y = np.concatenate(
-        [
-            np.interp(pb.states.points, cpb.states.points, coarse_res.duals[: cpb.n_states]),
-            np.interp(pb.actions.points, cpb.actions.points, coarse_res.duals[cpb.n_states :]),
-        ]
+    work = None
+    if coarse is not None:
+        # the coarse row duals, p on the states and -q on the actions, interpolated
+        cpb, cres = coarse[0].problem, coarse[1]
+        y = np.concatenate(
+            [
+                np.interp(lp.problem.states.points, cpb.states.points, cres.duals[: cpb.n_states]),
+                np.interp(lp.problem.actions.points, cpb.actions.points, cres.duals[cpb.n_states :]),
+            ]
+        )
+        work = lp.c - lp.A.T @ y > -SIFT_BAND * float(np.max(np.abs(lp.c)))
+        work[lp.n_mass :] = True
+    res = solve_standard_form(lp.A, lp.b, lp.c, start=start, policy=policy, work=work)
+    line = (
+        f"n={lp.problem.n_states}: {lp.c.size if work is None else int(work.sum())} of "
+        f"{lp.c.size} columns to start, {res.iterations} iterations, "
+        f"phase 1 over all columns {'yes' if np.any(start < 0) else 'no'}"
     )
-    work = c - A.T @ y > -SIFT_BAND * float(np.max(np.abs(c)))
-    work[lp.n_mass :] = True
-    work[start_cols[start_cols >= 0]] = True
-    size, rounds = int(work.sum()), 0
-    while True:
-        cols = np.nonzero(work)[0]
-        sub_start = np.where(start_cols >= 0, np.searchsorted(cols, start_cols), -1)
-        sub = solve_standard_form(A[:, cols], b, c[cols], start=sub_start, policy=policy)
-        iterations, phase1 = iterations + sub.iterations, phase1 + sub.phase1_iterations
-        rounds += 1
-        attractive = (c - A.T @ sub.duals > PIVOT_TOL) & ~work
-        if not attractive.any():
-            break
-        work |= attractive
-        start_cols = _warm_start(sub, cols, lp.n_rows)
-    levels.append(_level(lp, size, rounds, int(work.sum()) - size, start, iterations, phase1))
-    x = np.zeros(n)
-    x[cols] = sub.x
-    return SimplexResult(
-        x=x,
-        objective=sub.objective,
-        duals=sub.duals,
-        basis=cols[sub.basis],
-        iterations=iterations,
-        phase1_iterations=phase1,
-        dropped_rows=sub.dropped_rows,
-    )
+    levels.append((line, res.iterations, res.phase1_iterations))
+    return res
 
 
 def _coarsen(problem: Problem) -> Problem:
@@ -323,26 +277,6 @@ def _coarsen(problem: Problem) -> Problem:
     prior = np.bincount(below, problem.prior - share, len(states))
     prior += np.bincount(np.minimum(below + 1, len(states) - 1), share, len(states))
     return replace(problem, states=states, actions=every_other(problem.actions), prior=prior)
-
-
-def _warm_start(res: SimplexResult, cols: np.ndarray, n_rows: int) -> np.ndarray:
-    """Start basis, in LP column indices, from an optimal basis over the
-    columns ``cols``: each row the simplex dropped keeps its artificial."""
-    start = np.full(n_rows, -1)
-    start[np.setdiff1d(np.arange(n_rows), res.dropped_rows)] = cols[res.basis]
-    return start
-
-
-def _level(lp: LPInstance, size, rounds, added, start, iterations, phase1) -> tuple:
-    """One level of ``solve_primal``'s DEBUG record, with its iterations and
-    phase-1 iterations; phase 1 runs over all columns when the crash
-    ``start`` leaves rows artificial."""
-    line = (
-        f"n={lp.problem.n_states}: {size} of {lp.c.size} columns, {rounds} pricing rounds, "
-        f"{added} columns added, {iterations} iterations, "
-        f"phase 1 over all columns {'yes' if np.any(start < 0) else 'no'}"
-    )
-    return line, iterations, phase1
 
 
 def _crash_basis(lp: LPInstance) -> np.ndarray:
@@ -491,9 +425,7 @@ def contact_set(
             posteriors[int(a)] = Posterior.degenerate(int(states[0]))
         elif states.size == 2:
             s1, s2 = int(states[0]), int(states[1])
-            y = problem.actions.points[a]
-            u1 = float(problem.u(np.array([y]), problem.states.points[s1 : s1 + 1])[0])
-            u2 = float(problem.u(np.array([y]), problem.states.points[s2 : s2 + 1])[0])
+            u1, u2 = float(lp.Umat[a, s1]), float(lp.Umat[a, s2])
             if u1 < 0 < u2:
                 rho = u2 / (u2 - u1)
                 posteriors[int(a)] = Posterior((s1, s2), np.array([rho, 1.0 - rho]))

@@ -9,16 +9,22 @@ sliced from A (extended by the identity for artificials), factored as a
 sparse LU (SuperLU) every ``REFACTOR_EVERY`` pivots, and patched with
 product-form eta updates in between.
 
-Pivot selection is Dantzig over a candidate list (multiple pricing): a full
-pricing pass over every column keeps the ``PRICE_LIST`` columns of largest
-reduced cost, and the following minor iterations price only those against
-the current duals, entering the best.  The list is refilled by a new full
-pass once its best reduced cost is no longer positive or after
-``PRICE_MINOR`` minor iterations; only a full pass declares optimality.
-Bland's rule, with full pricing on every iteration, is available as a policy
-and kicks in automatically after a run of degenerate pivots, which makes the
-method anti-cycling.  All tie-breaks are deterministic, so identical inputs
-give identical bases.
+Pivot selection is Dantzig with three tiers of pricing:
+  - a pass over every column, the only pass that can end a phase;
+  - a pass over the working set, which keeps the ``PRICE_LIST`` columns of
+    largest reduced cost as a candidate list (multiple pricing);
+  - minor iterations, which price only the list against the current duals
+    and enter the best, until its best reduced cost is no longer positive
+    or ``PRICE_MINOR`` of them have run; a pass over the set refills it.
+Phase 1 prices every column, so the working set is every column there.
+Phase 2 may be given a smaller working set (sifting, Bixby et al.,
+Operations Research 1992).  Once the set holds no attractive column, a pass
+over every column adds each attractive one to the set, and pricing restarts
+from the same basis with a fresh factorization; a pass over every column
+that adds nothing ends the phase.  Bland's rule, which prices the working
+set on every iteration, is available as a policy and kicks in automatically
+after a run of degenerate pivots, which makes the method anti-cycling.  All
+tie-breaks are deterministic, so identical inputs give identical bases.
 """
 
 from __future__ import annotations
@@ -110,6 +116,7 @@ def solve_standard_form(
     *,
     start: Optional[np.ndarray] = None,
     policy: str = "dantzig",
+    work: Optional[np.ndarray] = None,
 ) -> SimplexResult:
     """Two-phase revised simplex.  Raises Infeasible / Unbounded.
 
@@ -117,8 +124,11 @@ def solve_standard_form(
     row i's artificial; a proposal that is singular or infeasible beyond
     ``FEAS_TOL`` (times max(1, sum |b|)) is discarded in favour of the
     all-artificial basis.  ``policy`` is 'dantzig' (candidate-list pricing)
-    or 'bland'.  Pivots need ``PIVOT_TOL``; more than ``MAX_ITER`` iterations
-    raise OptransError.
+    or 'bland'.  ``work``, a boolean mask over the columns of A, is phase 2's
+    first working set; the columns basic after phase 1 join it, and the
+    passes over every column widen it (module docstring).  None prices every
+    column on every pass.  Pivots need ``PIVOT_TOL``; more than ``MAX_ITER``
+    iterations raise OptransError.
     """
     if policy not in ("dantzig", "bland"):
         raise OptransError(f"unknown pivot policy {policy!r}")
@@ -139,10 +149,14 @@ def solve_standard_form(
         if start.shape != (m,) or np.any(start >= n) or np.any(start < -1):
             raise OptransError(f"start basis must hold {m} column indices in [-1, {n})")
         st.crash(start, tol)
+    if work is not None:
+        work = np.asarray(work, dtype=bool)
+        if work.shape != (n,):
+            raise OptransError(f"working set must be a mask over the {n} columns")
 
     c1 = np.concatenate([np.zeros(n), -np.ones(m)])
     if st.objective(c1) < 0.0:  # some artificial still carries mass
-        st.run(c1, phase=1)
+        st.run(c1, phase=1, work=None)
     else:
         logger.debug("phase 1: skipped, the start basis is feasible")
     art_sum = -st.objective(c1)
@@ -152,7 +166,7 @@ def solve_standard_form(
     st.purge_artificials()
 
     c2 = np.concatenate([c, np.zeros(m)])
-    st.run(c2, phase=2)
+    st.run(c2, phase=2, work=work)
 
     x = np.zeros(n)
     inside = st.basis < n
@@ -243,66 +257,106 @@ class _State:
             self.refactor()
         return theta
 
-    def run(self, c_full, phase: int):
-        self.refactor()
+    def run(self, c_full, phase: int, work):
+        """Pivot to an optimal basis for c_full, pricing the working set
+        ``work`` (every column when None) and widening it from passes over
+        every column."""
         tol = PIVOT_TOL
-        iterations0, refactors0 = self.iterations, self.refactors - 1
-        passes = 0
-        stall = 0
+        iterations0, refactors0 = self.iterations, self.refactors
+        passes = wide = added = 0
         bland_fired = False
-        minor = PRICE_MINOR  # no candidate list yet: the first pass fills one
-        while True:
-            if self.iterations >= MAX_ITER:
-                raise OptransError(f"simplex iteration cap {MAX_ITER} hit")
-            y_full = np.zeros(self.m0)
-            y_full[self.live_rows] = self.duals(c_full)
+        if work is not None:
+            work = work.copy()
+            work[self.basis[self.basis < self.n]] = True
+        while True:  # one round per working set, from a fresh factorization
+            self.refactor()
+            cols, price = self._pricing(c_full, phase, work)
+            stall = 0
+            minor = PRICE_MINOR  # no candidate list yet: the first pass fills one
+            while True:
+                if self.iterations >= MAX_ITER:
+                    raise OptransError(f"simplex iteration cap {MAX_ITER} hit")
+                y_full = np.zeros(self.m0)
+                y_full[self.live_rows] = self.duals(c_full)
 
-            if self.policy == "bland" or stall > STALL_LIMIT:
-                bland_fired |= self.policy != "bland"
-                minor = PRICE_MINOR  # the list went stale: refill it afterwards
-                passes += 1
-                pos = np.nonzero(self._price_all(c_full, y_full, phase) > tol)[0]
-                if pos.size == 0:
-                    break
-                j = int(pos[0])
-                use_bland = True
-            else:
-                k = -1
-                if minor < PRICE_MINOR:
-                    rc = c_listed - np.sum(vals_listed * y_full[rows_listed], axis=0)
-                    k = int(np.argmax(rc))
-                    if rc[k] <= tol:
-                        k = -1
-                if k < 0:
+                if self.policy == "bland" or stall > STALL_LIMIT:
+                    bland_fired |= self.policy != "bland"
+                    minor = PRICE_MINOR  # the list went stale: refill it afterwards
                     passes += 1
-                    rc = self._price_all(c_full, y_full, phase)
-                    listed, minor = _shortlist(rc, tol), 0  # candidates, by index
-                    if listed.size == 0:
+                    pos = np.nonzero(price(y_full) > tol)[0]
+                    if pos.size == 0:
                         break
-                    c_listed = c_full[listed]
-                    rows_listed = self.col_rows[:, listed]
-                    vals_listed = self.col_vals[:, listed]
-                    k = int(np.argmax(rc[listed]))
-                j = int(listed[k])
-                c_listed[k] = -np.inf  # basic from now on: never priced again
-                minor += 1
-                use_bland = False
+                    j = int(cols[pos[0]])
+                    use_bland = True
+                else:
+                    k = -1
+                    if minor < PRICE_MINOR:
+                        rc = c_listed - np.sum(vals_listed * y_full[rows_listed], axis=0)
+                        k = int(np.argmax(rc))
+                        if rc[k] <= tol:
+                            k = -1
+                    if k < 0:
+                        passes += 1
+                        rc = price(y_full)
+                        listed, minor = _shortlist(rc, tol), 0  # candidates, by slot
+                        if listed.size == 0:
+                            break
+                        k = int(np.argmax(rc[listed]))
+                        listed = cols[listed]
+                        c_listed = c_full[listed]
+                        rows_listed = self.col_rows[:, listed]
+                        vals_listed = self.col_vals[:, listed]
+                    j = int(listed[k])
+                    c_listed[k] = -np.inf  # basic from now on: never priced again
+                    minor += 1
+                    use_bland = False
 
-            d = _ftran(self.lu, self.etas, self._column(j))
-            r = self._leaving(d, use_bland)
-            if r is None:
-                raise Unbounded("no blocking basic variable")
-            theta = self._pivot(r, j, d)
-            stall = stall + 1 if theta <= 1e-13 else 0
-            self.iterations += 1
+                d = _ftran(self.lu, self.etas, self._column(j))
+                r = self._leaving(d, use_bland)
+                if r is None:
+                    raise Unbounded("no blocking basic variable")
+                theta = self._pivot(r, j, d)
+                stall = stall + 1 if theta <= 1e-13 else 0
+                self.iterations += 1
+            if work is None:
+                break
+            passes += 1
+            wide += 1
+            new = (self._price_all(c_full, y_full, phase)[: self.n] > tol) & ~work
+            if not new.any():
+                break
+            work |= new
+            added += int(np.count_nonzero(new))
         logger.debug(
-            "phase %d: %d iterations, %d full pricing passes, %d refactors, bland switch %s",
+            "phase %d: %d iterations, %d pricing passes, %d passes over all columns, "
+            "%d columns added, %d refactors, bland switch %s",
             phase,
             self.iterations - iterations0,
             passes,
+            passes if work is None else wide,
+            added,
             self.refactors - refactors0,
             "fired" if bland_fired else "not fired",
         )
+
+    def _pricing(self, c_full, phase: int, work):
+        """The columns a pricing pass covers, and the pass itself: y -> their
+        reduced costs, -inf where a column may not enter.  Every column,
+        artificials included, when ``work`` is None; else the working set,
+        whose costs and rows are gathered here once per round."""
+        if work is None:
+            return np.arange(self.A_ext.shape[1]), lambda y: self._price_all(c_full, y, phase)
+        cols = np.nonzero(work)[0]
+        c_set, AT_set = c_full[cols], self.AT_ext[cols]
+        slot = np.zeros(self.A_ext.shape[1], dtype=np.intp)
+        slot[cols] = np.arange(cols.size)
+
+        def price(y):
+            rc = c_set - AT_set @ y
+            rc[slot[self.basis]] = -np.inf  # the basic columns are all in the set
+            return rc
+
+        return cols, price
 
     def _price_all(self, c_full, y_full, phase: int) -> np.ndarray:
         """Reduced costs of every column, artificials included; -inf on basic

@@ -231,8 +231,8 @@ class TestCommands:
         assert any(line.startswith("phase 1: ") for line in lines)
         assert any(
             re.fullmatch(
-                r"phase 2: \d+ iterations, \d+ full pricing passes, \d+ refactors, "
-                r"bland switch (not )?fired",
+                r"phase 2: \d+ iterations, \d+ pricing passes, \d+ passes over all columns, "
+                r"\d+ columns added, \d+ refactors, bland switch (not )?fired",
                 line,
             )
             for line in lines
@@ -249,8 +249,8 @@ class TestCommands:
             assert main(argv + [str(tmp_path / "debug")]) == 0
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
         level = (
-            r"n=(\d+): \d+ of \d+ columns, \d+ pricing rounds, \d+ columns added, "
-            r"\d+ iterations, phase 1 over all columns (yes|no)"
+            r"n=(\d+): \d+ of \d+ columns to start, \d+ iterations, "
+            r"phase 1 over all columns (yes|no)"
         )
         assert re.fullmatch(rf"outcome LP: {level}(; {level})*", line)
         assert re.findall(r"n=(\d+):", line) == ["41", "81"]

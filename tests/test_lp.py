@@ -10,7 +10,9 @@ from optrans import Posterior, Problem, uniform
 from optrans.errors import DegenerateBasis, Infeasible, SizeLimit
 from optrans.lp import (
     MASS_TOL,
+    SIFT_BAND,
     SIFT_MIN_STATES,
+    _coarsen,
     _crash_basis,
     build_lp,
     contact_set,
@@ -19,7 +21,7 @@ from optrans.lp import (
     verify_complementary_slackness,
 )
 from optrans.presets import preset, preset_ids
-from optrans.simplex import solve_standard_form
+from optrans.simplex import PIVOT_TOL, SimplexResult, solve_standard_form
 
 E = float(np.e)
 
@@ -358,29 +360,33 @@ class TestSifting:
         assert abs(obj - direct) <= 1e-12 * abs(direct)
 
     @staticmethod
-    def columns_per_solve(monkeypatch):
-        """The column count of each simplex call from here on."""
-        widths = []
+    def simplex_calls(monkeypatch):
+        """The column count and working set of each simplex call from here
+        on."""
+        calls = []
 
-        def counted(A, *args, **kwargs):
-            widths.append(A.shape[1])
-            return solve_standard_form(A, *args, **kwargs)
+        def counted(A, *args, work=None, **kwargs):
+            calls.append((A.shape[1], work))
+            return solve_standard_form(A, *args, work=work, **kwargs)
 
         monkeypatch.setattr("optrans.lp.solve_standard_form", counted)
-        return widths
+        return calls
 
     def test_small_grid_takes_the_direct_path(self, monkeypatch):
-        widths = self.columns_per_solve(monkeypatch)
+        calls = self.simplex_calls(monkeypatch)
         lp = build_lp(preset("example_c1", grid_n=SIFT_MIN_STATES)[0])
         solve_primal(lp)
-        assert widths == [lp.c.size]
+        assert calls == [(lp.c.size, None)]
 
     def test_large_grid_is_sifted(self, monkeypatch):
-        widths = self.columns_per_solve(monkeypatch)
+        # n=121 is sifted from n=61, which is sifted from n=31
+        calls = self.simplex_calls(monkeypatch)
         lp = build_lp(preset("example_c1", grid_n=2 * SIFT_MIN_STATES + 1)[0])
         solve_primal(lp)
-        assert len(widths) > 2 and widths[0] < lp.c.size
-        assert lp.c.size not in widths
+        assert len(calls) == 3 and calls[-1][0] == lp.c.size
+        assert calls[0][1] is None
+        for size, work in calls[1:]:
+            assert work.shape == (size,) and 0 < work.sum() < size
 
     def test_infeasible_fine_level_runs_phase_one_once(self, monkeypatch, caplog):
         # state 1 has no kept cell; the half grid drops it and is feasible,
@@ -388,12 +394,12 @@ class TestSifting:
         problem = preset("example_c1", grid_n=101)[0]
         x1 = problem.states.points[1]
         lp = build_lp(replace(problem, forbidden=lambda y, x: (x == x1) & (y == y)))
-        widths = self.columns_per_solve(monkeypatch)
+        calls = self.simplex_calls(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="optrans.lp"), pytest.raises(Infeasible):
             solve_primal(lp)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
         assert re.fullmatch(r"outcome LP: n=51: [^;]+; n=101: infeasible", line)
-        assert widths.count(lp.c.size) == 1
+        assert [size for size, _ in calls].count(lp.c.size) == 1
 
     def test_infeasible_coarse_level_falls_back_to_direct(self, caplog):
         # only odd actions are allowed, and the coarse grid keeps the even
@@ -413,3 +419,83 @@ class TestSifting:
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
         assert line.startswith(f"outcome LP: n={n // 2 + 1}: infeasible; n={n}: ")
         assert abs(obj - direct_objective(lp)) <= 1e-12 * abs(obj)
+
+
+def warm_start(res, cols, n_rows):
+    """Start basis, in LP column indices, from an optimal basis over the
+    columns ``cols``: each row the simplex dropped keeps its artificial."""
+    start = np.full(n_rows, -1)
+    start[np.setdiff1d(np.arange(n_rows), res.dropped_rows)] = cols[res.basis]
+    return start
+
+
+def sifted_by_rounds(lp, coarse, coarse_res):
+    """Reference for one sifted level, with the sifting outside the simplex:
+    phase 1 over every column first, as a separate call, where the crash
+    leaves rows artificial; then one call per pricing round on the sub-LP
+    ``A[:, cols]`` of the working set, from the last optimal basis, until a
+    pass over every column adds nothing."""
+    A, b, c = lp.A, lp.b, lp.c
+    n = c.size
+    start_cols = _crash_basis(lp)
+    iterations = phase1 = 0
+    if np.any(start_cols < 0):
+        feas = solve_standard_form(A, b, np.zeros(n), start=start_cols)
+        iterations, phase1 = feas.iterations, feas.phase1_iterations
+        start_cols = warm_start(feas, np.arange(n), lp.n_rows)
+    pb, cpb = lp.problem, coarse.problem
+    y = np.concatenate(
+        [
+            np.interp(pb.states.points, cpb.states.points, coarse_res.duals[: cpb.n_states]),
+            np.interp(pb.actions.points, cpb.actions.points, coarse_res.duals[cpb.n_states :]),
+        ]
+    )
+    work = c - A.T @ y > -SIFT_BAND * float(np.max(np.abs(c)))
+    work[lp.n_mass :] = True
+    work[start_cols[start_cols >= 0]] = True
+    while True:
+        cols = np.nonzero(work)[0]
+        sub_start = np.where(start_cols >= 0, np.searchsorted(cols, start_cols), -1)
+        sub = solve_standard_form(A[:, cols], b, c[cols], start=sub_start)
+        iterations, phase1 = iterations + sub.iterations, phase1 + sub.phase1_iterations
+        attractive = (c - A.T @ sub.duals > PIVOT_TOL) & ~work
+        if not attractive.any():
+            break
+        work |= attractive
+        start_cols = warm_start(sub, cols, lp.n_rows)
+    x = np.zeros(n)
+    x[cols] = sub.x
+    return SimplexResult(
+        x=x,
+        objective=sub.objective,
+        duals=sub.duals,
+        basis=cols[sub.basis],
+        iterations=iterations,
+        phase1_iterations=phase1,
+        dropped_rows=sub.dropped_rows,
+    )
+
+
+class TestSiftingByRounds:
+    """Sifting inside the simplex takes the same pivots as sifting by sub-LP
+    rounds: the same solution, bit for bit, and the same iterations."""
+
+    @pytest.mark.parametrize("n", [61, 121])
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_same_solution_as_sub_lp_rounds(self, pid, n):
+        lp = build_lp(preset(pid, grid_n=n)[0])
+        solve_primal(lp)
+        chain = [lp]
+        while chain[-1].problem.n_states > SIFT_MIN_STATES:
+            chain.append(build_lp(_coarsen(chain[-1].problem)))
+        ref = solve_standard_form(chain[-1].A, chain[-1].b, chain[-1].c, start=_crash_basis(chain[-1]))
+        iterations, phase1 = ref.iterations, ref.phase1_iterations
+        for level, coarse in zip(chain[-2::-1], chain[:0:-1]):
+            ref = sifted_by_rounds(level, coarse, ref)
+            iterations, phase1 = iterations + ref.iterations, phase1 + ref.phase1_iterations
+        got = lp.solution
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.duals.tobytes() == ref.duals.tobytes()
+        assert np.array_equal(got.basis, ref.basis)
+        assert (got.iterations, got.phase1_iterations) == (iterations, phase1)
+        assert got.dropped_rows == ref.dropped_rows

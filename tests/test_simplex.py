@@ -175,3 +175,42 @@ class TestCandidateList:
         assert any(r.getMessage().endswith("bland switch fired") for r in caplog.records)
         assert res.objective == pytest.approx(plain.objective, abs=1e-12)
         assert np.max(lp.c - lp.A.T @ res.duals) <= 1e-9
+
+
+class TestWorkingSet:
+    """Phase 2 over a working set, widened by passes over every column,
+    reaches the optimum over all columns; phase 1 ignores the set."""
+
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_any_working_set_reaches_the_optimum(self, density):
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            A, b, c = bounded_program(rng, 12, 4 * simplex.PRICE_LIST + 37, density)
+            n = c.size
+            full = solve_standard_form(A, b, c)
+            scale = max(1.0, abs(full.objective))
+            for work in (np.zeros(n, dtype=bool), rng.random(n) < 0.05, rng.random(n) < 0.5):
+                res = solve_standard_form(A, b, c, work=work)
+                assert res.objective == pytest.approx(full.objective, abs=1e-9 * scale)
+                assert np.max(c - A.T @ res.duals) <= 1e-9
+                bland = solve_standard_form(A, b, c, policy="bland", work=work)
+                assert bland.objective == pytest.approx(full.objective, abs=1e-9 * scale)
+            every = solve_standard_form(A, b, c, work=np.ones(n, dtype=bool))
+            assert every.x.tobytes() == full.x.tobytes()
+            assert every.iterations == full.iterations
+
+    def test_phase_one_prices_every_column(self, caplog):
+        # x2 alone covers the second row and lies outside the working set
+        A = dense([[1.0, 1.0], [0.0, 1.0]])
+        res = solve_standard_form(A, np.array([1.0, 1.0]), np.array([1.0, 0.0]), work=np.array([True, False]))
+        assert np.allclose(res.x, [0.0, 1.0])
+        # an infeasible program is found so over every column, before phase 2
+        A = dense([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        with caplog.at_level(logging.DEBUG, logger="optrans.simplex"), pytest.raises(Infeasible):
+            solve_standard_form(A, np.array([1.0, 2.0]), np.ones(3), work=np.array([True, False, False]))
+        lines = [r.getMessage() for r in caplog.records if r.name == "optrans.simplex"]
+        assert [line.split(":")[0] for line in lines] == ["phase 1"]
+
+    def test_malformed_working_set_rejected(self):
+        with pytest.raises(OptransError):
+            solve_standard_form(dense([[1.0, 1.0]]), np.array([1.0]), np.ones(2), work=np.ones(3, dtype=bool))
