@@ -29,6 +29,7 @@ GAP_TOL = 1e-8
 MASS_TOL = 1e-9
 SIFT_MIN_STATES = 60  # larger state grids are solved coarse to fine
 SIFT_BAND = 1e-4  # working-set cut on the coarse reduced cost, times max |V|
+OBEYED_ULPS = 4  # |u| that counts as 0 in the crash, in ulps of max |u|
 
 logger = logging.getLogger("optrans.lp")
 
@@ -71,12 +72,7 @@ class PriceSystem:
     q: np.ndarray  # basis duals: feasible for the no-profit constraints
     feasibility_residual: float
     dual_objective: float
-    degenerate: bool = False
-    # multiplier implied by each mass-carrying row's conditional through the
-    # ratio -E[V_y]/E[u_y]; NaN off the support.  This is the value the
-    # optimality theory pins on contact rows; the basis dual may differ by a
-    # grid-scale amount there and is arbitrary on disclosed rows.
-    q_row: Optional[np.ndarray] = None
+    degenerate: bool = False  # always False: solve_dual raises instead
 
 
 @dataclass
@@ -177,18 +173,21 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
 
     A state grid of more than ``SIFT_MIN_STATES`` points is solved coarse to
     fine: the problem is ``_coarsen``-ed until its state grid is small
-    enough, the coarsest level is solved over every column, and each finer
-    level is sifted from the solution of the level below (``_solve_level``),
-    one simplex call per level.  A coarse level that is infeasible (a coarse
-    grid may admit no exact transport where the finer one does) sends this
-    LP to one call over every column.  ``lp.solution`` is the call on this
-    LP, its iterations summed over every level that finished.  One DEBUG
-    record on ``optrans.lp`` describes each level, also when the LP is
-    infeasible.
+    enough (or its kept states carry no prior), the coarsest level is solved
+    over every column, and each finer level is sifted from the solution of
+    the level below (``_solve_level``), one simplex call per level.  A
+    coarse level that is infeasible (a coarse grid may admit no exact
+    transport where the finer one does) sends this LP to one call over every
+    column.  ``lp.solution`` is the call on this LP, its iterations summed
+    over every level that finished.  One DEBUG record on ``optrans.lp``
+    describes each level, also when the LP is infeasible.
     """
     chain = [lp]
     while chain[-1].problem.n_states > SIFT_MIN_STATES:
-        chain.append(build_lp(_coarsen(chain[-1].problem)))
+        coarser = _coarsen(chain[-1].problem)
+        if coarser is None:
+            break
+        chain.append(build_lp(coarser))
     levels = []
     coarse = None  # the level below, with its solution
     try:
@@ -225,14 +224,16 @@ def _solve_level(
     lp: LPInstance, coarse: Optional[tuple[LPInstance, SimplexResult]], policy: str, levels: list
 ) -> SimplexResult:
     """One simplex call on ``lp`` from ``_crash_basis``, over every column
-    when ``coarse`` is None.  Otherwise sifted (Bixby et al., Operations
-    Research 1992) from ``coarse``, the same problem on a coarser grid and
-    its solution: its row duals, interpolated to this grid, pick the first
-    working set, namely every slack and surplus column and every cell whose
-    reduced cost lies above -``SIFT_BAND``·max|V|.  The simplex adds the
-    columns basic after phase 1, runs phase 1 over every column, and widens
-    the set by its passes over every column.  Appends the level's DEBUG
-    line, iterations and phase-1 iterations to ``levels``.
+    when ``coarse`` is None.  Otherwise started from ``coarse``, the same
+    problem on the coarser grid of ``_coarsen`` and its solution: its
+    optimal basis mapped to this grid (``_mapped_basis``) is proposed ahead
+    of the crash, and the phase 2 is sifted (Bixby et al., Operations
+    Research 1992): the coarse row duals, interpolated to this grid, pick
+    the first working set, namely every slack and surplus column and every
+    cell whose reduced cost lies above -``SIFT_BAND``·max|V|.  The simplex
+    adds the columns basic after phase 1, runs phase 1 over every column,
+    and widens the set by its passes over every column.  Appends the level's
+    DEBUG line, iterations and phase-1 iterations to ``levels``.
     """
     start = _crash_basis(lp)
     work = None
@@ -247,48 +248,97 @@ def _solve_level(
         )
         work = lp.c - lp.A.T @ y > -SIFT_BAND * float(np.max(np.abs(lp.c)))
         work[lp.n_mass :] = True
+        start = np.stack([_mapped_basis(lp, *coarse, start), start])
     res = solve_standard_form(lp.A, lp.b, lp.c, start=start, policy=policy, work=work)
     line = (
         f"n={lp.problem.n_states}: {lp.c.size if work is None else int(work.sum())} of "
         f"{lp.c.size} columns to start, {res.iterations} iterations, "
-        f"phase 1 over all columns {'yes' if np.any(start < 0) else 'no'}"
+        f"{res.phase1_iterations} in phase 1, objective {res.objective!r}"
     )
     levels.append((line, res.iterations, res.phase1_iterations))
     return res
 
 
-def _coarsen(problem: Problem) -> Problem:
-    """The problem on every other state and action, both ends kept; each
-    dropped state's prior goes to its two kept neighbours, in proportion to
-    closeness."""
+def _every_other(n: int) -> np.ndarray:
+    """Indices of every other point of an n-point grid, both ends kept: the
+    points ``_coarsen`` keeps."""
+    keep = np.arange(0, n, 2)
+    return keep if keep[-1] == n - 1 else np.append(keep, n - 1)
 
-    def every_other(grid: Grid) -> Grid:
-        keep = np.arange(0, len(grid), 2)
-        if keep[-1] != len(grid) - 1:
-            keep = np.append(keep, len(grid) - 1)
-        return Grid(grid.points[keep], grid.kind)
 
-    states = every_other(problem.states)
-    # fractional position of each state on the kept ones: floor is the kept
-    # neighbour below, the fraction the share of the one above
-    t = np.interp(problem.states.points, states.points, np.arange(len(states)))
-    below = np.floor(t).astype(int)
-    share = (t - below) * problem.prior
-    prior = np.bincount(below, problem.prior - share, len(states))
-    prior += np.bincount(np.minimum(below + 1, len(states) - 1), share, len(states))
-    return replace(problem, states=states, actions=every_other(problem.actions), prior=prior)
+def _coarsen(problem: Problem) -> Optional[Problem]:
+    """The problem on every other state and action (``_every_other``), its
+    prior restricted to the kept states and renormalized; None when the kept
+    states carry no prior mass."""
+    ks, ka = _every_other(problem.n_states), _every_other(problem.n_actions)
+    prior = problem.prior[ks]
+    total = float(prior.sum())
+    if total <= 0.0:
+        return None
+    return replace(
+        problem,
+        states=Grid(problem.states.points[ks], problem.states.kind),
+        actions=Grid(problem.actions.points[ka], problem.actions.kind),
+        prior=prior / total,
+    )
+
+
+def _mapped_basis(lp: LPInstance, coarse: LPInstance, res: SimplexResult, crash: np.ndarray) -> np.ndarray:
+    """Start proposal for ``lp`` from ``res``, an optimal basis of
+    ``coarse``, the LP of ``_coarsen(lp.problem)``.  Each basic cell is the
+    same point of this grid, with the same V and u; each slack column is the
+    slack of its row here, and the free bottom row's two surplus columns,
+    last in both LPs, stay last.  Rows the coarse solve dropped keep their
+    artificials, and the rows the coarse grid leaves out take their
+    ``crash`` column.  As the coarse prior is this prior on the kept states,
+    renormalized, the kept rows' right-hand side is a multiple of the coarse
+    one, so the proposal is feasible up to what the left-out rows' crash
+    columns put on the kept rows."""
+    pb = lp.problem
+    ks, ka = _every_other(pb.n_states), _every_other(pb.n_actions)
+    cell = np.full((pb.n_actions, pb.n_states), -1)
+    cell[lp.col_y, lp.col_x] = np.arange(lp.n_mass)
+
+    def slacks(x: LPInstance) -> np.ndarray:  # rows of the slack columns; surplus columns follow
+        return x.slack_rows[: int(x.problem.constrained_rows().sum())]
+
+    fine_slacks, coarse_slacks = slacks(lp), slacks(coarse)
+    extra = np.concatenate(
+        [
+            np.searchsorted(fine_slacks, ka[coarse_slacks]),
+            fine_slacks.size + np.arange(coarse.slack_rows.size - coarse_slacks.size),
+        ]
+    )
+    column = np.concatenate([cell[ka[coarse.col_y], ks[coarse.col_x]], lp.n_mass + extra])
+    rows = np.concatenate([ks, pb.n_states + ka])  # this LP's row of each coarse row
+    warm = crash.copy()
+    warm[rows] = -1
+    warm[rows[np.setdiff1d(np.arange(rows.size), res.dropped_rows)]] = column[res.basis]
+    return warm
 
 
 def _crash_basis(lp: LPInstance) -> np.ndarray:
     """Starting basis from full disclosure: one LP column per row, -1 where a
     row keeps its artificial.
 
-    Each state x is sent to the highest-V kept cell where it is obeyed on its
-    own: u = 0 under equality obedience; u >= 0, or any cell of a free bottom
-    row, under inequality obedience.  Each action row holds its slack or one
-    of the free surplus columns (inequality obedience), or else its kept cell
-    of largest |u| at level zero.  The basis is block triangular, hence
-    nonsingular, and carries the prior, hence primal feasible.
+    Each state x is sent to best(x), the highest-V kept cell where it is
+    obeyed on its own: |u| at most ``OBEYED_ULPS`` ulps of the largest |u|
+    over the kept cells under equality obedience (rounding can move u off 0
+    there); u >= 0, or any cell of a free bottom row, under inequality
+    obedience.
+
+    Under inequality obedience each action row holds its slack or one of the
+    free surplus columns, so its multiplier q is 0.  Under equality
+    obedience, with p(x) = V(best(x), x), a row's basic cell (y, x) sets
+    q(y) = (p(x) - V(y, x)) / u(y, x).  The row's other cells of states so
+    sent price out for q >= lo_y, the largest such q over its u < 0 cells,
+    and for q <= hi_y, the smallest over its u > 0 cells.  Each row holds
+    the cell that attains lo_y, or hi_y on a row with no u < 0 cell, so the
+    start prices out every row whose interval [lo_y, hi_y] is not empty; a
+    row with neither keeps its artificial.
+
+    The basis is block triangular up to the rounding of u on obeyed cells,
+    hence nonsingular, and carries the prior, hence primal feasible.
     """
     pb = lp.problem
     ny, nx = pb.n_actions, pb.n_states
@@ -302,7 +352,8 @@ def _crash_basis(lp: LPInstance) -> np.ndarray:
         if not pb.constrain_bottom_row:
             obeyed[0] = kept[0]
     else:
-        obeyed = kept & (lp.Umat == 0)
+        ulp = np.finfo(float).eps * float(np.max(np.abs(lp.Umat[kept]), initial=0.0))
+        obeyed = kept & (np.abs(lp.Umat) <= OBEYED_ULPS * ulp)
     has = obeyed.any(axis=0)
     best = np.argmax(np.where(obeyed, lp.Vmat, -np.inf), axis=0)
     start[:nx][has] = cell[best[has], np.nonzero(has)[0]]
@@ -316,9 +367,16 @@ def _crash_basis(lp: LPInstance) -> np.ndarray:
             level = float(lp.Umat[0, states] @ pb.prior[states])
             start[nx] = lp.c.size - 1 if level >= 0 else lp.c.size - 2
     else:
-        moving = kept & (lp.Umat != 0)
+        moving = kept & ~obeyed & has
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = (lp.Vmat[best, np.arange(nx)] - lp.Vmat) / lp.Umat
+        below, above = moving & (lp.Umat < 0), moving & (lp.Umat > 0)
+        pick = np.where(
+            below.any(axis=1),
+            np.argmax(np.where(below, q, -np.inf), axis=1),
+            np.argmin(np.where(above, q, np.inf), axis=1),
+        )
         rows = np.nonzero(moving.any(axis=1))[0]
-        pick = np.argmax(np.where(moving, np.abs(lp.Umat), -1.0), axis=1)
         start[nx + rows] = cell[rows, pick[rows]]
     return start
 
@@ -347,53 +405,25 @@ def _no_profit_slack(lp: LPInstance, p: np.ndarray, q: np.ndarray) -> np.ndarray
 
 def solve_dual(lp: LPInstance, primal: Outcome) -> PriceSystem:
     """Prices from the final simplex basis of an LP that ``solve_primal`` has
-    solved, ``primal`` being the outcome it returned.
+    solved; ``primal``, the outcome it returned, is not read.
 
-    If the basis duals are degenerate (infeasible beyond tolerance or with a
-    duality gap), q is replaced by ``q_row`` wherever that is finite; if that
-    still fails, DegenerateBasis is raised.  ``q_row`` stays NaN everywhere
-    when u_y vanishes (``Problem.u_y_vanishes``).
+    The basis duals are the prices.  Every solve ends with a pricing pass
+    over every column, so they meet the no-profit constraints; if they miss
+    them by more than ``DUAL_FEAS_TOL``, or leave a duality gap beyond
+    ``GAP_TOL``, DegenerateBasis is raised.
     """
     res = lp.solution
-    nx, ny = lp.problem.n_states, lp.problem.n_actions
+    nx = lp.problem.n_states
     p = res.duals[:nx].copy()
     q = -res.duals[nx:].copy()
-
-    constrained = lp.problem.constrained_rows()
-
-    def feas_residual(qv):
-        return float(np.min(_no_profit_slack(lp, p, qv)[constrained]))
-
-    q_row = np.full(ny, np.nan)
-    if not lp.problem.u_y_vanishes():
-        for iy in primal.support_rows(MASS_TOL):
-            val = _q_from_row(lp.problem, primal, int(iy))
-            if np.isfinite(val):
-                q_row[iy] = val
-
+    resid = float(np.min(_no_profit_slack(lp, p, q)[lp.problem.constrained_rows()]))
     primal_obj = float(res.objective)
     dual_obj = float(p @ lp.problem.prior)
-    resid = feas_residual(q)
-    degenerate = False
     if resid < -DUAL_FEAS_TOL or abs(dual_obj - primal_obj) > GAP_TOL * (1.0 + abs(primal_obj)):
-        degenerate = True
-        q_fix = np.where(np.isnan(q_row), q, q_row)
-        resid_fix = feas_residual(q_fix)
-        if resid_fix >= -DUAL_FEAS_TOL and abs(dual_obj - primal_obj) <= GAP_TOL * (1.0 + abs(primal_obj)):
-            q, resid = q_fix, resid_fix
-        else:
-            raise DegenerateBasis(
-                f"dual recovery failed: residual {min(resid, resid_fix):.3e}, "
-                f"gap {dual_obj - primal_obj:.3e}"
-            )
-    return PriceSystem(
-        p=p,
-        q=q,
-        feasibility_residual=resid,
-        dual_objective=dual_obj,
-        degenerate=degenerate,
-        q_row=q_row,
-    )
+        raise DegenerateBasis(
+            f"dual recovery failed: residual {resid:.3e}, gap {dual_obj - primal_obj:.3e}"
+        )
+    return PriceSystem(p=p, q=q, feasibility_residual=resid, dual_objective=dual_obj)
 
 
 def contact_set(

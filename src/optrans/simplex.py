@@ -1,8 +1,8 @@
 """Revised primal simplex for LPs in standard equality form.
 
 Maximizes c'x subject to A x = b, x >= 0, with A given as a CSC sparse
-matrix.  The caller may propose a starting basis, one column per row; it is
-taken when it is nonsingular and primal feasible, and rows it leaves
+matrix.  The caller may propose starting bases, one column per row each; the
+first that is nonsingular and primal feasible is taken, and rows it leaves
 uncovered keep their artificial variables, so phase 1 runs over those rows
 only.  Without a usable proposal every row starts artificial.  The basis is
 sliced from A (extended by the identity for artificials), factored as a
@@ -121,9 +121,10 @@ def solve_standard_form(
     """Two-phase revised simplex.  Raises Infeasible / Unbounded.
 
     ``start[i]`` proposes the column basic in row i's position, or -1 to keep
-    row i's artificial; a proposal that is singular or infeasible beyond
-    ``FEAS_TOL`` (times max(1, sum |b|)) is discarded in favour of the
-    all-artificial basis.  ``policy`` is 'dantzig' (candidate-list pricing)
+    row i's artificial; a 2-D ``start`` holds one such proposal per row, tried
+    in order.  A proposal that is singular or infeasible beyond ``FEAS_TOL``
+    (times max(1, sum |b|)) is passed over, and when none is left every row
+    starts artificial.  ``policy`` is 'dantzig' (candidate-list pricing)
     or 'bland'.  ``work``, a boolean mask over the columns of A, is phase 2's
     first working set; the columns basic after phase 1 join it, and the
     passes over every column widen it (module docstring).  None prices every
@@ -145,10 +146,10 @@ def solve_standard_form(
 
     st = _State(A, b, policy)
     if start is not None:
-        start = np.asarray(start, dtype=int)
-        if start.shape != (m,) or np.any(start >= n) or np.any(start < -1):
-            raise OptransError(f"start basis must hold {m} column indices in [-1, {n})")
-        st.crash(start, tol)
+        proposals = np.atleast_2d(np.asarray(start, dtype=int))
+        if proposals.ndim != 2 or proposals.shape[1] != m or np.any(proposals >= n) or np.any(proposals < -1):
+            raise OptransError(f"start basis must hold {m} column indices in [-1, {n}) per proposal")
+        st.crash(proposals, tol)
     if work is not None:
         work = np.asarray(work, dtype=bool)
         if work.shape != (n,):
@@ -158,7 +159,7 @@ def solve_standard_form(
     if st.objective(c1) < 0.0:  # some artificial still carries mass
         st.run(c1, phase=1, work=None)
     else:
-        logger.debug("phase 1: skipped, the start basis is feasible")
+        logger.debug("phase 1: %s, skipped, the start basis is feasible", st.adopted)
     art_sum = -st.objective(c1)
     if art_sum > tol:
         raise Infeasible(f"phase-1 residual {art_sum:.3e}")
@@ -199,6 +200,7 @@ class _State:
         self.refactors = 0
         self.live_mask = np.ones(m, dtype=bool)
         self.basis = np.arange(n, n + m)  # column j >= n is the artificial e_{j-n}
+        self.adopted = "no start proposal adopted"  # for the phase-1 DEBUG record
         self.refactor()
 
     @property
@@ -226,19 +228,22 @@ class _State:
         self.etas = []
         self.xB = np.maximum(self.lu.solve(self.b0[self.live_rows]), 0.0)
 
-    def crash(self, start, tol):
-        """Adopt the proposed starting basis if it is nonsingular and primal
-        feasible to within tol; otherwise keep the all-artificial one."""
-        basis = np.where(start >= 0, start, self.n + np.arange(self.m0))
-        try:
-            lu = self._factor(basis)
-        except RuntimeError:
-            return
-        xB = lu.solve(self.b0)
-        if not np.all(xB >= -tol):
-            return
-        self.basis, self.lu, self.etas = basis, lu, []
-        self.xB = np.maximum(xB, 0.0)
+    def crash(self, proposals, tol):
+        """Adopt the first proposed starting basis that is nonsingular and
+        primal feasible to within tol; without one, keep the all-artificial
+        basis."""
+        for k, start in enumerate(proposals):
+            basis = np.where(start >= 0, start, self.n + np.arange(self.m0))
+            try:
+                lu = self._factor(basis)
+            except RuntimeError:
+                continue
+            xB = lu.solve(self.b0)
+            if np.all(xB >= -tol):
+                self.basis, self.lu, self.etas = basis, lu, []
+                self.xB = np.maximum(xB, 0.0)
+                self.adopted = f"start proposal {k} of {len(proposals)} adopted"
+                return
 
     def objective(self, c_full) -> float:
         return float(c_full[self.basis] @ self.xB)
@@ -328,9 +333,10 @@ class _State:
             work |= new
             added += int(np.count_nonzero(new))
         logger.debug(
-            "phase %d: %d iterations, %d pricing passes, %d passes over all columns, "
+            "phase %d: %s%d iterations, %d pricing passes, %d passes over all columns, "
             "%d columns added, %d refactors, bland switch %s",
             phase,
+            f"{self.adopted}, " if phase == 1 else "",
             self.iterations - iterations0,
             passes,
             passes if work is None else wide,

@@ -242,18 +242,18 @@ class TestCommands:
             assert quiet == (tmp_path / "debug" / name).read_bytes(), name
 
     def test_lp_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
-        # n=81 is sifted from n=41; contest's crash leaves rows artificial
+        # n=81 is sifted from n=41
         argv = ["solve", "--preset", "contest", "--grid-n", "81", "--out"]
         assert main(argv + [str(tmp_path / "quiet")]) == 0
         with caplog.at_level(logging.DEBUG, logger="optrans.lp"):
             assert main(argv + [str(tmp_path / "debug")]) == 0
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
-        level = (
-            r"n=(\d+): \d+ of \d+ columns to start, \d+ iterations, "
-            r"phase 1 over all columns (yes|no)"
-        )
+        level = r"n=(\d+): \d+ of \d+ columns to start, \d+ iterations, \d+ in phase 1, objective \S+"
         assert re.fullmatch(rf"outcome LP: {level}(; {level})*", line)
         assert re.findall(r"n=(\d+):", line) == ["41", "81"]
+        objectives = [float(v) for v in re.findall(r"objective ([^;]+)", line)]
+        summary = json.loads((tmp_path / "debug" / "summary.json").read_text())
+        assert objectives[-1] == summary["objective"]
         for name in ("outcome.csv", "prices.csv", "summary.json"):
             quiet = (tmp_path / "quiet" / name).read_bytes()
             assert quiet == (tmp_path / "debug" / name).read_bytes(), name

@@ -8,12 +8,17 @@ from scipy.optimize import linprog
 
 from optrans import Posterior, Problem, uniform
 from optrans.errors import DegenerateBasis, Infeasible, SizeLimit
+from optrans.grids import from_points
 from optrans.lp import (
     MASS_TOL,
+    OBEYED_ULPS,
     SIFT_BAND,
     SIFT_MIN_STATES,
     _coarsen,
     _crash_basis,
+    _every_other,
+    _mapped_basis,
+    _q_from_row,
     build_lp,
     contact_set,
     solve_dual,
@@ -24,6 +29,15 @@ from optrans.presets import preset, preset_ids
 from optrans.simplex import PIVOT_TOL, SimplexResult, solve_standard_form
 
 E = float(np.e)
+
+
+def shifted_contest(n):
+    """contest on actions halfway between its own, which are the images
+    x/(1+x²) of its states: |u| stays well away from 0 on every cell, so no
+    state is obeyed on its own."""
+    pb = preset("contest", grid_n=n)[0]
+    pts = pb.actions.points
+    return replace(pb, actions=from_points((pts[:-1] + pts[1:]) / 2, "action"))
 
 
 def two_state_problem(V, n_actions=101):
@@ -95,14 +109,15 @@ class TestSolve:
 
     @pytest.mark.parametrize("pid", ["example_c1", "example_c3", "linear"])
     def test_full_disclosure_start_needs_no_phase_one(self, pid):
-        # every state has a cell with u = 0, so the start basis is feasible
+        # every state has a cell with u = 0, so the start basis is feasible;
+        # on linear full disclosure is optimal and the start certifies it
         lp = build_lp(preset(pid, grid_n=21)[0])
         solve_primal(lp)
         assert lp.solution.phase1_iterations == 0
-        assert lp.solution.iterations > 0
+        assert (lp.solution.iterations == 0) == (pid == "linear")
 
     def test_states_without_zero_cell_run_phase_one(self):
-        lp = build_lp(preset("contest", grid_n=21)[0])
+        lp = build_lp(shifted_contest(21))
         solve_primal(lp)
         assert lp.solution.phase1_iterations > 0
 
@@ -152,7 +167,8 @@ class TestDuals:
         # disclosed rows pin q through the row ratio; paired rows through the
         # basis dual
         single = np.array([np.count_nonzero(out.mass[iy] > 1e-9) == 1 for iy in rows])
-        q_est = np.where(single, pr.q_row[rows], pr.q[rows])
+        q_row = np.array([_q_from_row(pb, out, int(iy)) for iy in rows])
+        q_est = np.where(single, q_row, pr.q[rows])
         assert np.nanmax(np.abs(q_est - qc)) < 1e-2
 
 
@@ -227,7 +243,7 @@ class TestComplementarySlackness:
         # one equation, one unknown: the row ratio gives the multiplier
         # exactly, and the basis dual agrees to within a grid cell
         iy = pb.actions.nearest(0.5)
-        assert pr.q_row[iy] == pytest.approx(0.0, abs=1e-12)
+        assert _q_from_row(pb, out, iy) == pytest.approx(0.0, abs=1e-12)
         assert rep.max_q_residual <= 2.0 * pb.actions.max_spacing
 
     def test_generic_three_state_pooling_is_stationarity_infeasible(self):
@@ -280,12 +296,11 @@ class TestSolvedOnce:
         vanishes = pb.u_y_vanishes()
         assert vanishes == (pid in ("example_c2", "quantile"))
         assert rep.applicable == (not vanishes)
-        assert bool(np.all(np.isnan(prices.q_row))) == vanishes
 
 
 class TestDegenerateDual:
-    """No catalog preset reaches dual recovery, so these shift the basis dual
-    of one support row and let ``solve_dual`` repair it."""
+    """No catalog preset ends with infeasible basis duals, so this shifts the
+    basis dual of one support row and lets ``solve_dual`` refuse it."""
 
     @staticmethod
     def shifted(pid):
@@ -297,23 +312,9 @@ class TestDegenerateDual:
         return lp, out
 
     def test_failed_recovery_raises(self):
-        # on example_c1@21 q_row itself leaves the no-profit constraints
-        # violated by grid-scale amounts, so the repair cannot succeed
         lp, out = self.shifted("example_c1")
         with pytest.raises(DegenerateBasis, match="dual recovery failed"):
             solve_dual(lp, out)
-
-    def test_recovery_restores_row_multipliers(self):
-        # on these presets q_row keeps the clean basis dual feasible, so the
-        # shifted row is repaired from it
-        for pid in ("linear", "rayo_segal"):
-            lp, out = self.shifted(pid)
-            shifted_q = -lp.solution.duals[lp.problem.n_states :]
-            prices = solve_dual(lp, out)
-            assert prices.degenerate is True
-            assert prices.feasibility_residual >= -1e-7
-            assert not np.array_equal(prices.q, shifted_q)
-            assert np.array_equal(prices.q, np.where(np.isnan(prices.q_row), shifted_q, prices.q_row))
 
 
 def direct_objective(lp):
@@ -348,14 +349,14 @@ class TestSifting:
         assert bundle["prices"].degenerate is False
 
     def test_phase_one_runs_over_all_columns(self, caplog):
-        # contest's crash leaves rows artificial that a working set of
-        # near-tight cells cannot cover: the working set must not decide
-        # feasibility
-        lp = build_lp(preset("contest", grid_n=201)[0])
+        # the crash of the shifted contest leaves every state row
+        # artificial, which a working set of near-tight cells cannot cover:
+        # the working set must not decide feasibility
+        lp = build_lp(shifted_contest(201))
         with caplog.at_level(logging.DEBUG, logger="optrans.lp"):
             _, obj = solve_primal(lp)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
-        assert "n=201: " in line and line.endswith("phase 1 over all columns yes")
+        assert re.search(r"n=201: [^;]* [1-9]\d* in phase 1, [^;]*$", line)
         direct = direct_objective(lp)
         assert abs(obj - direct) <= 1e-12 * abs(direct)
 
@@ -421,6 +422,120 @@ class TestSifting:
         assert abs(obj - direct_objective(lp)) <= 1e-12 * abs(obj)
 
 
+EQUALITY_PRESETS = [pid for pid in preset_ids() if preset(pid, grid_n=41)[0].obedience == "equality"]
+
+
+class TestStart:
+    """Each level starts next to its optimum: the crash prices each action
+    row at an end of its interval of q, and a finer level starts from the
+    coarse optimal basis."""
+
+    @pytest.mark.parametrize("pid", EQUALITY_PRESETS)
+    def test_crash_prices_each_row_at_an_end_of_its_interval(self, pid):
+        lp = build_lp(preset(pid, grid_n=41)[0])
+        nx, ny = lp.problem.n_states, lp.problem.n_actions
+        U, V = lp.Umat, lp.Vmat
+        kept = np.zeros(U.shape, dtype=bool)
+        kept[lp.col_y, lp.col_x] = True
+        zero = np.abs(U) <= OBEYED_ULPS * np.finfo(float).eps * np.max(np.abs(U[kept]))
+        obeyed = kept & zero
+        disclosed = obeyed.any(axis=0)
+        p = np.max(np.where(obeyed, V, -np.inf), axis=0)
+        start = _crash_basis(lp)
+        # the basis duals of the start, each artificial at cost 0
+        artificial = start < 0
+        B = lp.A[:, np.maximum(start, 0)].toarray()
+        B[:, artificial] = np.eye(lp.n_rows)[:, artificial]
+        duals = np.linalg.solve(B.T, np.where(artificial, 0.0, lp.c[start]))
+        rc = np.full(U.shape, -np.inf)
+        rc[lp.col_y, lp.col_x] = lp.c[: lp.n_mass] - lp.A[:, : lp.n_mass].T @ duals
+        scale = np.max(np.abs(V[kept]))
+        moving_rows = 0
+        for iy in range(ny):
+            cells = np.nonzero(kept[iy] & ~zero[iy] & disclosed)[0]
+            if cells.size == 0:
+                assert start[nx + iy] == -1
+                continue
+            moving_rows += 1
+            q = (p[cells] - V[iy, cells]) / U[iy, cells]
+            below, above = q[U[iy, cells] < 0], q[U[iy, cells] > 0]
+            j = start[nx + iy]
+            assert lp.col_y[j] == iy and not zero[iy, lp.col_x[j]]
+            got = (p[lp.col_x[j]] - V[iy, lp.col_x[j]]) / U[iy, lp.col_x[j]]
+            assert got == (np.max(below) if below.size else np.min(above))
+            if not (below.size and above.size and np.max(below) > np.min(above)):
+                # the row's interval is not empty: its q prices out the row
+                assert np.max(rc[iy, cells]) <= 1e-9 * scale
+        assert moving_rows > 0
+
+    @pytest.mark.parametrize("pid", ["linear", "rayo_segal"])
+    def test_full_disclosure_start_is_optimal(self, pid):
+        lp = build_lp(preset(pid, grid_n=41)[0])
+        solve_primal(lp)
+        assert lp.solution.iterations == 0
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_finer_levels_adopt_the_coarse_basis(self, pid, caplog):
+        # n=121 is sifted from n=61, which is sifted from n=31; affiliated's
+        # inequality rows take disclosed cells with u > 0, which the coarse
+        # basis does not carry, and stress_test has 9 states
+        lp = build_lp(preset(pid, grid_n=121)[0])
+        with caplog.at_level(logging.DEBUG, logger="optrans.simplex"):
+            solve_primal(lp)
+        lines = [r.getMessage() for r in caplog.records if r.name == "optrans.simplex"]
+        starts = [line.split(", ")[0] for line in lines if line.startswith("phase 1: ")]
+        adopted = {"stress_test": [], "affiliated": ["phase 1: start proposal 1 of 2 adopted"] * 2}
+        assert starts[0] == "phase 1: start proposal 0 of 1 adopted"
+        assert starts[1:] == adopted.get(pid, ["phase 1: start proposal 0 of 2 adopted"] * 2)
+
+    def test_mapped_basis_keeps_the_coarse_cells(self):
+        lp = build_lp(preset("example_c1", grid_n=81)[0])
+        coarse = build_lp(_coarsen(lp.problem))
+        res = solve_standard_form(coarse.A, coarse.b, coarse.c, start=_crash_basis(coarse))
+        crash = _crash_basis(lp)
+        warm = _mapped_basis(lp, coarse, res, crash)
+        keep = _every_other(81)
+        kept_rows = np.concatenate([keep, lp.problem.n_states + keep])
+        odd = np.setdiff1d(np.arange(lp.n_rows), kept_rows)
+        assert np.array_equal(warm[odd], crash[odd])
+        cells = sorted(zip(keep[coarse.col_y[res.basis]], keep[coarse.col_x[res.basis]]))
+        assert sorted(zip(lp.col_y[warm[kept_rows]], lp.col_x[warm[kept_rows]])) == cells
+
+
+class TestCoarsen:
+    def test_every_other_keeps_both_ends(self):
+        assert _every_other(5).tolist() == [0, 2, 4]
+        assert _every_other(6).tolist() == [0, 2, 4, 5]
+
+    def test_prior_is_restricted_and_renormalized(self):
+        pb = preset("example_c3", grid_n=101)[0]
+        coarse = _coarsen(pb)
+        keep = _every_other(101)
+        assert np.array_equal(coarse.states.points, pb.states.points[keep])
+        assert np.array_equal(coarse.actions.points, pb.actions.points[keep])
+        assert np.array_equal(coarse.prior, pb.prior[keep] / pb.prior[keep].sum())
+
+    def test_massless_kept_states_stop_the_chain(self, monkeypatch, caplog):
+        n = 2 * SIFT_MIN_STATES + 1
+        prior = np.zeros(n)
+        prior[1::2] = 1.0 / (n // 2)  # every kept state has prior 0
+        pb = Problem(
+            states=uniform(0.0, 1.0, n),
+            actions=uniform(0.0, 1.0, n, "action"),
+            prior=prior,
+            V=lambda y, x: y * y + 0.0 * x,
+            u=lambda y, x: x - y,
+        )
+        assert _coarsen(pb) is None
+        calls = TestSifting.simplex_calls(monkeypatch)
+        lp = build_lp(pb)
+        with caplog.at_level(logging.DEBUG, logger="optrans.lp"):
+            solve_primal(lp)
+        assert calls == [(lp.c.size, None)]
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
+        assert line.startswith(f"outcome LP: n={n}: ") and ";" not in line
+
+
 def warm_start(res, cols, n_rows):
     """Start basis, in LP column indices, from an optimal basis over the
     columns ``cols``: each row the simplex dropped keeps its artificial."""
@@ -431,18 +546,18 @@ def warm_start(res, cols, n_rows):
 
 def sifted_by_rounds(lp, coarse, coarse_res):
     """Reference for one sifted level, with the sifting outside the simplex:
-    phase 1 over every column first, as a separate call, where the crash
-    leaves rows artificial; then one call per pricing round on the sub-LP
-    ``A[:, cols]`` of the working set, from the last optimal basis, until a
-    pass over every column adds nothing."""
+    phase 1 over every column first, as a separate call from the level's
+    start proposals (the coarse basis mapped to this grid, then the crash);
+    then one call per pricing round on the sub-LP ``A[:, cols]`` of the
+    working set, from the last optimal basis, until a pass over every column
+    adds nothing."""
     A, b, c = lp.A, lp.b, lp.c
     n = c.size
-    start_cols = _crash_basis(lp)
-    iterations = phase1 = 0
-    if np.any(start_cols < 0):
-        feas = solve_standard_form(A, b, np.zeros(n), start=start_cols)
-        iterations, phase1 = feas.iterations, feas.phase1_iterations
-        start_cols = warm_start(feas, np.arange(n), lp.n_rows)
+    crash = _crash_basis(lp)
+    proposals = np.stack([_mapped_basis(lp, coarse, coarse_res, crash), crash])
+    feas = solve_standard_form(A, b, np.zeros(n), start=proposals)
+    iterations, phase1 = feas.iterations, feas.phase1_iterations
+    start_cols = warm_start(feas, np.arange(n), lp.n_rows)
     pb, cpb = lp.problem, coarse.problem
     y = np.concatenate(
         [

@@ -100,6 +100,7 @@ class TestStartBasis:
         [
             np.array([1, 1]),  # singular: one column twice
             np.array([0, 2]),  # nonsingular, but x3 = -1/4
+            np.array([[1, 1], [0, 2]]),  # two proposals, neither usable
         ],
     )
     def test_unusable_start_falls_back_to_artificials(self, start):
@@ -109,11 +110,30 @@ class TestStartBasis:
         assert (res.iterations, res.phase1_iterations) == (plain.iterations, plain.phase1_iterations)
         assert plain.phase1_iterations > 0
 
+    def test_first_usable_proposal_is_adopted(self, caplog):
+        plain = solve_standard_form(self.A, self.b, self.c, start=np.array([0, 1]))
+        with caplog.at_level(logging.DEBUG, logger="optrans.simplex"):
+            res = solve_standard_form(self.A, self.b, self.c, start=np.array([[0, 2], [0, 1]]))
+        assert (res.iterations, res.phase1_iterations) == (plain.iterations, 0)
+        assert np.array_equal(res.basis, plain.basis)
+        lines = [r.getMessage() for r in caplog.records if r.name == "optrans.simplex"]
+        assert "phase 1: start proposal 1 of 2 adopted, skipped, the start basis is feasible" in lines
+
+    def test_phase_one_record_names_the_start(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="optrans.simplex"):
+            solve_standard_form(self.A, self.b, self.c, start=np.array([[1, 1], [0, -1]]))
+            solve_standard_form(self.A, self.b, self.c)
+        lines = [r.getMessage() for r in caplog.records if r.name == "optrans.simplex"]
+        heads = [line.split(", ")[0] for line in lines if line.startswith("phase 1: ")]
+        assert heads == ["phase 1: start proposal 1 of 2 adopted", "phase 1: no start proposal adopted"]
+
     def test_malformed_start_rejected(self):
         with pytest.raises(OptransError):
             solve_standard_form(self.A, self.b, self.c, start=np.array([0, 3]))
         with pytest.raises(OptransError):
             solve_standard_form(self.A, self.b, self.c, start=np.array([0]))
+        with pytest.raises(OptransError):
+            solve_standard_form(self.A, self.b, self.c, start=np.zeros((1, 1, 2), dtype=int))
 
 
 def bounded_program(rng, m, n, density):
