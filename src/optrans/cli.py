@@ -109,12 +109,23 @@ def _preset(preset_id, grid_n, actions_n, params: dict) -> tuple:
 
 
 def _spec_int(doc: dict, key: str, default):
-    """``doc[key]`` as an int; absent, or null where ``default`` is None, gives ``default``."""
+    """``doc[key]`` as an int; absent, or null where ``default`` is None, gives
+    ``default``.  Anything but an integral JSON number (a bool, a string, 21.9)
+    is a ParseError."""
     value = doc.get(key, default)
-    try:
-        return value if value is default else int(value)
-    except (TypeError, ValueError, OverflowError):
+    if value is default:
+        return value
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ParseError(f"field {key!r} must be an integer, got {value!r}", field=key)
+    return int(value)
+
+
+def _spec_bool(doc: dict, key: str, default: bool) -> bool:
+    """``doc[key]``, which must be a JSON boolean; absent gives ``default``."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(f"field {key!r} must be true or false, got {value!r}", field=key)
+    return value
 
 
 def _spec_array(doc: dict, key: str) -> np.ndarray:
@@ -185,7 +196,7 @@ def load_problem(path) -> tuple:
         V_yx=tables.get("V_yx"),
         u_yx=tables.get("u_yx"),
         tie_break=doc.get("tie_break", "strict_foc"),
-        smooth=bool(doc.get("smooth", True)),
+        smooth=_spec_bool(doc, "smooth", True),
         obedience=doc.get("obedience", "equality"),
         name=doc.get("name", Path(path).stem),
     )

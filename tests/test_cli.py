@@ -69,6 +69,27 @@ class TestLoadProblem:
             load_problem(write_spec(tmp_path, doc))
         assert err.value.field == "prior"
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("smooth", "false"),  # bool("false") is True: it took the local curvature route
+            ("grid_n", 21.9),  # int() truncated it to 21
+            ("grid_n", True),  # int() read it as 1
+            ("actions_n", True),
+        ],
+    )
+    def test_loose_scalar_names_field(self, tmp_path, field, value):
+        doc = INLINE_SPEC if field == "smooth" else {"schema_version": 1, "preset": "example_c1"}
+        with pytest.raises(ParseError) as err:
+            load_problem(write_spec(tmp_path, {**doc, field: value}))
+        assert err.value.field == field
+
+    def test_strict_scalars_still_load(self, tmp_path):
+        pb, _ = load_problem(write_spec(tmp_path, {**INLINE_SPEC, "smooth": False}))
+        assert pb.smooth is False
+        pb, _ = load_problem(write_spec(tmp_path, {"schema_version": 1, "preset": "example_c1", "grid_n": 21.0}))
+        assert pb.n_states == 21
+
     def test_schema_version_mismatch(self, tmp_path):
         with pytest.raises(SchemaVersionMismatch):
             load_problem(write_spec(tmp_path, {"schema_version": 99, "preset": "linear"}))
@@ -268,6 +289,22 @@ class TestCommands:
             subprocess.run(cmd, env=env, capture_output=True, check=True)
         one, two = ((tmp_path / t / "summary.json").read_bytes() for t in ("1", "2"))
         assert one == two
+
+    def test_solve_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the simplex's eta block is dense products: they must not round
+        # differently when OpenBLAS may split them over threads
+        src = str(Path(optrans.__file__).resolve().parents[1])
+        code = "import sys; from optrans.cli import main; sys.exit(main())"
+        argv = ["solve", "--preset", "contest", "--grid-n", "201", "--out"]
+        for out in ("one", "unset"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if out == "one":
+                env["OPENBLAS_NUM_THREADS"] = "1"
+            cmd = [sys.executable, "-c", code, *argv, str(tmp_path / out)]
+            subprocess.run(cmd, env=env, capture_output=True, check=True)
+        for name in ("summary.json", "prices.csv", "outcome.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes(), name
 
     def test_nad_debug_log_leaves_artifacts_unchanged(self, tmp_path, caplog):
         argv = ["nad", "--preset", "translation_receiver", "--grid-n", "41", "--out"]

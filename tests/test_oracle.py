@@ -47,8 +47,8 @@ def test_presets_match_highs(pid):
 
 @pytest.mark.parametrize("pid", preset_ids())
 def test_presets_match_highs_at_n41(pid):
-    # about 1,700 columns, so a full pricing pass finds more attractive
-    # columns than the simplex's candidate list holds
+    # about 1,700 columns, so a pricing pass finds many attractive
+    # columns at once
     check_against_highs(build_lp(preset(pid, grid_n=41)[0]))
 
 
