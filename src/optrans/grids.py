@@ -48,14 +48,15 @@ class Grid:
     def max_spacing(self) -> float:
         return float(np.max(np.diff(self.points)))
 
-    def nearest(self, value: float) -> int:
-        """Index of the closest grid point."""
-        i = int(np.searchsorted(self.points, value))
-        if i == 0:
-            return 0
-        if i >= len(self):
-            return len(self) - 1
-        return i if self.points[i] - value < value - self.points[i - 1] else i - 1
+    def nearest(self, value):
+        """Index of the closest grid point, the lower one on a tie; an int for
+        a scalar ``value``, an index array of its shape for an array."""
+        pts, v = self.points, np.asarray(value, dtype=float)
+        j = np.clip(np.searchsorted(pts, v), 1, len(self) - 1)
+        # step down to j - 1 unless point j is strictly closer; a value past
+        # either end, NaN included (it sorts last), keeps the end point
+        idx = j - (pts[j] - v >= v - pts[j - 1])
+        return int(idx) if idx.ndim == 0 else idx
 
     def snap(self, value: float) -> int:
         """Nearest index, failing when ``value`` is over half a local cell away."""

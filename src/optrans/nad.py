@@ -14,9 +14,11 @@ downward with an embedded 4th/5th order Runge-Kutta pair and stops at the
 collision chi1 = chi2 by event detection.  A trial top action that is off
 makes one pair bound veer onto the pivot curve before the collision; the
 squared pair gap at that veer event, signed by the side, is a continuous
-miss, and the top action is shot by regula falsi on it.  The multiplier
-mismatch at the collision against -V_y / u_y evaluated at the disclosed state
-is reported as the terminal residual.
+miss, and the top action is shot by regula falsi on it.  Only where that
+shooting brackets the top action with a shot that reached the action floor,
+and so may stop on a grazing collision, is it repeated at a smaller
+collision gap.  The multiplier mismatch at the collision against -V_y / u_y
+evaluated at the disclosed state is reported as the terminal residual.
 
 Quantile-style instances (u = 1{x >= y} - kappa) bypass the ODE: there
 chi2(y) = y and chi1 solves kappa * F(chi1) = (1 - kappa) * (1 - F(y)) with
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoRoot, ShootingFailed, StiffStep
+from .errors import IllPosed, NoRoot, ShootingFailed, StiffStep
 from .model import Outcome, Posterior, Problem, _root, chi, gamma, outcome_from_mass
 
 RTOL = 1e-8  # RK45 tolerances of every shot
@@ -123,14 +125,6 @@ def _pair_rhs(problem: Problem, density, h: float, y, state) -> list:
     if not all(math.isfinite(v) for v in out):
         raise StiffStep(f"pair system not finite at y={float(y)!r}")
     return out
-
-
-def _rho(problem: Problem, y, c1, c2) -> float:
-    u1 = float(problem.u(np.array([y]), np.array([c1]))[0])
-    u2 = float(problem.u(np.array([y]), np.array([c2]))[0])
-    if u2 == u1:
-        return 0.5
-    return float(u2 / (u2 - u1))
 
 
 def _shoot(problem: Problem, density: Callable, y_top: float, gap: float):
@@ -228,16 +222,21 @@ def solve_nad(
     ``MAX_REBISECT`` shots at a gap 100 times smaller, starting from the
     first-stage bracket and its measured misses (a shot that veered never
     came within the larger gap, so its side and miss stand), or from the two
-    ends of a narrow window when the scan itself hit.  It stops at the
-    miss's noise floor, a shot whose |miss| is not below the smaller of its
-    bracket ends' (on a line every false-position step lands below both),
-    and the first-stage hit stands when it catches no collision.  Every shot
-    keeps its dense interpolant, and the solution is read off the colliding
-    shot's, so no top action is integrated twice.  One DEBUG record on logger
-    ``optrans.nad`` gives the shots per stage, the RHS evaluations, how the
-    second stage ended and the midpoint steps an end at the action floor
-    forced.  Quantile-style instances take the direct route through
-    ``prior_density`` and ``prior_cdf``.
+    ends of a narrow window when the scan itself hit.  It runs only when the
+    scan hit or an end of the bracket reached the action floor: there the
+    first-stage hit may be a grazing collision, and the smaller gap pins the
+    bottom action.  When both ends veered it is skipped, since the smaller
+    gap asks for a miss, (gap/span)^2 below 1e-12, under the noise floor of
+    the ODE at ``RTOL``.  It stops at that noise floor, a shot whose |miss|
+    is not below the smaller of its bracket ends' (on a line every
+    false-position step lands below both), and the first-stage hit stands
+    when it catches no collision.  Every shot keeps its dense interpolant,
+    and the solution is read off the colliding shot's, so no top action is
+    integrated twice.  One DEBUG record on logger ``optrans.nad`` gives the
+    shots per stage, the RHS evaluations, how the second stage ended
+    (collided, fell back to the stage-1 hit, or skipped) and the midpoint
+    steps an end at the action floor forced.  Quantile-style instances take
+    the direct route through ``prior_density`` and ``prior_cdf``.
     """
     if problem.quantile_kappa is not None:
         return _solve_quantile(problem, prior_density, prior_cdf)
@@ -329,7 +328,10 @@ def solve_nad(
         np.minimum(c1s, cx, out=c1s)
         np.maximum(c2s, cx, out=c2s)
         qs = np.append(vals[2], qe)
-        rhos = np.array([_rho(problem, y, c1, c2) for y, c1, c2 in zip(ys, c1s, c2s)])
+        u1 = np.asarray(problem.u(ys, c1s), dtype=float)
+        u2 = np.asarray(problem.u(ys, c2s), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhos = np.where(u2 == u1, 0.5, u2 / (u2 - u1))
         rhos[-1] = 0.5
         return NadSolution(
             y_low=float(y_low),
@@ -359,19 +361,22 @@ def solve_nad(
         (a, *_), (b, *_) = bracket
         raise StiffStep(f"veer bisection narrowed to [{a!r}, {b!r}] without catching the collision")
     stage1 = tally["shots"]
-    # second stage: the same narrowing at a gap 100 times smaller pins the
-    # top action tighter; the first-stage bracket keeps its sides and misses
-    # there, and only a scan hit, which has no bracket, opens a narrow window
-    if bracket is None:
-        y = hit[0]
-        width = max(1e-7 * max(1.0, abs(y)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
-        bracket = map(probe, [y - width, y + width])
-    stop_gap = base_gap / 100.0
-    found, _, _ = search(bracket, MAX_REBISECT)
+    # second stage, only where the stage-1 hit may be a grazing collision
+    # (an end of the bracket at the action floor) or has no bracket (a scan
+    # hit, which opens a narrow window): the same narrowing at a gap 100
+    # times smaller, the bracket keeping its sides and misses
+    found, ended = hit, "skipped: both bracket ends veered"
+    if bracket is None or bracket[0][2] is None or bracket[1][2] is None:
+        if bracket is None:
+            y = hit[0]
+            width = max(1e-7 * max(1.0, abs(y)), 4.0 * abs(grid[1] - grid[0]) * 2.0 ** (-MAX_BISECT))
+            bracket = map(probe, [y - width, y + width])
+        stop_gap = base_gap / 100.0
+        found, _, _ = search(bracket, MAX_REBISECT)
+        ended = "collided"
+        if found is None:
+            found, ended = hit, "fell back to the stage-1 hit"
     stage2 = tally["shots"] - stage1
-    ended = "collided"
-    if found is None:
-        found, ended = hit, "fell back to the stage-1 hit"
     sol = finish(found)
     logger.debug(
         "ode: %d shots in stage 1, %d in stage 2 (%s), "
@@ -411,23 +416,31 @@ def _solve_quantile(problem: Problem, density: Callable, cdf: Callable) -> NadSo
 
 
 def nad_outcome(problem: Problem, nad: NadSolution, prior_cdf: Callable) -> Outcome:
-    """Project a pairing solution onto the problem grids as an outcome."""
-    ny, nx = problem.n_actions, problem.n_states
-    mass = np.zeros((ny, nx))
+    """Project a pairing solution onto the problem grids as an outcome.
+
+    Raises ``IllPosed`` naming the node segment when ``prior_cdf`` gives it
+    a non-finite mass."""
+    mass = np.zeros((problem.n_actions, problem.n_states))
     ys = nad.nodes["y"]
     c1s = nad.nodes["chi1"]
     c2s = nad.nodes["chi2"]
-    for k in range(ys.size - 1):
-        m1 = abs(float(prior_cdf(c1s[k]) - prior_cdf(c1s[k + 1])))
-        m2 = abs(float(prior_cdf(c2s[k]) - prior_cdf(c2s[k + 1])))
-        if m1 + m2 <= 0:
-            continue
-        ym = 0.5 * (ys[k] + ys[k + 1])
-        iy = problem.actions.nearest(ym)
-        i1 = problem.states.nearest(0.5 * (c1s[k] + c1s[k + 1]))
-        i2 = problem.states.nearest(0.5 * (c2s[k] + c2s[k + 1]))
-        mass[iy, i1] += m1
-        mass[iy, i2] += m2
+    # the prior mass between nodes k and k + 1 on each side lands on the
+    # cell of the segment midpoints, accumulated in node order
+    F1 = np.asarray(prior_cdf(c1s), dtype=float)
+    F2 = np.asarray(prior_cdf(c2s), dtype=float)
+    m = np.abs(np.stack([F1[:-1] - F1[1:], F2[:-1] - F2[1:]], axis=1))
+    bad = ~np.isfinite(m).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise IllPosed(
+            f"prior mass {m[k].tolist()!r} between pairing nodes {k} and {k + 1} "
+            f"(y={float(ys[k])!r}) is not finite"
+        )
+    # every m is now finite and >= +0.0, and adding +0.0 leaves a cell's
+    # bits as they are, so segments without mass need no mask
+    iy = problem.actions.nearest(0.5 * (ys[:-1] + ys[1:]))
+    ix = problem.states.nearest(0.5 * np.stack([c1s[:-1] + c1s[1:], c2s[:-1] + c2s[1:]], axis=1))
+    np.add.at(mass, (np.repeat(iy, 2), ix.ravel()), m.ravel())
     total = mass.sum()
     if total > 0:
         mass /= total

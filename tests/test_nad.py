@@ -6,12 +6,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from optrans import nad
-from optrans.errors import StiffStep
+from optrans.errors import IllPosed, StiffStep
 from optrans.lp import build_lp, solve_primal
 from optrans.nad import _pair_rhs, _q_pair, _shoot, nad_outcome, solve_nad, verify_against_lp
 from optrans.presets import preset
 
 E = float(np.e)
+ODE_PRESETS = ["option_pricing", "translation_sender", "translation_receiver", "example_c1", "contest"]
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +140,9 @@ class TestShooting:
     def test_one_dense_shot(self, pid, monkeypatch):
         # every shot keeps its interpolant, and the solution samples exactly
         # one of them: the colliding shot at the returned top action; on
-        # translation_sender and example_c1 the second stage catches no
-        # collision and the first-stage hit's interpolant is the one read
+        # translation_sender and example_c1 both bracket ends veer, the
+        # second stage is skipped and the first-stage hit's interpolant is
+        # the one read
         problem, meta = preset(pid, grid_n=41)
         dense, sampled = [], []
 
@@ -166,18 +168,18 @@ class TestShooting:
     @pytest.mark.parametrize(
         "pid,cap",
         [
-            ("example_c1", 22),
-            ("contest", 19),
-            ("translation_sender", 19),
+            ("example_c1", 18),
+            ("contest", 15),
+            ("translation_sender", 13),
             ("option_pricing", 50),
             ("translation_receiver", 70),
         ],
     )
     def test_shots_per_solve(self, pid, cap, monkeypatch):
         # regula falsi on the miss; option_pricing and translation_receiver
-        # reach the action floor below the top action and still bisect there.
-        # Every solve integrates fewer than ``cap`` times: the colliding shot
-        # is not integrated again
+        # reach the action floor below the top action and still bisect there,
+        # and only they run the second stage.  Every solve integrates fewer
+        # than ``cap`` times: the colliding shot is not integrated again
         problem, meta = preset(pid, grid_n=101)
         shots = []
 
@@ -192,8 +194,9 @@ class TestShooting:
     @pytest.mark.parametrize("pid", ["translation_sender", "translation_receiver", "example_c1"])
     def test_debug_record_counts_every_shot(self, pid, monkeypatch, caplog):
         # the solution is read off the colliding shot, so every integration is
-        # a counted shot; on translation_sender and example_c1 the second stage
-        # catches no collision and the first-stage hit's arc is the solution
+        # a counted shot; on translation_sender and example_c1 both bracket
+        # ends veer, the second stage is skipped and the first-stage hit's arc
+        # is the solution
         problem, meta = preset(pid, grid_n=41)
         nfev = []
 
@@ -208,15 +211,37 @@ class TestShooting:
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.nad"]
         m = re.fullmatch(
             r"ode: (\d+) shots in stage 1, (\d+) in stage 2 "
-            r"\((collided|fell back to the stage-1 hit)\), "
+            r"\((collided|fell back to the stage-1 hit|skipped: both bracket ends veered)\), "
             r"(\d+) RHS evaluations, (\d+) midpoint steps at the action floor",
             line,
         )
         assert m, line
-        assert (m[3] == "collided") == (pid == "translation_receiver")
+        want = "collided" if pid == "translation_receiver" else "skipped: both bracket ends veered"
+        assert m[3] == want
+        assert (int(m[2]) == 0) == (want != "collided")
         assert int(m[1]) + int(m[2]) == len(nfev)
         assert int(m[4]) == sum(nfev)
         assert int(m[5]) <= int(m[1]) + int(m[2])
+
+    @pytest.mark.parametrize("pid", ODE_PRESETS)
+    def test_second_stage_only_on_floor_brackets(self, pid, monkeypatch):
+        # the smaller second-stage gap is shot only where an end of the
+        # stage-1 bracket reached the action floor (option_pricing and
+        # translation_receiver); where both ends veered it is never shot
+        problem, meta = preset(pid, grid_n=41)
+        base = nad.COLLISION_FRAC * problem.states.span
+        gaps = []
+        shoot = nad._shoot
+
+        def spy(problem, density, y_top, gap):
+            gaps.append(gap)
+            return shoot(problem, density, y_top, gap)
+
+        monkeypatch.setattr(nad, "_shoot", spy)
+        solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
+        floor = pid in ("option_pricing", "translation_receiver")
+        assert set(gaps) == ({base, base / 100.0} if floor else {base})
+        assert gaps == sorted(gaps, reverse=True)  # stage 2 follows stage 1
 
     def test_miss_grows_with_the_offset(self, c1_nad):
         # the premise of regula falsi: near the solved top action the miss has
@@ -231,6 +256,96 @@ class TestShooting:
                 assert side == sign and miss is not None and np.sign(miss) == sign
                 sizes.append(abs(miss))
             assert sizes == sorted(set(sizes))
+
+
+def per_node_mass(problem, sol, prior_cdf):
+    """The pairing projected onto the grids one node segment at a time."""
+    mass = np.zeros((problem.n_actions, problem.n_states))
+    ys, c1s, c2s = sol.nodes["y"], sol.nodes["chi1"], sol.nodes["chi2"]
+    for k in range(ys.size - 1):
+        m1 = abs(float(prior_cdf(c1s[k]) - prior_cdf(c1s[k + 1])))
+        m2 = abs(float(prior_cdf(c2s[k]) - prior_cdf(c2s[k + 1])))
+        if m1 + m2 <= 0:
+            continue
+        iy = problem.actions.nearest(0.5 * (ys[k] + ys[k + 1]))
+        i1 = problem.states.nearest(0.5 * (c1s[k] + c1s[k + 1]))
+        i2 = problem.states.nearest(0.5 * (c2s[k] + c2s[k + 1]))
+        mass[iy, i1] += m1
+        mass[iy, i2] += m2
+    total = mass.sum()
+    if total > 0:
+        mass /= total
+    return mass
+
+
+def scalar_rho(problem, y, c1, c2):
+    """The mixing weight u2 / (u2 - u1) at one node from one-point calls of u."""
+    u1 = float(problem.u(np.array([y]), np.array([c1]))[0])
+    u2 = float(problem.u(np.array([y]), np.array([c2]))[0])
+    if u2 == u1:
+        return 0.5
+    return float(u2 / (u2 - u1))
+
+
+@pytest.fixture(scope="module")
+def solved():
+    cache = {}
+
+    def get(pid, n):
+        if (pid, n) not in cache:
+            problem, meta = preset(pid, grid_n=n)
+            cache[pid, n] = problem, meta, solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
+        return cache[pid, n]
+
+    return get
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("n", [41, 101])
+    @pytest.mark.parametrize("pid", ODE_PRESETS + ["example_c2"])
+    def test_projection_matches_per_node_loop_bitwise(self, pid, n, solved):
+        problem, meta, sol = solved(pid, n)
+        got = nad_outcome(problem, sol, meta.prior_cdf).mass
+        assert got.tobytes() == per_node_mass(problem, sol, meta.prior_cdf).tobytes()
+
+    @pytest.mark.parametrize("n", [41, 101])
+    @pytest.mark.parametrize("pid", ODE_PRESETS)
+    def test_rho_matches_scalar_formula_bitwise(self, pid, n, solved):
+        problem, _, sol = solved(pid, n)
+        nodes = sol.nodes
+        want = np.array([scalar_rho(problem, *v) for v in zip(nodes["y"], nodes["chi1"], nodes["chi2"])])
+        want[-1] = 0.5  # the collision node
+        assert nodes["rho"].tobytes() == want.tobytes()
+
+    def test_projection_accumulates_in_node_order(self):
+        # one cell takes 2**-52 (chi1), 2**-52 (chi2), then 2 (chi1): in node
+        # order that is 2 + 2**-51, while all chi1 masses first round to 2
+        problem, _ = preset("example_c1", grid_n=21)
+        c1s = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 2.0])
+        c2s = np.array([1.0 + 3e-9, 1.0 + 4e-9, 1.0 + 5e-9, 1.0 + 6e-9])
+        tiny = 2.0**-52
+        table = dict(zip(c1s, [2.0, 2.0 - tiny, -tiny, 1.0 - tiny]))
+        table.update(zip(c2s, [0.0, tiny, tiny, tiny]))
+        cdf = np.vectorize(table.__getitem__, otypes=[float])
+        ys = np.full(4, 1.2)
+        sol = nad.NadSolution(1.2, 1.2, {"y": ys, "chi1": c1s, "chi2": c2s}, 0.0)
+        got = nad_outcome(problem, sol, cdf).mass
+        want = per_node_mass(problem, sol, cdf)
+        assert got.tobytes() == want.tobytes()
+        assert want.max() == (2.0 + 2.0**-51) / (3.0 + 2.0**-51)
+
+    def test_non_finite_node_mass_raises(self, c1_nad):
+        problem, meta, sol = c1_nad
+        c2s = sol.nodes["chi2"]
+        bad = c2s[40]
+
+        def cdf(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x == bad, np.nan, meta.prior_cdf(x))
+
+        k = max(int(np.argmax(c2s == bad)) - 1, 0)  # first segment touching the NaN node
+        with pytest.raises(IllPosed, match=rf"between pairing nodes {k} and {k + 1} "):
+            nad_outcome(problem, sol, cdf)
 
 
 class TestQuantileRoute:
