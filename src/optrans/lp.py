@@ -368,17 +368,29 @@ def _crash_basis(lp: LPInstance) -> np.ndarray:
             start[nx] = lp.c.size - 1 if level >= 0 else lp.c.size - 2
     else:
         moving = kept & ~obeyed & has
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = (lp.Vmat[best, np.arange(nx)] - lp.Vmat) / lp.Umat
         below, above = moving & (lp.Umat < 0), moving & (lp.Umat > 0)
-        pick = np.where(
-            below.any(axis=1),
-            np.argmax(np.where(below, q, -np.inf), axis=1),
-            np.argmin(np.where(above, q, np.inf), axis=1),
-        )
+        _, at_lo, _, at_hi = q_intervals(lp.Vmat[best, np.arange(nx)], lp.Vmat, lp.Umat, below, above)
+        pick = np.where(below.any(axis=1), at_lo, at_hi)
         rows = np.nonzero(moving.any(axis=1))[0]
         start[nx + rows] = cell[rows, pick[rows]]
     return start
+
+
+def q_intervals(p, V, U, below, above) -> tuple:
+    """Per action row of the (action x state) tables V and U, the interval
+    [lo, hi] of multipliers q under which the row's ``below`` (u < 0) and
+    ``above`` (u > 0) cells price out against the state prices p, that is
+    V + q U <= p: lo is the largest (p - V) / U over the row's ``below``
+    cells, -inf on a row without one, and hi the smallest over its
+    ``above`` cells, +inf on a row without one.  Returns (lo, the state index
+    attaining lo, hi, the state index attaining hi), the first state on
+    ties."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (p - V) / U
+    lo, hi = np.where(below, q, -np.inf), np.where(above, q, np.inf)
+    at_lo, at_hi = np.argmax(lo, axis=1), np.argmin(hi, axis=1)
+    rows = np.arange(q.shape[0])
+    return lo[rows, at_lo], at_lo, hi[rows, at_hi], at_hi
 
 
 def _q_from_row(problem: Problem, outcome: Outcome, iy: int) -> float:

@@ -8,8 +8,9 @@ E_mu[u(y, x)] = 0 (strict mode) or picks the highest grid action with a
 nonnegative aggregate (sender-favorable mode, for discontinuous u);
 ``gamma_binary`` does the same, vectorized, for two-point posteriors.
 ``chi`` inverts u in the state argument: the state at which a given action
-is exactly optimal.  Every root comes from one vectorized safeguarded Newton
-iteration, ``_root``.
+is exactly optimal, and ``chi_array`` does the same for many actions at
+once.  Every root comes from one vectorized safeguarded Newton iteration,
+``_root``.
 """
 
 from __future__ import annotations
@@ -443,6 +444,35 @@ def chi(problem: Problem, y: float) -> float:
     lo, hi = problem.states.lo, problem.states.hi
     x, *_ = _root(lambda x, a: problem.u(a, x), lambda x, a: problem.u_x(a, x), lo, hi, y)
     return float(x)
+
+
+def chi_array(problem: Problem, ys) -> tuple[np.ndarray, dict]:
+    """``chi`` at every action of ``ys``, bit for bit, by one ``_root`` call
+    over the actions where u(y, .) changes sign on the state range.  Returns
+    the roots, NaN at each action where ``chi`` raises ``NoRoot``, and a dict
+    from the index of each action where ``chi`` raises ``IllPosed`` to that
+    exception, for a scan to raise when it reaches that action.  A NaN at an
+    iterate stops the one call, so the actions are then solved one at a
+    time by ``chi``."""
+    ys = np.asarray(ys, dtype=float)
+    lo, hi = problem.states.lo, problem.states.hi
+    flo = np.asarray(problem.u(ys, np.full(ys.shape, lo)), dtype=float)
+    fhi = np.asarray(problem.u(ys, np.full(ys.shape, hi)), dtype=float)
+    nan = np.isnan(flo) | np.isnan(fhi)
+    errors = {int(i): IllPosed("first-order condition is NaN at an end of its bracket") for i in np.flatnonzero(nan)}
+    same = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0) & (fhi != 0.0)
+    idx = np.flatnonzero(~nan & ~same)
+    out = np.full(ys.shape, np.nan)
+    if idx.size:
+        try:
+            out[idx], *_ = _root(lambda x, a: problem.u(a, x), lambda x, a: problem.u_x(a, x), lo, hi, ys[idx])
+        except IllPosed:
+            for i in idx:
+                try:
+                    out[i] = chi(problem, float(ys[i]))
+                except IllPosed as exc:
+                    errors[int(i)] = exc
+    return out, errors
 
 
 def indirect_utility(problem: Problem, mu: Posterior) -> float:

@@ -5,8 +5,9 @@ certificate where it can prove the sign and by the exact O(n^3)-per-action
 sweep where it cannot, greedy pairwise splitting of posteriors,
 single-dipped / single-peaked classification of outcomes and contact sets,
 three-point re-pairing certificates via a theorem of alternatives, grid
-sufficient conditions for dipped / peaked disclosure, and the
-full-disclosure / pooling condition sweeps.
+sufficient conditions for dipped / peaked disclosure, the full-disclosure
+test by the action rows of the LP dual, and the full-disclosure / pooling
+condition sweeps.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import IllPosed, NoRoot, NotStrictlyDipped
-from .lp import MASS_TOL, ContactSet
-from .model import PAIR_BLOCK, Outcome, Posterior, Problem, Signal, chi, gamma, gamma_binary
+from .errors import IllPosed, NotStrictlyDipped
+from .lp import MASS_TOL, ContactSet, q_intervals
+from .model import PAIR_BLOCK, Outcome, Posterior, Problem, Signal, chi, chi_array, gamma, gamma_binary
 from .simplex import solve_standard_form
 
 STRICT_TOL = 1e-8
@@ -141,22 +142,22 @@ def _twist_actions(problem: Problem):
     (y, R, norms, n_low, kh): the rows R = (V_y, u, u_y) at (y, xs) with each
     column scaled by a power of two so that its largest magnitude lies in
     [0.5, 1), exactly; their norms; the number of states below chi(y); and
-    the index of the first state above it.  Actions without a pivot, or with
-    every state on one side of it, are skipped.  Raises ``IllPosed`` on
-    reaching an action whose rows are not finite."""
+    the index of the first state above it.  Every pivot comes from one
+    ``chi_array`` call.  Actions without a pivot, or with every state on one
+    side of it, are skipped.  Raises ``IllPosed`` on reaching an action
+    where ``chi`` raises it or whose rows are not finite."""
     xs = problem.states.points
     nx = xs.size
-    for y in problem.actions.points:
-        yv = np.full(nx, float(y))
-        R = np.stack([np.asarray(f(yv, xs), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)], axis=1)
-        try:
-            pivot = chi(problem, float(y))
-        except NoRoot:
-            continue
+    pivots, errors = chi_array(problem, problem.actions.points)
+    for i, (y, pivot) in enumerate(zip(problem.actions.points, pivots)):
+        if i in errors:
+            raise errors[i]
         n_low = int(np.count_nonzero(xs < pivot))
         kh = int(np.searchsorted(xs, pivot, side="right"))  # first state above chi(y)
-        if n_low == 0 or kh == nx:
+        if np.isnan(pivot) or n_low == 0 or kh == nx:
             continue
+        yv = np.full(nx, float(y))
+        R = np.stack([np.asarray(f(yv, xs), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)], axis=1)
         bad = ~np.isfinite(R).all(axis=1)
         if bad.any():
             x = float(xs[int(np.argmax(bad))])
@@ -765,21 +766,34 @@ class _PooledPairs:
 
 
 def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosureReport:
-    """Sweep all prior-supported state pairs and the rho grid k / m for a
-    pooling deviation that beats splitting by more than 1e-9 times the
-    largest finite |V|, then run the same sweep on the finer grid
-    k / ``REFINE_M`` over the best pair if it beats splitting, else over up
-    to ``NEAR_MAX`` near-tie pairs (largest coarse gain above -64 times that
-    tolerance), largest coarse gain first; the first refined pair that beats
-    splitting is reported.  For a linear receiver the convexity-plus-exchange
-    shortcut is evaluated too and reported when it already decides
-    optimality.  Raises ``IllPosed`` when fewer than two states carry prior
-    mass."""
+    """Decide whether full disclosure is optimal: ``not_optimal`` when some
+    pooling of two prior-supported states beats splitting them by more than
+    tol = 1e-9 times the largest finite |V|.
+
+    The action rows decide first (``_empty_row``): full disclosure is
+    optimal in the grid LP exactly when the disclosed values p(x) are LP
+    prices, so a row that admits no multiplier q with V + q u <= p names a
+    pooling pair.  When that pair's gain, re-swept on the grid
+    k / ``REFINE_M``, beats tol, it is the witness.  Otherwise, and on every
+    problem the rows cannot judge, sweep all pairs and the rho grid k / m,
+    then run the same sweep on the finer grid k / ``REFINE_M`` over the best
+    pair if it beats tol, else over up to ``NEAR_MAX`` near-tie pairs
+    (largest coarse gain above -64 tol), largest coarse gain first; the
+    first refined pair that beats tol is reported.  For a linear receiver
+    the convexity-plus-exchange shortcut is evaluated too and reported when
+    it already decides optimality.  One DEBUG record on logger
+    ``optrans.structure`` names the route: the deciding action and gain for
+    the rows, the reason the rows did not decide for the sweep.  Raises
+    ``IllPosed`` when fewer than two states carry prior mass."""
     Y, X = problem.grids_product()
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
     tol = 1e-9 * scale
     pooled = _PooledPairs(problem)
+    report, why = _empty_row(problem, pooled, Vfinite[:, problem.prior > 0], tol)
+    logger.debug("full disclosure: %s", why)
+    if report is not None:
+        return report
     per_pair, _ = pooled.sweep(m, np.arange(pooled.i1.size))
     worst = float(np.max(per_pair))
     shortcut = _linear_receiver_shortcut(problem)
@@ -804,6 +818,51 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     label = "optimal_unique" if strict else "optimal"
     decided = "convex_supermodular_shortcut" if shortcut else "sweep"
     return FullDisclosureReport(label=label, witness=None, margin=worst, decided_by=decided)
+
+
+def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, tol: float) -> tuple:
+    """The row route of ``check_full_disclosure``: (report, note), the
+    report None when the rows do not decide.  ``V`` is V on the actions x
+    ``pooled``'s states.
+
+    Row y admits q with V(y, x) + q u(y, x) <= p(x) = ``pooled.disc`` on
+    every state exactly when lo_y <= hi_y (``q_intervals``).  An empty row
+    names x1 at lo_y (u1 < 0) and x2 at hi_y (u2 > 0): pooling them at
+    rho = u2 / (u2 - u1), which keeps y obeyed, gains
+    |u1| u2 / (u2 - u1) (lo_y - hi_y) over splitting.  The row with the
+    largest gain above ``tol`` decides when its pair, re-swept on the grid
+    k / ``REFINE_M``, still gains more than ``tol``.  Only a ``strict_foc``
+    problem under equality obedience (every row constrained) with no
+    forbidden cells and finite V, u and p is judged."""
+    if problem.tie_break != "strict_foc":
+        return None, "sweep (not strict_foc)"
+    if problem.obedience != "equality":
+        return None, "sweep (inequality obedience)"
+    if problem.forbidden is not None:
+        return None, "sweep (forbidden cells)"
+    Y, X = np.meshgrid(problem.actions.points, pooled.vals, indexing="ij")
+    U = np.asarray(problem.u(Y, X), dtype=float)
+    if not (np.isfinite(V).all() and np.isfinite(U).all() and np.isfinite(pooled.disc).all()):
+        return None, "sweep (non-finite table)"
+    below, above = U < 0, U > 0
+    lo, i1, hi, i2 = q_intervals(pooled.disc, V, U, below, above)
+    rows = np.arange(U.shape[0])
+    u1, u2 = U[rows, i1], U[rows, i2]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without a u < 0 or a u > 0 cell
+        gain = np.where(below.any(axis=1) & above.any(axis=1), np.abs(u1) * u2 / (u2 - u1) * (lo - hi), -np.inf)
+    k = int(np.argmax(gain))
+    if not gain[k] > tol:
+        return None, f"sweep (no empty row: largest row gain {gain[k]:.3g})"
+    a, b = sorted((int(i1[k]), int(i2[k])))
+    pair = a * pooled.vals.size - a * (a + 1) // 2 + b - a - 1  # its index in np.triu_indices order
+    fine, fine_rho = pooled.sweep(REFINE_M, np.array([pair]))
+    y = float(problem.actions.points[k])
+    if not fine[0] > tol:
+        return None, f"sweep (refined gain {fine[0]:.3g} <= tol at y={y!r})"
+    witness = (*pooled.states(pair), float(fine_rho[0]))
+    return FullDisclosureReport(label="not_optimal", witness=witness, margin=float(fine[0])), (
+        f"rows, empty at y={y!r} with gain {gain[k]:.3g}"
+    )
 
 
 def _linear_receiver_shortcut(problem: Problem) -> bool:
@@ -853,39 +912,44 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
     direct sweep: every prior-supported state pair must admit some pooling
     weight on the grid k / ``RHO_M`` that strictly beats splitting.  The
     sweep runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is
-    built.  Raises ``IllPosed`` when fewer than two states carry prior mass,
-    or when u_y or u_x vanishes at (y, chi(y)) on the local route.
+    built.  The local route finds every pivot chi(y) by one ``chi_array``
+    call and evaluates the criterion at all of them at once.  Raises
+    ``IllPosed`` when fewer than two states carry prior mass, or on the local
+    route at the first action where ``chi`` raises it, where u_y or u_x
+    vanishes at (y, chi(y)), or where the criterion is not finite.
     """
     _supported_states(problem)
     sdpd = check_sdpd_sufficient(problem)
     if sdpd.label == "dipped_strict" and problem.smooth:
         ys = problem.actions.points
-        worst = -np.inf
-        worst_y = None
-        for y in ys:
-            try:
-                cx = chi(problem, float(y))
-            except NoRoot:
-                continue
-            yv = np.array([float(y)])
-            xv = np.array([cx])
-            Vy = float(problem.V_y(yv, xv)[0])
-            Vyy = float(problem.V_yy(yv, xv)[0])
-            Vyx = float(problem.V_yx(yv, xv)[0])
-            uy = float(problem.u_y(yv, xv)[0])
-            uyy = float(problem.u_yy(yv, xv)[0])
-            uyx = float(problem.u_yx(yv, xv)[0])
-            ux = float(problem.u_x(yv, xv)[0])
-            if uy == 0.0 or ux == 0.0:
+        pivots, errors = chi_array(problem, ys)
+        at = np.flatnonzero(~np.isnan(pivots))
+        y, cx = ys[at], pivots[at]
+        Vy, Vyy, Vyx, uy, uyy, uyx, ux = (
+            np.asarray(f(y, cx), dtype=float)
+            for f in (problem.V_y, problem.V_yy, problem.V_yx, problem.u_y, problem.u_yy, problem.u_yx, problem.u_x)
+        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            crit = Vyy - (Vy * uyy / uy + 2.0 * (Vyx * uy - Vy * uyx) / ux)
+        zero = (uy == 0.0) | (ux == 0.0)
+        fails = np.zeros(ys.size, dtype=bool)  # the scan raises at its first failing action
+        fails[list(errors)] = True
+        fails[at[zero | ~np.isfinite(crit)]] = True
+        if fails.any():
+            i = int(np.argmax(fails))
+            if i in errors:
+                raise errors[i]
+            j = int(np.searchsorted(at, i))
+            where = f"at action y = {float(y[j])!r}, chi(y) = {float(cx[j])!r}"
+            if zero[j]:
                 raise IllPosed(
-                    f"NAD condition: u_y = {uy!r} and u_x = {ux!r} at action y = {float(y)!r}, chi(y) = {cx!r}; "
+                    f"NAD condition: u_y = {float(uy[j])!r} and u_x = {float(ux[j])!r} {where}; "
                     "the local criterion divides by both"
                 )
-            lhs = Vyy
-            rhs = Vy * uyy / uy + 2.0 * (Vyx * uy - Vy * uyx) / ux
-            if lhs - rhs > worst:
-                worst = lhs - rhs
-                worst_y = float(y)
+            raise IllPosed(f"NAD condition: the local criterion is {float(crit[j])!r} {where}")
+        j = int(np.argmax(crit)) if at.size else None  # the first largest, as a strict > scan keeps
+        worst = -np.inf if j is None else float(crit[j])
+        worst_y = None if j is None else float(y[j])
         scale = max(1.0, abs(worst))
         if worst > 1e-7 * scale:
             return NadConditionReport("fails", witness=worst_y, route="local", margin=worst)

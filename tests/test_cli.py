@@ -343,10 +343,11 @@ class TestCommands:
         code = main(argv + [str(tmp_path / "quiet")])
         with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
             assert main(argv + [str(tmp_path / "debug")]) == code
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
+        twist, full = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
         assert re.fullmatch(
-            r"twist: 29 actions certified \(least margin \S+\), 0 swept", line
-        ), line
+            r"twist: 29 actions certified \(least margin \S+\), 0 swept", twist
+        ), twist
+        assert full.startswith("full disclosure: rows, empty at y="), full
         quiet = (tmp_path / "quiet" / "verdicts.json").read_bytes()
         assert quiet == (tmp_path / "debug" / "verdicts.json").read_bytes()
 

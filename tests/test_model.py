@@ -19,9 +19,10 @@ from optrans import (
     signal_to_outcome,
     uniform,
 )
+from optrans import model, structure
 from optrans.errors import GridSnapError, IllPosed, NoRoot
 from optrans.grids import from_points
-from optrans.model import gamma_binary
+from optrans.model import chi_array, gamma_binary
 from optrans.presets import MEAN_RECEIVER, preset, preset_ids
 from optrans.structure import RHO_M, check_full_disclosure
 
@@ -472,6 +473,61 @@ def nan_receiver(nan_at):
         u_y=lambda y, x: -1.0 + 0.0 * (x + y),
         u_x=lambda y, x: 1.0 + 0.0 * (x + y),
     )
+
+
+def assert_chi_array_matches_scalar(pb, ys):
+    """chi_array over ``ys`` against chi one action at a time: the same root
+    bit for bit, NaN where chi raises NoRoot, and an IllPosed of the same
+    message where chi raises IllPosed.  Returns the number of actions
+    without a root."""
+    roots, errors = chi_array(pb, ys)
+    assert roots.shape == ys.shape and set(errors) <= set(range(ys.size))
+    missing = 0
+    for i, y in enumerate(ys):
+        try:
+            want = chi(pb, float(y))
+        except NoRoot:
+            assert np.isnan(roots[i]) and i not in errors, y
+            missing += 1
+        except IllPosed as exc:
+            assert type(errors[i]) is IllPosed and str(errors[i]) == str(exc), y
+        else:
+            assert i not in errors and repr(float(roots[i])) == repr(want), y
+    return missing
+
+
+class TestChiArray:
+    def test_presets_bit_equal(self):
+        missing = 0
+        for pid in preset_ids():
+            for grid_n in (41, 101):
+                pb = preset(pid, grid_n=grid_n)[0]
+                missing += assert_chi_array_matches_scalar(pb, pb.actions.points)
+        assert missing == 20  # n=41 and 101: example_c2 and quantile 1 and 1 each, stress_test 5 and 11
+
+    def test_checks_call_no_scalar_chi(self, monkeypatch):
+        calls = []
+        for module in (model, structure):
+            monkeypatch.setattr(module, "chi", lambda *a: calls.append(a))
+        pb = preset41("example_c1")
+        assert structure.check_twist(pb).label == "holds_positive"
+        assert structure.check_nad_condition(pb).route == "local"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "nan_at",
+        [
+            lambda y, x: x > 0.8,  # NaN at the top state
+            lambda y, x: (y > 0.5) & (x > 0.4) & (x < 0.6),  # NaN at an iterate: the one call stops
+            lambda y, x: (y > 0.1) & (y < 0.3) & (x > 0.4) & (x < 0.6),
+        ],
+        ids=["end", "iterate", "iterate-some"],
+    )
+    def test_ill_posed_actions(self, nan_at):
+        pb = nan_receiver(nan_at)
+        ys = np.linspace(-0.5, 1.5, 21)  # actions beyond the states have no root
+        assert_chi_array_matches_scalar(pb, ys)
+        assert chi_array(pb, ys)[1]
 
 
 class TestNaNFirstOrderCondition:

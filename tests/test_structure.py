@@ -36,6 +36,7 @@ from optrans.structure import (
     repair_matrix,
     twist_determinant,
 )
+from test_presets import VARIANTS
 
 E = float(np.e)
 
@@ -124,6 +125,34 @@ class TestCheckTwist:
         pb = self.nan_problem(lambda y, x: x == 0.5)
         with pytest.raises(IllPosed, match=r"not finite at \(y, x\) = \(0\.05, 0\.5\)"):
             check_twist(pb)
+
+    def test_non_finite_rows_raise_at_a_later_action(self):
+        pb = self.nan_problem(lambda y, x: (y > 0.9) & (x == 0.5))
+        with pytest.raises(IllPosed, match=r"not finite at \(y, x\) = \(0\.95, 0\.5\)"):
+            check_twist(pb)
+
+    @staticmethod
+    def nan_receiver_problem(V_y):
+        """u = x - y on 11 states and 7 actions in [0.05, 0.95], NaN at the
+        top state for actions above 0.6, where chi raises IllPosed."""
+        return Problem(
+            states=uniform(0.0, 1.0, 11),
+            actions=uniform(0.05, 0.95, 7, "action"),
+            prior=np.full(11, 1.0 / 11),
+            V=lambda y, x: y * x,
+            V_y=V_y,
+            u=lambda y, x: np.where((np.asarray(y) > 0.6) & (np.asarray(x) == 1.0), np.nan, x - y),
+            u_y=lambda y, x: -1.0 + 0.0 * (x + y),
+        )
+
+    def test_chi_ill_posed_raised_where_the_scan_reaches_it(self):
+        # V_y = x^2 holds the twist, so the scan reaches the action 0.65
+        pb = self.nan_receiver_problem(lambda y, x: x * x + 0.0 * y)
+        with pytest.raises(IllPosed, match="NaN at an end of its bracket"):
+            check_twist(pb)
+        # V_y = x makes the first action's triples zero, so the scan stops there
+        rep = check_twist(self.nan_receiver_problem(lambda y, x: x + 0.0 * y))
+        assert rep.label == "fails" and rep.witness[0] == 0.05
 
     def test_non_finite_rows_of_skipped_action_pass(self):
         # the action 0.0 has no state below its pivot, so the scan skips it
@@ -572,6 +601,25 @@ class TestNadCondition:
         with pytest.raises(IllPosed, match=r"u_y = 0\.0 .* at action y = 0\.0, chi\(y\) = 0\.5"):
             check_nad_condition(pb)
 
+    def test_non_finite_criterion_raises(self):
+        # V_y is NaN at the action 0.5 only; a NaN criterion there used to be
+        # skipped, since NaN > worst is False
+        def V_y(y, x):
+            y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
+            return np.where(y == 0.5, np.nan, x * x + 1.0)
+
+        pb = Problem(
+            states=uniform(0.0, 1.0, 21),
+            actions=uniform(0.0, 1.0, 21, "action"),
+            prior=np.full(21, 1.0 / 21),
+            V=lambda y, x: y * x**2 + y,
+            V_y=V_y,
+            u=lambda y, x: x - y,
+        )
+        assert check_sdpd_sufficient(pb).label == "dipped_strict"
+        with pytest.raises(IllPosed, match=r"criterion is nan at action y = 0\.5, chi\(y\) = 0\.5"):
+            check_nad_condition(pb)
+
     def test_nan_gain_raises(self):
         # cells below x - 0.1 are forbidden, so the sender-favorable pooled
         # action and the disclosure of a high state are both forbidden: the
@@ -626,14 +674,73 @@ def full_table_gain(problem, m=RHO_M):
     )
 
 
-def full_table_full_disclosure(problem, m=RHO_M):
-    """check_full_disclosure computed on the whole (pair, rho) table at once,
-    refining the near-tie pairs by decreasing per-pair maximum: the reference
-    the block-wise sweep must reproduce bit for bit."""
+def refine_pair(problem, x1, x2, d1, d2):
+    """The pair's pooling gain on the rho grid k / REFINE_M, one entry per
+    rho: (witness, margin) at the first largest gain."""
+    fine = (np.arange(1, REFINE_M) / REFINE_M).astype(float)
+    n = fine.size
+    g2 = structure._split_gain(problem, np.full(n, x1), np.full(n, x2), fine, np.full(n, d1), np.full(n, d2))
+    if np.isnan(g2).any():
+        raise IllPosed(f"pooling gain of states ({float(x1)!r}, {float(x2)!r}) is NaN")
+    kk = int(np.argmax(g2))
+    return (float(x1), float(x2), float(fine[kk])), float(g2[kk])
+
+
+def full_disclosure_tol(problem):
     Y, X = problem.grids_product()
     Vfinite = np.asarray(problem.V(Y, X), dtype=float)
     scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
-    tol = 1e-9 * scale
+    return scale, 1e-9 * scale
+
+
+def full_table_empty_row(problem, vals, disc, tol):
+    """The row test one action row at a time: the state indices (at lo_y,
+    at hi_y) of the row with the first largest pooling gain when that gain
+    is above tol, else None (also on problems the rows do not judge)."""
+    if problem.tie_break != "strict_foc" or problem.obedience != "equality" or problem.forbidden is not None:
+        return None
+    Y, X = np.meshgrid(problem.actions.points, vals, indexing="ij")
+    V = np.asarray(problem.V(Y, X), dtype=float)
+    U = np.asarray(problem.u(Y, X), dtype=float)
+    if not (np.isfinite(V).all() and np.isfinite(U).all() and np.isfinite(disc).all()):
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Q = (disc - V) / U
+    best, best_gain = None, -np.inf
+    for k in range(U.shape[0]):
+        neg, pos = np.flatnonzero(U[k] < 0), np.flatnonzero(U[k] > 0)
+        if not (neg.size and pos.size):
+            continue
+        j1, j2 = neg[np.argmax(Q[k, neg])], pos[np.argmin(Q[k, pos])]
+        u1, u2 = U[k, j1], U[k, j2]
+        gain = abs(u1) * u2 / (u2 - u1) * (Q[k, j1] - Q[k, j2])
+        if gain > best_gain:
+            best, best_gain = (int(j1), int(j2)), gain
+    return best if best_gain > tol else None
+
+
+def full_table_full_disclosure(problem, m=RHO_M):
+    """check_full_disclosure computed apart from its code: the row test one
+    row at a time, then, unless its refined pair beats splitting, the sweep
+    on the whole (pair, rho) table (``full_table_sweep``).  The reference
+    the row route and the block-wise sweep must reproduce bit for bit."""
+    _, tol = full_disclosure_tol(problem)
+    vals = problem.states.points[problem.prior > 0]
+    disc = structure._disclosed_values(problem, vals)
+    pair = full_table_empty_row(problem, vals, disc, tol)
+    if pair is not None:
+        a, b = sorted(pair)
+        witness, margin = refine_pair(problem, vals[a], vals[b], disc[a], disc[b])
+        if margin > tol:
+            return FullDisclosureReport("not_optimal", witness=witness, margin=margin)
+    return full_table_sweep(problem, m)
+
+
+def full_table_sweep(problem, m=RHO_M):
+    """The sweep-only rule of check_full_disclosure, from before the action
+    rows decided, on the whole (pair, rho) table at once, refining the
+    near-tie pairs by decreasing per-pair maximum."""
+    scale, tol = full_disclosure_tol(problem)
     vals = problem.states.points[problem.prior > 0]
     i1, i2 = np.triu_indices(vals.size, k=1)
     rhos = (np.arange(1, m) / m).astype(float)
@@ -648,15 +755,7 @@ def full_table_full_disclosure(problem, m=RHO_M):
     shortcut = structure._linear_receiver_shortcut(problem)
 
     def refine(k):
-        fine = (np.arange(1, REFINE_M) / REFINE_M).astype(float)
-        n = fine.size
-        g2 = structure._split_gain(
-            problem, np.full(n, X1[k]), np.full(n, X2[k]), fine, np.full(n, disc[V1[k]]), np.full(n, disc[V2[k]])
-        )
-        if np.isnan(g2).any():
-            raise IllPosed(f"pooling gain of states ({float(X1[k])!r}, {float(X2[k])!r}) is NaN")
-        kk = int(np.argmax(g2))
-        return (float(X1[k]), float(X2[k]), float(fine[kk])), float(g2[kk])
+        return refine_pair(problem, X1[k], X2[k], disc[V1[k]], disc[V2[k]])
 
     if worst > tol:
         witness, margin = refine(int(np.argmax(gain)))
@@ -809,6 +908,62 @@ class TestPoolingSweepAgainstFullTable:
         pb, block = case
         with mock.patch.object(structure, "PAIR_BLOCK", block):
             assert_sweep_matches_full_table(pb)
+
+
+CASES = [(pid, {}) for pid in preset_ids()] + VARIANTS
+
+
+def full_disclosure_route(problem, caplog):
+    """check_full_disclosure and the route its DEBUG record names."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
+        rep = check_full_disclosure(problem)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
+    assert line.startswith("full disclosure: "), line
+    return rep, line[len("full disclosure: ") :]
+
+
+class TestFullDisclosureRows:
+    @pytest.mark.parametrize("grid_n", [41, 101])
+    @pytest.mark.parametrize("pid,params", CASES, ids=[f"{p}{q or ''}" for p, q in CASES])
+    def test_labels_and_witnesses(self, pid, params, grid_n, caplog):
+        pb, _ = preset(pid, grid_n=grid_n, **params)
+        rep, route = full_disclosure_route(pb, caplog)
+        assert rep.label == full_table_sweep(pb).label
+        if route.startswith("rows"):
+            x1, x2, rho = rep.witness
+            xs = np.array([x1, x2])
+            d1, d2 = structure._disclosed_values(pb, xs)
+            gain = structure._split_gain(pb, xs[:1], xs[1:], np.array([rho]), d1, d2)
+            assert repr(float(gain[0])) == repr(rep.margin)
+            assert rep.margin > full_disclosure_tol(pb)[1]
+
+    def test_debug_record_names_the_route(self, caplog):
+        pb, _ = preset("example_c1", grid_n=41)
+        _, route = full_disclosure_route(pb, caplog)
+        assert re.fullmatch(r"rows, empty at y=\S+ with gain \S+", route), route
+        # contest's high range has an empty row, but its gain is below tol
+        reasons = [
+            (preset("quantile", grid_n=41)[0], "sweep (not strict_foc)"),
+            (preset("contest", grid_n=101, xmin=1.0, xmax=2.0)[0], "sweep (no empty row: largest row gain 2.56e-17)"),
+            (self.small_problem(obedience="inequality"), "sweep (inequality obedience)"),
+            (self.small_problem(forbidden=lambda y, x: np.abs(y - x) > 0.5), "sweep (forbidden cells)"),
+            (self.small_problem(V=lambda y, x: np.where(y > x + 0.95, -np.inf, y * y)), "sweep (non-finite table)"),
+        ]
+        for pb, want in reasons:
+            assert full_disclosure_route(pb, caplog)[1] == want
+
+    @staticmethod
+    def small_problem(**kw):
+        """V = y^2, u = x - y on 11 states and actions, with ``kw`` set."""
+        args = dict(
+            states=uniform(0.0, 1.0, 11),
+            actions=uniform(0.0, 1.0, 11, "action"),
+            prior=np.full(11, 1.0 / 11),
+            V=lambda y, x: y * y + 0.0 * x,
+            u=lambda y, x: x - y,
+        )
+        return Problem(**{**args, **kw})
 
 
 class TestPoolingSweepMemory:
