@@ -21,18 +21,10 @@ mkdir -p "$1"
 cd "$1"
 
 # one line per run: <name> <argument>...
-PYTHONPATH="$ROOT/src" python3 - "$ROOT/tests/test_presets.py" <<'PY' |
-import ast
-import sys
-
+PYTHONPATH="$ROOT/src:$ROOT/scripts" python3 - <<'PY' |
+from lp_counts import variants
 from optrans.presets import preset_ids
 
-tree = ast.parse(open(sys.argv[1]).read())
-variants = next(
-    ast.literal_eval(node.value)
-    for node in tree.body
-    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "VARIANTS"
-)
 for n in (41, 101):
     for pid in preset_ids():
         for cmd in ("solve", "check", "certify", "nad"):
@@ -40,7 +32,7 @@ for n in (41, 101):
 for pid in preset_ids():
     for cmd in ("solve", "check", "certify"):
         print(f"{cmd}-{pid}-n201 {cmd} --preset {pid} --grid-n 201")
-for pid, params in variants:
+for pid, params in variants():
     kv = ",".join(f"{k}={v}" for k, v in params.items())
     for cmd in ("solve", "check", "nad"):
         print(f"{cmd}-{pid}-{kv.replace(',', '-')}-n41 {cmd} --preset {pid} --params {kv} --grid-n 41")

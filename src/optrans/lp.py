@@ -18,15 +18,14 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateBasis, Infeasible, SizeLimit
+from .errors import DegenerateBasis, IllPosed, Infeasible, SizeLimit
 from .grids import Grid
-from .model import Outcome, Posterior, Problem, outcome_from_mass
+from .model import MASS_TOL, Outcome, Posterior, Problem, outcome_from_mass
 from .simplex import SimplexResult, solve_standard_form
 
-DEFAULT_SIZE_LIMIT = 4_000_000
+SIZE_LIMIT = 4_000_000  # most action x state cells an outcome LP may have
 DUAL_FEAS_TOL = 1e-7
 GAP_TOL = 1e-8
-MASS_TOL = 1e-9
 SIFT_MIN_STATES = 60  # larger state grids are solved coarse to fine
 SIFT_BAND = 1e-4  # working-set cut on the coarse reduced cost, times max |V|
 OBEYED_ULPS = 4  # |u| that counts as 0 in the crash, in ulps of max |u|
@@ -103,21 +102,30 @@ class SlacknessReport:
     applicable: bool = True
 
 
-def build_lp(problem: Problem, *, size_limit: int = DEFAULT_SIZE_LIMIT) -> LPInstance:
+def build_lp(problem: Problem) -> LPInstance:
     """Assemble the outcome LP for a problem instance.
 
     Variables are the kept (non-forbidden) cells of the action x state grid;
     rows are |X| marginal constraints followed by |Y| obedience constraints.
-    Inequality obedience rows get one slack column each.
+    Inequality obedience rows get one slack column each.  Raises
+    ``SizeLimit`` beyond ``SIZE_LIMIT`` cells and ``IllPosed`` on a kept
+    cell where V or u is not finite.
     """
     ny, nx = problem.n_actions, problem.n_states
-    if ny * nx > size_limit:
-        raise SizeLimit(f"{ny}x{nx} grid exceeds the {size_limit} variable cap")
+    if ny * nx > SIZE_LIMIT:
+        raise SizeLimit(f"{ny}x{nx} grid exceeds the {SIZE_LIMIT} variable cap")
     Y, X = problem.grids_product()
     Vmat = np.asarray(problem.V(Y, X), dtype=float)
     Umat = np.asarray(problem.u(Y, X), dtype=float)
     mask = problem.forbidden_mask()
     keep = np.ones((ny, nx), dtype=bool) if mask is None else ~mask
+    bad = keep & ~(np.isfinite(Vmat) & np.isfinite(Umat))
+    if bad.any():
+        jy, jx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise IllPosed(
+            f"V = {float(Vmat[jy, jx])!r} and u = {float(Umat[jy, jx])!r} at the kept cell "
+            f"(y, x) = ({float(Y[jy, jx])!r}, {float(X[jy, jx])!r}); the outcome LP needs finite values"
+        )
 
     iy, ix = np.nonzero(keep)
     k = iy.size
@@ -492,7 +500,7 @@ def verify_complementary_slackness(
     difference of q across neighboring support rows.  Not applicable (no
     rows, NaN maxima) when u_y vanishes (``Problem.u_y_vanishes``)."""
     ys = problem.actions.points
-    rows = outcome.support_rows(MASS_TOL)
+    rows = outcome.support_rows()
     if problem.u_y_vanishes():
         return SlacknessReport(rows=(), max_q_residual=np.nan, max_foc_residual=np.nan, applicable=False)
 

@@ -31,6 +31,7 @@ PLAUSIBLE_TOL = 1e-8  # Bayes plausibility: largest deviation of the state margi
 PRIOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 SIGNAL_MASS_TOL = 1e-10
+MASS_TOL = 1e-9  # an outcome row or cell carries mass when it holds more than this
 ASSUMPTION_ZERO_TOL = 1e-9  # |u| below this times max |u| counts as u = 0
 INTERIOR_TOL = 1e-8  # sign slack, relative to max |u|, of the interiority check
 # two-point posteriors per chunk of gamma_binary's sender-favorable scan, and
@@ -293,12 +294,15 @@ class Outcome:
     def row_masses(self) -> np.ndarray:
         return self.mass.sum(axis=1)
 
-    def support_rows(self, tol: float = 1e-9):
-        return np.nonzero(self.row_masses() > tol)[0]
+    def support_rows(self) -> np.ndarray:
+        """The action rows carrying more than ``MASS_TOL``."""
+        return np.nonzero(self.row_masses() > MASS_TOL)[0]
 
-    def row_posterior(self, iy: int, tol: float = 0.0) -> Posterior:
+    def row_posterior(self, iy: int) -> Posterior:
+        """The posterior of row ``iy`` over its cells carrying more than
+        ``MASS_TOL``."""
         row = self.mass[iy]
-        keep = np.nonzero(row > tol)[0]
+        keep = np.nonzero(row > MASS_TOL)[0]
         return Posterior.from_weights(tuple(int(i) for i in keep), row[keep])
 
 
@@ -510,24 +514,21 @@ def check_assumptions(problem: Problem) -> AssumptionReport:
         violations.append(("A2", (float(Y[iy, ix]), float(X[iy, ix])), float(Uy[iy, ix])))
 
     # A2 part 2: across u(y,x) < 0 < u(y,x'), require min over the negative
-    # side of u_y/u to exceed the max over the positive side.
-    for iy in range(problem.n_actions):
-        urow, uyrow = U[iy], Uy[iy]
-        neg = urow < -ASSUMPTION_ZERO_TOL * uscale
-        pos = urow > ASSUMPTION_ZERO_TOL * uscale
-        if not (neg.any() and pos.any()):
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = uyrow / urow
-        lo_side = np.min(r[neg])
-        hi_pos = np.max(r[pos])
-        if not lo_side > hi_pos:
-            i_n = int(np.nonzero(neg)[0][np.argmin(r[neg])])
-            i_p = int(np.nonzero(pos)[0][np.argmax(r[pos])])
-            worst = urow[i_p] * uyrow[i_n] - urow[i_n] * uyrow[i_p]
-            violations.append(
-                ("A2", (float(problem.actions.points[iy]), float(X[iy, i_n]), float(X[iy, i_p])), float(worst))
-            )
+    # side of u_y/u to exceed the max over the positive side.  Each side's
+    # extreme propagates NaN, and its state is the first NaN, else the first
+    # attaining the extreme.
+    neg = U < -ASSUMPTION_ZERO_TOL * uscale
+    pos = U > ASSUMPTION_ZERO_TOL * uscale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = Uy / U
+    lo_side = np.min(r, axis=1, where=neg, initial=np.inf)
+    hi_pos = np.max(r, axis=1, where=pos, initial=-np.inf)
+    i_n = np.argmax(neg & (np.isnan(r) | (r <= lo_side[:, None])), axis=1)
+    i_p = np.argmax(pos & (np.isnan(r) | (r >= hi_pos[:, None])), axis=1)
+    for iy in np.flatnonzero(neg.any(axis=1) & pos.any(axis=1) & ~(lo_side > hi_pos)):
+        n, p = i_n[iy], i_p[iy]
+        worst = U[iy, p] * Uy[iy, n] - U[iy, n] * Uy[iy, p]
+        violations.append(("A2", (float(problem.actions.points[iy]), float(X[iy, n]), float(X[iy, p])), float(worst)))
     asc_ok = not any(v[0] == "A2" for v in violations)
 
     # A4 ordering, possibly relaxed to single crossing in x.

@@ -21,12 +21,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import IllPosed, NotStrictlyDipped
-from .lp import MASS_TOL, ContactSet, q_intervals
-from .model import PAIR_BLOCK, Outcome, Posterior, Problem, Signal, chi, chi_array, gamma, gamma_binary
+from .lp import ContactSet, q_intervals
+from .model import MASS_TOL, PAIR_BLOCK, Outcome, Posterior, Problem, Signal, chi, chi_array, gamma, gamma_binary
 from .simplex import solve_standard_form
 
 STRICT_TOL = 1e-8
 SNAP_CELLS = 2.5  # grid cells within which a classification violation counts as snapping
+TWIST_ZERO_TOL = 1e-12  # twist zero test, relative to a triple's own Hadamard bound
 FARKAS_TOL = 1e-9  # beta-side LP optimum, relative to max(1, max |R|), that certifies beta
 RHO_M = 64  # pooling sweeps: interior rho = k / RHO_M, k = 1 .. RHO_M - 1
 # pooling sweeps run at most PAIR_BLOCK (from .model) x (RHO_M - 1) (pair, rho) entries at a time
@@ -35,9 +36,9 @@ NEAR_MAX = 256  # full-disclosure near-tie pairs refined, largest coarse gain fi
 _EPS = float(np.finfo(float).eps)
 # twist certificate: _TWIST_ROUNDING * _EPS bounds the rounding of one
 # determinant, the sweep's or the certificate's own bound, on rows scaled into
-# [-1, 1]; a lower bound must clear _TWIST_SAFETY times (zero_tol * the
-# action's Hadamard bound + both roundings).  A chunk of blocks holds at most
-# _TWIST_CHUNK (state, block) entries.
+# [-1, 1]; a lower bound must clear _TWIST_SAFETY times (TWIST_ZERO_TOL *
+# the action's Hadamard bound + both roundings).  A chunk of blocks holds at
+# most _TWIST_CHUNK (state, block) entries.
 _TWIST_ROUNDING = 32.0
 _TWIST_SAFETY = 4.0
 _TWIST_CHUNK = 1 << 16
@@ -70,7 +71,7 @@ class TwistReport:
     witness: Optional[tuple] = None  # (y, x1, x2, x3)
 
 
-def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
+def check_twist(problem: Problem) -> TwistReport:
     """Sign-constancy sweep of the twist determinant over grid triples
     x1 < x2 < x3 with x1 < chi(y) < x3.
 
@@ -80,9 +81,9 @@ def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
     let the columns V_y, u and u_y of the rows r_x = (V_y, u, u_y)(y, x) be
     scaled by 2^-e0, 2^-e1 and 2^-e2 so that each column's largest magnitude
     over the states lies in [0.5, 1), giving rows R_x; a determinant counts
-    as zero when |det| <= ``zero_tol`` 2^(e0+e1+e2) |R_i| |R_j| |R_k|, its
-    own Hadamard bound in the scaled frame.  So the only state one action
-    hands the next is the sign.
+    as zero when |det| <= ``TWIST_ZERO_TOL`` 2^(e0+e1+e2) |R_i| |R_j| |R_k|,
+    its own Hadamard bound in the scaled frame.  So the only state one
+    action hands the next is the sign.
 
     Each action is decided by one of two routes, by construction with the
     same result.  A certificate first tries to prove, in O(nx) work per
@@ -93,8 +94,8 @@ def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
     angle of w.  So a block has one sign when the angles rise with the state
     within a quarter turn, a prefix-maximum test, and the angle gaps, split
     at the midpoint between x1 and x3, bound every |det| from below; that
-    bound must clear ``zero_tol`` times the action's Hadamard bound plus the
-    rounding of the sweep's formula, with a safety factor
+    bound must clear ``TWIST_ZERO_TOL`` times the action's Hadamard bound
+    plus the rounding of the sweep's formula, with a safety factor
     (``_certify_action`` has the details).  An action the certificate
     cannot decide (a degenerate frame, angles out of order, too small a
     margin, or no sign yet because the first triple is zero) goes to the
@@ -111,23 +112,23 @@ def check_twist(problem: Problem, *, zero_tol: float = 1e-12) -> TwistReport:
     for y, R, norms, n_low, kh in _twist_actions(problem):
         if sign == 0 and nx > 2:  # the scan's first triple (0, 1, max(kh, 2)) sets the sign
             k = max(kh, 2)
-            d, tol = _det3(*R[[0, 1, k]].T), zero_tol * norms[0] * norms[1] * norms[k]
+            d, tol = _det3(*R[[0, 1, k]].T), TWIST_ZERO_TOL * norms[0] * norms[1] * norms[k]
             sign = 1 if d > tol else -1 if d < -tol else 0
         if sign == 0:
             reason = "sign"
         elif nx - kh < n_low:
             # fewer blocks counted down from the top state, with the states
             # reversed: det(R_k, R_j, R_i) = -det(R_i, R_j, R_k)
-            reason, margin = _certify_action(R[::-1], norms[::-1], min(nx - kh, nx - 2), nx - n_low, -sign, zero_tol)
+            reason, margin = _certify_action(R[::-1], norms[::-1], min(nx - kh, nx - 2), nx - n_low, -sign)
         else:
-            reason, margin = _certify_action(R, norms, min(n_low, nx - 2), kh, sign, zero_tol)
+            reason, margin = _certify_action(R, norms, min(n_low, nx - 2), kh, sign)
         if reason is None:
             certified += 1
             least = min(least, margin)
             continue
         swept += 1
         first = first or f", first at y={y!r} ({reason})"
-        hit = _twist_sweep(R, norms, n_low, kh, sign, zero_tol)
+        hit = _twist_sweep(R, norms, n_low, kh, sign)
         if hit is not None:
             witness = (y, *(float(xs[t]) for t in hit))
             break
@@ -166,7 +167,7 @@ def _twist_actions(problem: Problem):
         yield float(y), R, np.sqrt(R[:, 0] ** 2 + R[:, 1] ** 2 + R[:, 2] ** 2), n_low, kh
 
 
-def _twist_sweep(R, norms, n_low: int, kh: int, sign: int, zero_tol: float) -> Optional[tuple]:
+def _twist_sweep(R, norms, n_low: int, kh: int, sign: int) -> Optional[tuple]:
     """The exact sweep of ``check_twist`` over one action's ``_twist_actions``
     rows: the state indices (i, j, k) of the first triple whose determinant is
     not ``sign`` times a nonzero (every triple when ``sign`` is 0), or None."""
@@ -185,14 +186,14 @@ def _twist_sweep(R, norms, n_low: int, kh: int, sign: int, zero_tol: float) -> O
         Mi = M[i]
         # det(i, j, k) = a[i] M[j, k] - a[j] M[i, k] + a[k] M[i, j]
         d = a[i] * MJK[s:] - aJ[s:] * Mi[K[s:]] + aK[s:] * Mi[J[s:]]
-        on_sign = sign * d > zero_tol * norms[i] * nJ[s:] * nK[s:]
+        on_sign = sign * d > TWIST_ZERO_TOL * norms[i] * nJ[s:] * nK[s:]
         if not on_sign.all():
             n = s + int(np.argmin(on_sign))  # first triple off the sign
             return i, int(J[n]), int(K[n])
     return None
 
 
-def _certify_action(R, norms, nb: int, kh: int, sign: int, zero_tol: float) -> tuple:
+def _certify_action(R, norms, nb: int, kh: int, sign: int) -> tuple:
     """Prove that every triple (i, j, k) of the sweep's blocks i < nb at one
     action (i < j < k, k >= kh) has a determinant the sweep counts as
     nonzero, of sign ``sign``, on the scaled rows R of ``_twist_actions``.
@@ -208,10 +209,11 @@ def _certify_action(R, norms, nb: int, kh: int, sign: int, zero_tol: float) -> t
         |R_i| w1_k min(min w1 over (i, m] * (s_k - max s over (i, m]),
                        min w1 over (m, nx) * (s_k - max s over (i, k)))
 
-    clears ``_TWIST_SAFETY`` times (zero_tol * H + E) plus the rounding of
-    this bound itself.  H = max_{i < nb} |R_i| max_{x > i} |R_x|^2 is the
-    action's Hadamard bound, which bounds every triple's own scale
-    |R_i| |R_j| |R_k|; E bounds the sweep's rounding of one determinant.
+    clears ``_TWIST_SAFETY`` times (TWIST_ZERO_TOL * H + E) plus the
+    rounding of this bound itself.  H = max_{i < nb} |R_i| max_{x > i}
+    |R_x|^2 is the action's Hadamard bound, which bounds every triple's own
+    scale |R_i| |R_j| |R_k|; E bounds the sweep's rounding of one
+    determinant.
 
     Returns (reason, margin): reason is None when the action is proved, else
     'frame', 'ordering' or 'margin'; margin is the least ratio of a lower
@@ -270,7 +272,7 @@ def _certify_action(R, norms, nb: int, kh: int, sign: int, zero_tol: float) -> t
     top = np.maximum.accumulate((norms * norms)[::-1])[::-1]
     H = float(np.max(norms[:nb] * top[1 : nb + 1]))
     E = _TWIST_ROUNDING * _EPS * float(np.prod(np.max(np.abs(R), axis=0)))
-    margin = low / (_TWIST_SAFETY * (zero_tol * H + E + _TWIST_ROUNDING * _EPS))
+    margin = low / (_TWIST_SAFETY * (TWIST_ZERO_TOL * H + E + _TWIST_ROUNDING * _EPS))
     return (None if margin > 1.0 else "margin"), margin
 
 
@@ -384,7 +386,7 @@ def _rows_from_source(problem: Problem, source):
     grid_based = False
     if isinstance(source, Outcome):
         grid_based = True
-        for iy in source.support_rows(MASS_TOL):
+        for iy in source.support_rows():
             sup = np.nonzero(source.mass[iy] > MASS_TOL)[0]
             rows.append((float(problem.actions.points[iy]), problem.states.points[sup]))
     elif isinstance(source, ContactSet):
@@ -591,7 +593,12 @@ def check_sdpd_sufficient(problem: Problem) -> SdpdReport:
     action pair; increasing gives dipped, decreasing gives peaked, and a
     uniformly strict ratio upgrades to the strict label.  Differences count
     as strict beyond ``STRICT_TOL`` (or the problem's derivative noise, if
-    larger) times the ratio scale.
+    larger) times the ratio scale.  Each ratio is NaN where |u_x| < 1e-12,
+    and its differences there are left out; so the label comes from the
+    least and largest finite difference of each ratio, and a ratio with no
+    finite difference certifies nothing.  The witness is the most negative
+    r2 difference of the first action y1 whose differences fall below the
+    tolerance.  Raises ``IllPosed`` on a non-finite u_x, u_yx or V_yx cell.
     """
     ys = problem.actions.points
     xs = problem.states.points
@@ -599,6 +606,10 @@ def check_sdpd_sufficient(problem: Problem) -> SdpdReport:
     Ux = np.asarray(problem.u_x(Y, X), dtype=float)
     Uyx = np.asarray(problem.u_yx(Y, X), dtype=float)
     Vyx = np.asarray(problem.V_yx(Y, X), dtype=float)
+    for name, table in (("u_x", Ux), ("u_yx", Uyx), ("V_yx", Vyx)):
+        if not np.isfinite(table).all():
+            iy, ix = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
+            raise IllPosed(f"{name} is {float(table[iy, ix])!r} at (y, x) = ({float(ys[iy])!r}, {float(xs[ix])!r})")
     safe_Ux = np.where(np.abs(Ux) < 1e-12, np.nan, Ux)
     if not np.any(np.isfinite(safe_Ux)):
         # u_x degenerate everywhere (indicator-style receivers)
@@ -607,64 +618,35 @@ def check_sdpd_sufficient(problem: Problem) -> SdpdReport:
     noise = problem.derivative_noise()
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = Uyx / safe_Ux
-    d1 = np.diff(r1, axis=1)
-    tol1 = max(STRICT_TOL, noise) * max(1.0, float(np.nanmax(np.abs(r1))))
-    r1_up = bool(np.nanmin(d1) >= -tol1)
-    r1_dn = bool(np.nanmax(d1) <= tol1)
-    r1_up_strict = bool(np.nanmin(d1) > tol1)
-    r1_dn_strict = bool(np.nanmax(d1) < -tol1)
+        d1 = np.diff(r1, axis=1)
+        tol1 = max(STRICT_TOL, noise) * max(1.0, float(np.nanmax(np.abs(r1))))
+        tol2 = max(STRICT_TOL, noise) * max(1.0, float(np.max(np.abs(Vyx))), float(np.nanmax(np.abs(1.0 / safe_Ux))))
+    lo1, hi1 = np.fmin.reduce(d1, axis=None), np.fmax.reduce(d1, axis=None)
 
     # r2 over ordered action pairs: diff in x of V_yx(y2, .) / u_x(y1, .)
-    ny = ys.size
-    r2_up = r2_dn = True
-    r2_up_strict = r2_dn_strict = True
+    lo2 = hi2 = np.nan
     witness = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tol2 = max(STRICT_TOL, noise) * max(
-            1.0,
-            float(np.nanmax(np.abs(Vyx))),
-            float(np.nanmax(np.abs(1.0 / safe_Ux))),
-        )
-    for i1 in range(ny):
+    for i1 in range(ys.size):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = Vyx[i1:, :] / safe_Ux[i1, :][None, :]
-        d2 = np.diff(ratio, axis=1)
-        mn, mx = float(np.nanmin(d2)), float(np.nanmax(d2))
-        if mn < -tol2:
-            r2_up = False
-            if witness is None:
-                i2r, ixr = np.unravel_index(int(np.nanargmin(d2)), d2.shape)
-                witness = (float(ys[i1]), float(ys[i1 + i2r]), float(xs[ixr]))
-        if mx > tol2:
-            r2_dn = False
-        if mn <= tol2:
-            r2_up_strict = False
-        if mx >= -tol2:
-            r2_dn_strict = False
+            d2 = np.diff(Vyx[i1:, :] / safe_Ux[i1, :][None, :], axis=1)
+        mn = np.fmin.reduce(d2, axis=None)
+        if witness is None and mn < -tol2:
+            i2r, ixr = np.unravel_index(int(np.nanargmin(d2)), d2.shape)
+            witness = (float(ys[i1]), float(ys[i1 + i2r]), float(xs[ixr]))
+        lo2, hi2 = np.fmin(lo2, mn), np.fmax(hi2, np.fmax.reduce(d2, axis=None))
 
-    dip_ok = r1_up and r2_up
-    peak_ok = r1_dn and r2_dn
-    dip_strict = dip_ok and (r1_up_strict or r2_up_strict)
-    peak_strict = peak_ok and (r1_dn_strict or r2_dn_strict)
-
-    if dip_strict:
+    # NaN extremes (no finite difference) fail every comparison
+    dip_ok = bool(lo1 >= -tol1 and lo2 >= -tol2)
+    peak_ok = bool(hi1 <= tol1 and hi2 <= tol2)
+    if dip_ok and (lo1 > tol1 or lo2 > tol2):
         label = "dipped_strict"
-    elif peak_strict:
+    elif peak_ok and (hi1 < -tol1 or hi2 < -tol2):
         label = "peaked_strict"
-    elif dip_ok and peak_ok:
-        label = "neither"  # both ratios flat: weakly dipped and peaked at once
-    elif dip_ok:
-        label = "dipped"
-    elif peak_ok:
-        label = "peaked"
+    elif dip_ok != peak_ok:
+        label = "dipped" if dip_ok else "peaked"
     else:
-        label = "neither"
-    return SdpdReport(
-        label=label,
-        dipped_weak=dip_ok,
-        peaked_weak=peak_ok,
-        witness=witness,
-    )
+        label = "neither"  # both ratios flat (weakly dipped and peaked at once), or neither
+    return SdpdReport(label=label, dipped_weak=dip_ok, peaked_weak=peak_ok, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -779,24 +761,28 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     then run the same sweep on the finer grid k / ``REFINE_M`` over the best
     pair if it beats tol, else over up to ``NEAR_MAX`` near-tie pairs
     (largest coarse gain above -64 tol), largest coarse gain first; the
-    first refined pair that beats tol is reported.  For a linear receiver
-    the convexity-plus-exchange shortcut is evaluated too and reported when
-    it already decides optimality.  One DEBUG record on logger
+    first refined pair that beats tol is reported.  When full disclosure is
+    optimal and the receiver is linear, ``decided_by`` names the
+    convexity-plus-exchange shortcut if it already decides optimality;
+    every other report, the action rows' too, reads ``sweep``.  V and u are
+    tabulated on the grid once.  One DEBUG record on logger
     ``optrans.structure`` names the route: the deciding action and gain for
     the rows, the reason the rows did not decide for the sweep.  Raises
-    ``IllPosed`` when fewer than two states carry prior mass."""
+    ``IllPosed`` when fewer than two states carry prior mass, and from the
+    sweep when V is NaN."""
     Y, X = problem.grids_product()
-    Vfinite = np.asarray(problem.V(Y, X), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(Vfinite[np.isfinite(Vfinite)]))))
+    V = np.asarray(problem.V(Y, X), dtype=float)
+    U = np.asarray(problem.u(Y, X), dtype=float)
+    scale = max(1.0, float(np.max(np.abs(V[np.isfinite(V)]), initial=0.0)))
     tol = 1e-9 * scale
     pooled = _PooledPairs(problem)
-    report, why = _empty_row(problem, pooled, Vfinite[:, problem.prior > 0], tol)
+    supported = problem.prior > 0
+    report, why = _empty_row(problem, pooled, V[:, supported], U[:, supported], tol)
     logger.debug("full disclosure: %s", why)
     if report is not None:
         return report
     per_pair, _ = pooled.sweep(m, np.arange(pooled.i1.size))
     worst = float(np.max(per_pair))
-    shortcut = _linear_receiver_shortcut(problem)
     order = np.argsort(-per_pair, kind="stable")  # largest gain first, ties in pair order
     near = order[:1] if worst > tol else order[per_pair[order] > -tol * 64][:NEAR_MAX]
     fine, fine_rho = pooled.sweep(REFINE_M, near)
@@ -816,14 +802,14 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
         normalized = np.where(sep2 > 0, per_pair / sep2, -np.inf)
     strict = bool(np.max(normalized) < -STRICT_TOL * scale)
     label = "optimal_unique" if strict else "optimal"
-    decided = "convex_supermodular_shortcut" if shortcut else "sweep"
+    decided = "convex_supermodular_shortcut" if _linear_receiver_shortcut(problem, V, U) else "sweep"
     return FullDisclosureReport(label=label, witness=None, margin=worst, decided_by=decided)
 
 
-def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, tol: float) -> tuple:
+def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, U: np.ndarray, tol: float) -> tuple:
     """The row route of ``check_full_disclosure``: (report, note), the
-    report None when the rows do not decide.  ``V`` is V on the actions x
-    ``pooled``'s states.
+    report None when the rows do not decide.  ``V`` and ``U`` are V and u on
+    the actions x ``pooled``'s states.
 
     Row y admits q with V(y, x) + q u(y, x) <= p(x) = ``pooled.disc`` on
     every state exactly when lo_y <= hi_y (``q_intervals``).  An empty row
@@ -840,8 +826,6 @@ def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, tol: float
         return None, "sweep (inequality obedience)"
     if problem.forbidden is not None:
         return None, "sweep (forbidden cells)"
-    Y, X = np.meshgrid(problem.actions.points, pooled.vals, indexing="ij")
-    U = np.asarray(problem.u(Y, X), dtype=float)
     if not (np.isfinite(V).all() and np.isfinite(U).all() and np.isfinite(pooled.disc).all()):
         return None, "sweep (non-finite table)"
     below, above = U < 0, U > 0
@@ -865,16 +849,15 @@ def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, tol: float
     )
 
 
-def _linear_receiver_shortcut(problem: Problem) -> bool:
+def _linear_receiver_shortcut(problem: Problem, V: np.ndarray, U: np.ndarray) -> bool:
     """Convex in the action plus the two-state exchange inequality; only
-    meaningful when u(y, x) = x - y on the grid."""
+    meaningful when u(y, x) = x - y on the grid.  ``V`` and ``U`` are V and
+    u on the grid (``Problem.grids_product``)."""
     ys = problem.actions.points
     xs = problem.states.points
-    Y, X = np.meshgrid(ys, xs, indexing="ij")
-    U = np.asarray(problem.u(Y, X), dtype=float)
+    Y, X = problem.grids_product()
     if np.max(np.abs(U - (X - Y))) > 1e-10 * max(1.0, float(np.max(np.abs(U)))):
         return False
-    V = np.asarray(problem.V(Y, X), dtype=float)
     if not np.all(np.isfinite(V)):
         return False
     if ys.size >= 3:
@@ -906,21 +889,23 @@ class NadConditionReport:
 def check_nad_condition(problem: Problem) -> NadConditionReport:
     """Pooling-everywhere condition.
 
-    Under a strict dipped certificate the local curvature criterion at
-    (y, chi(y)) decides: V_yy <= V_y u_yy / u_y + 2 (V_yx u_y - V_y u_yx)/u_x
-    at every action with an interior pivot state.  Otherwise fall back to the
-    direct sweep: every prior-supported state pair must admit some pooling
-    weight on the grid k / ``RHO_M`` that strictly beats splitting.  The
-    sweep runs ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is
-    built.  The local route finds every pivot chi(y) by one ``chi_array``
-    call and evaluates the criterion at all of them at once.  Raises
-    ``IllPosed`` when fewer than two states carry prior mass, or on the local
-    route at the first action where ``chi`` raises it, where u_y or u_x
-    vanishes at (y, chi(y)), or where the criterion is not finite.
+    On a smooth problem whose ``check_sdpd_sufficient`` label is
+    ``dipped_strict`` (tested in that order, so a non-smooth problem never
+    runs it) the local curvature criterion at (y, chi(y)) decides:
+    V_yy <= V_y u_yy / u_y + 2 (V_yx u_y - V_y u_yx)/u_x at every action
+    with an interior pivot state.  Otherwise fall back to the direct sweep:
+    every prior-supported state pair must admit some pooling weight on the
+    grid k / ``RHO_M`` that strictly beats splitting.  The sweep runs
+    ``PAIR_BLOCK`` pairs at a time, so no (pair, rho) table is built.  The
+    local route finds every pivot chi(y) by one ``chi_array`` call and
+    evaluates the criterion at all of them at once.  Raises ``IllPosed``
+    when fewer than two states carry prior mass, where
+    ``check_sdpd_sufficient`` does, or on the local route at the first
+    action where ``chi`` raises it, where u_y or u_x vanishes at
+    (y, chi(y)), or where the criterion is not finite.
     """
     _supported_states(problem)
-    sdpd = check_sdpd_sufficient(problem)
-    if sdpd.label == "dipped_strict" and problem.smooth:
+    if problem.smooth and check_sdpd_sufficient(problem).label == "dipped_strict":
         ys = problem.actions.points
         pivots, errors = chi_array(problem, ys)
         at = np.flatnonzero(~np.isnan(pivots))

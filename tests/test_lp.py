@@ -7,10 +7,9 @@ import pytest
 from scipy.optimize import linprog
 
 from optrans import Posterior, Problem, uniform
-from optrans.errors import DegenerateBasis, Infeasible, SizeLimit
+from optrans.errors import DegenerateBasis, IllPosed, Infeasible, SizeLimit
 from optrans.grids import from_points
 from optrans.lp import (
-    MASS_TOL,
     OBEYED_ULPS,
     SIFT_BAND,
     SIFT_MIN_STATES,
@@ -27,6 +26,7 @@ from optrans.lp import (
 )
 from optrans.presets import preset, preset_ids
 from optrans.simplex import PIVOT_TOL, SimplexResult, solve_standard_form
+from test_model import nan_sender
 
 E = float(np.e)
 
@@ -80,10 +80,16 @@ class TestBuild:
             want = (pb.states.points[ix] >= pb.actions.points[iy]) - 0.3
             assert lp.Umat[iy, ix] == pytest.approx(want)
 
-    def test_size_limit(self):
+    def test_non_finite_kept_cell_raises(self):
+        # a NaN V used to reach the simplex and come back as objective NaN
+        with pytest.raises(IllPosed, match=r"V = nan and u = 0\.0 at the kept cell \(y, x\) = \(0\.0, 0\.0\)"):
+            build_lp(nan_sender())
+
+    def test_size_limit(self, monkeypatch):
         pb, _ = preset("linear", grid_n=201)
+        monkeypatch.setattr("optrans.lp.SIZE_LIMIT", 10_000)
         with pytest.raises(SizeLimit):
-            build_lp(pb, size_limit=10_000)
+            build_lp(pb)
 
 
 class TestSolve:
@@ -307,7 +313,7 @@ class TestDegenerateDual:
         pb, _ = preset(pid, grid_n=21)
         lp = build_lp(pb)
         out, _ = solve_primal(lp)
-        rows = out.support_rows(MASS_TOL)
+        rows = out.support_rows()
         lp.solution.duals[pb.n_states + rows[rows.size // 2]] += 5.0
         return lp, out
 

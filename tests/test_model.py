@@ -25,6 +25,7 @@ from optrans.grids import from_points
 from optrans.model import chi_array, gamma_binary
 from optrans.presets import MEAN_RECEIVER, preset, preset_ids
 from optrans.structure import RHO_M, check_full_disclosure
+from test_presets import VARIANTS
 
 E = float(np.e)
 
@@ -176,6 +177,93 @@ class TestAssumptionReport:
         rep = check_assumptions(pb)
         assert not rep.asc_ok
         assert any(v[0] == "A2" for v in rep.violations)
+
+
+def row_loop_a2(problem):
+    """The A2 part-2 violations of check_assumptions as its row-by-row loop
+    gave them before the masked row reductions."""
+    Y, X = problem.grids_product()
+    U, Uy = problem.u(Y, X), problem.u_y(Y, X)
+    uscale = max(1.0, float(np.max(np.abs(U))))
+    violations = []
+    for iy in range(problem.n_actions):
+        urow, uyrow = U[iy], Uy[iy]
+        neg = urow < -model.ASSUMPTION_ZERO_TOL * uscale
+        pos = urow > model.ASSUMPTION_ZERO_TOL * uscale
+        if not (neg.any() and pos.any()):
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = uyrow / urow
+        lo_side = np.min(r[neg])
+        hi_pos = np.max(r[pos])
+        if not lo_side > hi_pos:
+            i_n = int(np.nonzero(neg)[0][np.argmin(r[neg])])
+            i_p = int(np.nonzero(pos)[0][np.argmax(r[pos])])
+            worst = urow[i_p] * uyrow[i_n] - urow[i_n] * uyrow[i_p]
+            violations.append(
+                ("A2", (float(problem.actions.points[iy]), float(X[iy, i_n]), float(X[iy, i_p])), float(worst))
+            )
+    return violations
+
+
+def part2_violations(problem):
+    """check_assumptions's A2 part-2 entries: those naming two states."""
+    return [v for v in check_assumptions(problem).violations if v[0] == "A2" and len(v[1]) == 3]
+
+
+@st.composite
+def ratio_tables(draw):
+    """(U, U_y) tables for A2: cells of u within the zero band, ties in
+    u_y / u, and NaN or infinite u_y, so that each side's extreme is NaN,
+    tied or infinite."""
+    ny, nx = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    u_vals = st.sampled_from([-2.0, -1.0, -0.5, -1e-12, 0.0, 1e-12, 0.5, 1.0, 2.0])
+    uy_vals = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, np.nan, np.inf, -np.inf])
+    U = np.array([[draw(u_vals) for _ in range(nx)] for _ in range(ny)])
+    Uy = np.array([[draw(uy_vals) for _ in range(nx)] for _ in range(ny)])
+    return U, Uy
+
+
+def table_problem(ny, nx, **tables):
+    """A problem on uniform grids whose evaluators return the given tables
+    on the grid product (and zeros where none is given)."""
+    zero = np.zeros((ny, nx))
+    return Problem(
+        states=uniform(0.0, 1.0, nx),
+        actions=uniform(0.0, 1.0, ny, "action"),
+        prior=np.full(nx, 1.0 / nx),
+        **{
+            name: (lambda y, x, t=tables.get(name, zero): t)
+            for name in ("V", "u", "V_y", "V_yx", "u_y", "u_x", "u_yx")
+        },
+    )
+
+
+def nan_sender(n=5):
+    """V = NaN everywhere on an n x n grid, u = x - y."""
+    return Problem(
+        states=uniform(0.0, 1.0, n),
+        actions=uniform(0.0, 1.0, n, "action"),
+        prior=np.full(n, 1.0 / n),
+        V=lambda y, x: np.full(np.broadcast(y, x).shape, np.nan),
+        u=lambda y, x: x - y,
+    )
+
+
+class TestA2RowReductions:
+    @pytest.mark.parametrize("grid_n", [21, 41])
+    @pytest.mark.parametrize("pid, params", [(pid, {}) for pid in preset_ids()] + VARIANTS)
+    def test_presets(self, pid, params, grid_n):
+        pb, _ = preset(pid, grid_n=grid_n, **params)
+        assert repr(part2_violations(pb)) == repr(row_loop_a2(pb))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ratio_tables())
+    def test_random_tables(self, tables):
+        U, Uy = tables
+        pb = table_problem(*U.shape, u=U, u_y=Uy, u_x=np.ones_like(U), V_y=np.ones_like(U))
+        with np.errstate(invalid="ignore"):  # inf - inf in the residual of an infinite u_y
+            assert repr(part2_violations(pb)) == repr(row_loop_a2(pb))
 
 
 class TestSignalToOutcome:

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -36,6 +37,7 @@ from optrans.structure import (
     repair_matrix,
     twist_determinant,
 )
+from test_model import nan_sender, table_problem
 from test_presets import VARIANTS
 
 E = float(np.e)
@@ -299,8 +301,10 @@ class TestTwistSweepAgainstBruteForce:
         @given(smooth_problems())
         def run(case):
             pb, zero_tol = case
-            with mock.patch.object(structure, "_twist_sweep", wraps=structure._twist_sweep) as sweep:
-                assert check_twist(pb, zero_tol=zero_tol) == brute_force_twist(pb, zero_tol)
+            with mock.patch.object(structure, "TWIST_ZERO_TOL", zero_tol), mock.patch.object(
+                structure, "_twist_sweep", wraps=structure._twist_sweep
+            ) as sweep:
+                assert check_twist(pb) == brute_force_twist(pb, zero_tol)
             routes["sweep" if sweep.called else "certificate"] += 1
 
         run()
@@ -323,10 +327,10 @@ TWIST_HOLDS = [
 ] + [("contest", {"xmin": 0.62, "xmax": 0.95})]
 
 
-def exact_twist(problem, zero_tol=1e-12):
+def exact_twist(problem):
     """check_twist's report with every action decided by the exact sweep."""
     with mock.patch.object(structure, "_certify_action", return_value=("margin", 0.0)):
-        return check_twist(problem, zero_tol=zero_tol)
+        return check_twist(problem)
 
 
 class TestTwistRoutes:
@@ -346,7 +350,7 @@ class TestTwistRoutes:
         assert rep.label == ("holds_negative" if kwargs else "holds_positive")
 
     def test_hand_over_one_action_at_a_time(self):
-        # with zero_tol = 1e-5 the certificate proves contest's first 11
+        # with TWIST_ZERO_TOL = 1e-5 the certificate proves contest's first 11
         # actions at n=21 and cannot decide the last 8 ('margin'); the sweep
         # runs once on each of those and on no other
         pb, _ = preset("contest", grid_n=21)
@@ -362,10 +366,10 @@ class TestTwistRoutes:
             routes.append("S")
             return sweep(*args)
 
-        with mock.patch.object(structure, "_certify_action", side_effect=certify_logged), mock.patch.object(
-            structure, "_twist_sweep", side_effect=sweep_logged
-        ):
-            rep = check_twist(pb, zero_tol=1e-5)
+        with mock.patch.object(structure, "TWIST_ZERO_TOL", 1e-5), mock.patch.object(
+            structure, "_certify_action", side_effect=certify_logged
+        ), mock.patch.object(structure, "_twist_sweep", side_effect=sweep_logged):
+            rep = check_twist(pb)
         assert "".join(routes) == "C" * 11 + "uS" * 8
         assert rep == brute_force_twist(pb, 1e-5) == TwistReport("holds_positive")
 
@@ -464,7 +468,7 @@ class TestPairwiseContactRows:
             y = float(pts[iy])
             i = min(max(int(np.searchsorted(pts, y)), 1), pts.size - 1)
             cell = float(pts[i] - pts[i - 1])
-            mu = out.row_posterior(int(iy), tol=1e-9)
+            mu = out.row_posterior(int(iy))
             for piece, _ in pairwise_split(pb, mu):
                 assert len(piece.support) <= 2
                 assert abs(gamma(pb, piece) - y) <= 2.5 * cell
@@ -547,6 +551,141 @@ class TestSdpdSufficient:
         assert rep.dipped_weak and rep.peaked_weak
 
 
+def flag_loop_sdpd(problem):
+    """check_sdpd_sufficient as it was with eight per-action flags, before
+    the label came from the ratios' extremes."""
+    ys = problem.actions.points
+    xs = problem.states.points
+    Y, X = np.meshgrid(ys, xs, indexing="ij")
+    Ux = np.asarray(problem.u_x(Y, X), dtype=float)
+    Uyx = np.asarray(problem.u_yx(Y, X), dtype=float)
+    Vyx = np.asarray(problem.V_yx(Y, X), dtype=float)
+    safe_Ux = np.where(np.abs(Ux) < 1e-12, np.nan, Ux)
+    if not np.any(np.isfinite(safe_Ux)):
+        return SdpdReport(label="neither", dipped_weak=False, peaked_weak=False, witness=None)
+    noise = problem.derivative_noise()
+    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
+        r1 = Uyx / safe_Ux
+        d1 = np.diff(r1, axis=1)
+        tol1 = max(STRICT_TOL, noise) * max(1.0, float(np.nanmax(np.abs(r1))))
+        r1_up = bool(np.nanmin(d1) >= -tol1)
+        r1_dn = bool(np.nanmax(d1) <= tol1)
+        r1_up_strict = bool(np.nanmin(d1) > tol1)
+        r1_dn_strict = bool(np.nanmax(d1) < -tol1)
+        r2_up = r2_dn = r2_up_strict = r2_dn_strict = True
+        witness = None
+        tol2 = max(STRICT_TOL, noise) * max(
+            1.0, float(np.nanmax(np.abs(Vyx))), float(np.nanmax(np.abs(1.0 / safe_Ux)))
+        )
+        for i1 in range(ys.size):
+            d2 = np.diff(Vyx[i1:, :] / safe_Ux[i1, :][None, :], axis=1)
+            mn, mx = float(np.nanmin(d2)), float(np.nanmax(d2))
+            if mn < -tol2:
+                r2_up = False
+                if witness is None:
+                    i2r, ixr = np.unravel_index(int(np.nanargmin(d2)), d2.shape)
+                    witness = (float(ys[i1]), float(ys[i1 + i2r]), float(xs[ixr]))
+            if mx > tol2:
+                r2_dn = False
+            if mn <= tol2:
+                r2_up_strict = False
+            if mx >= -tol2:
+                r2_dn_strict = False
+    dip_ok, peak_ok = r1_up and r2_up, r1_dn and r2_dn
+    if dip_ok and (r1_up_strict or r2_up_strict):
+        label = "dipped_strict"
+    elif peak_ok and (r1_dn_strict or r2_dn_strict):
+        label = "peaked_strict"
+    elif dip_ok and peak_ok:
+        label = "neither"
+    elif dip_ok:
+        label = "dipped"
+    elif peak_ok:
+        label = "peaked"
+    else:
+        label = "neither"
+    return SdpdReport(label=label, dipped_weak=dip_ok, peaked_weak=peak_ok, witness=witness)
+
+
+@st.composite
+def ratio_monotone_tables(draw):
+    """(u_x, u_yx, V_yx) tables whose ratios are monotone in x, rising,
+    falling or flat, with some u_x cells or whole action slices below 1e-12
+    (where the ratios are NaN), and optionally a perturbation that breaks
+    the monotonicity."""
+    ny, nx = draw(st.integers(2, 6)), draw(st.integers(2, 7))
+    x = np.linspace(0.0, 1.0, nx)
+    shape = st.sampled_from(["up", "down", "flat"])
+
+    def profile(kind):
+        scale = draw(st.sampled_from([1e-9, 1.0, 50.0]))
+        return {"up": 1.0 + scale * x, "down": 1.0 + scale * (1.0 - x), "flat": np.ones(nx)}[kind]
+
+    a = np.array([draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(ny)])
+    h = profile(draw(shape))
+    Ux = a[:, None] * h[None, :]
+    Uyx = draw(st.sampled_from([-1.0, 0.0, 1.0])) * Ux * profile(draw(shape))[None, :]
+    b = np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(ny)])
+    Vyx = b[:, None] * h[None, :] * profile(draw(shape))[None, :]
+    tiny = st.sampled_from([0.0, 5e-13, -3e-13])
+    for _ in range(draw(st.integers(0, 3))):
+        Ux[draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))] = draw(tiny)
+    if draw(st.booleans()):
+        Ux[draw(st.integers(0, ny - 1))] = draw(tiny)
+    if draw(st.booleans()):
+        Ux[:, draw(st.integers(0, nx - 1))] = draw(tiny)
+    if draw(st.booleans()):
+        which = draw(st.sampled_from([Uyx, Vyx]))
+        which[draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))] += draw(st.sampled_from([-1.0, 1e-9, 1.0]))
+    return Ux, Uyx, Vyx
+
+
+class TestSdpdFromExtremes:
+    @pytest.mark.parametrize("grid_n", [21, 41])
+    @pytest.mark.parametrize("pid, params", [(pid, {}) for pid in preset_ids()] + VARIANTS)
+    def test_presets(self, pid, params, grid_n):
+        pb, _ = preset(pid, grid_n=grid_n, **params)
+        assert repr(check_sdpd_sufficient(pb)) == repr(flag_loop_sdpd(pb))
+
+    def test_random_tables(self):
+        labels = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(ratio_monotone_tables())
+        def run(tables):
+            Ux, Uyx, Vyx = tables
+            pb = table_problem(*Ux.shape, u_x=Ux, u_yx=Uyx, V_yx=Vyx)
+            rep = check_sdpd_sufficient(pb)
+            assert repr(rep) == repr(flag_loop_sdpd(pb))
+            labels[rep.label] += 1
+
+        run()
+        assert set(labels) == {"dipped", "dipped_strict", "peaked", "peaked_strict", "neither"}, labels
+
+    @pytest.mark.parametrize("row", [[0.0, 1e-8], [1e-8, 0.0]])
+    def test_difference_at_the_tolerance_is_not_strict(self, row):
+        # r1's one difference is exactly +-tol1 = 1e-8 and r2 is flat
+        pb = table_problem(3, 2, u_x=np.ones((3, 2)), u_yx=np.array([row] * 3))
+        assert repr(check_sdpd_sufficient(pb)) == repr(flag_loop_sdpd(pb))
+        assert check_sdpd_sufficient(pb).label == "neither"
+
+    def test_nan_sender_raises(self):
+        # an all-NaN V_yx used to clear no flag, so the label came out
+        # dipped_strict with both weak flags set
+        with pytest.raises(IllPosed, match=r"V_yx is nan at \(y, x\) = \(0\.0, 0\.0\)"):
+            check_sdpd_sufficient(nan_sender())
+
+    @pytest.mark.parametrize("name", ["u_x", "u_yx", "V_yx"])
+    def test_non_finite_cell_raises(self, name):
+        # a non-finite u_x used to count as a vanishing one, and a non-finite
+        # u_yx or V_yx as a missing difference
+        tables = {"u_x": np.ones((3, 4)), "u_yx": np.zeros((3, 4)), "V_yx": np.ones((3, 4))}
+        tables[name][1, 2] = np.inf
+        with pytest.raises(IllPosed, match=rf"{name} is inf at \(y, x\) = \(0\.5, 0\.6666666666666666\)"):
+            check_sdpd_sufficient(table_problem(3, 4, **tables))
+
+
 class TestFullDisclosure:
     def test_convex_state_independent_unique(self):
         pb, _ = preset("linear", grid_n=41, V_shape="convex")
@@ -569,6 +708,35 @@ class TestFullDisclosure:
         assert rep.label == "optimal_unique"
         assert rep.decided_by == "convex_supermodular_shortcut"
 
+    @pytest.mark.parametrize("pid", ["quantile", "affiliated"])
+    def test_shortcut_skipped_when_not_optimal(self, pid):
+        # the shortcut only names the route of an optimal report
+        pb, _ = preset(pid, grid_n=21)
+        with mock.patch.object(structure, "_linear_receiver_shortcut", side_effect=AssertionError("shortcut ran")):
+            assert check_full_disclosure(pb).label == "not_optimal"
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_grid_tables_evaluated_once(self, pid):
+        pb, _ = preset(pid, grid_n=21)
+        Y, X = pb.grids_product()
+        calls = Counter()
+
+        def counted(name, f):
+            def g(y, x):
+                calls[name] += np.shape(y) == Y.shape and np.array_equal(y, Y) and np.array_equal(x, X)
+                return f(y, x)
+
+            return g
+
+        pb.V, pb.u = counted("V", pb.V), counted("u", pb.u)
+        check_full_disclosure(pb)
+        assert calls["V"] <= 1 and calls["u"] <= 1, calls
+
+    def test_nan_sender_raises(self):
+        # the scale of V used to be the max of an empty array (ValueError)
+        with pytest.raises(IllPosed, match="is NaN"):
+            check_full_disclosure(nan_sender())
+
 
 class TestNadCondition:
     def test_reciprocal_gain_holds(self):
@@ -587,6 +755,12 @@ class TestNadCondition:
         assert rep.label == "fails"
         assert rep.witness < 0
 
+    def test_sdpd_skipped_when_not_smooth(self):
+        # the local route needs a smooth problem, so the certificate is not run
+        pb, _ = preset("quantile", grid_n=21)
+        with mock.patch.object(structure, "check_sdpd_sufficient", side_effect=AssertionError("sdpd ran")):
+            assert check_nad_condition(pb).route == "sweep"
+
     def test_vanishing_u_y_at_pivot_raises(self):
         # u = (x - 0.5) e^-y: chi(y) = 0.5 at every action, where u_y vanishes;
         # the local route used to raise a bare ZeroDivisionError
@@ -602,11 +776,12 @@ class TestNadCondition:
             check_nad_condition(pb)
 
     def test_non_finite_criterion_raises(self):
-        # V_y is NaN at the action 0.5 only; a NaN criterion there used to be
-        # skipped, since NaN > worst is False
+        # V_y is NaN at the pivot (0.5, chi(0.5) = 0.5) only, off the points
+        # the grid tables of check_sdpd_sufficient read; a NaN criterion there
+        # used to be skipped, since NaN > worst is False
         def V_y(y, x):
             y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
-            return np.where(y == 0.5, np.nan, x * x + 1.0)
+            return np.where((y == 0.5) & (x == 0.5), np.nan, x * x + 1.0)
 
         pb = Problem(
             states=uniform(0.0, 1.0, 21),
@@ -752,7 +927,6 @@ def full_table_sweep(problem, m=RHO_M):
     disc = structure._disclosed_values(problem, vals)
     gain = structure._split_gain(problem, X1, X2, RHO, disc[V1], disc[V2])
     worst = float(np.max(gain))
-    shortcut = structure._linear_receiver_shortcut(problem)
 
     def refine(k):
         return refine_pair(problem, X1[k], X2[k], disc[V1[k]], disc[V2[k]])
@@ -771,6 +945,8 @@ def full_table_sweep(problem, m=RHO_M):
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(sep2 > 0, gain / sep2, -np.inf)
     label = "optimal_unique" if np.max(normalized) < -STRICT_TOL * scale else "optimal"
+    Y, X = problem.grids_product()
+    shortcut = structure._linear_receiver_shortcut(problem, problem.V(Y, X), problem.u(Y, X))
     decided = "convex_supermodular_shortcut" if shortcut else "sweep"
     return FullDisclosureReport(label, witness=None, margin=worst, decided_by=decided)
 
