@@ -496,7 +496,9 @@ def check_assumptions(problem: Problem) -> AssumptionReport:
     single-crossing relaxation with at most one sign change per action row.
     interior_ok wants each state's optimal action inside the action range.
     Tolerances are ``ASSUMPTION_ZERO_TOL`` and ``INTERIOR_TOL``, relative to
-    the largest |u| on the grid.
+    the largest |u| on the grid.  Raises ``IllPosed``, naming the action and
+    both states, when the residual of a signed-ratio violation is not finite
+    (an infinite u_y at its states).
     """
     Y, X = problem.grids_product()
     U = problem.u(Y, X)
@@ -527,8 +529,15 @@ def check_assumptions(problem: Problem) -> AssumptionReport:
     i_p = np.argmax(pos & (np.isnan(r) | (r >= hi_pos[:, None])), axis=1)
     for iy in np.flatnonzero(neg.any(axis=1) & pos.any(axis=1) & ~(lo_side > hi_pos)):
         n, p = i_n[iy], i_p[iy]
-        worst = U[iy, p] * Uy[iy, n] - U[iy, n] * Uy[iy, p]
-        violations.append(("A2", (float(problem.actions.points[iy]), float(X[iy, n]), float(X[iy, p])), float(worst)))
+        where = (float(problem.actions.points[iy]), float(X[iy, n]), float(X[iy, p]))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: raised below
+            worst = float(U[iy, p] * Uy[iy, n] - U[iy, n] * Uy[iy, p])
+        if not np.isfinite(worst):
+            raise IllPosed(
+                f"A2 residual {worst!r} at (y, x_neg, x_pos) = {where!r} is not finite: "
+                f"u_y = {float(Uy[iy, n])!r}, {float(Uy[iy, p])!r} there"
+            )
+        violations.append(("A2", where, worst))
     asc_ok = not any(v[0] == "A2" for v in violations)
 
     # A4 ordering, possibly relaxed to single crossing in x.

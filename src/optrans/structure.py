@@ -1,8 +1,9 @@
 """Structural tests and constructive transformations.
 
-Twist determinant and its sign sweep, decided by an O(n^2)-per-action
-certificate where it can prove the sign and by the exact O(n^3)-per-action
-sweep where it cannot, greedy pairwise splitting of posteriors,
+Twist determinant and its sign sweep, decided by an O(n)-per-action convex
+chain bound, else an O(n^2)-per-action block certificate where they can
+prove the sign, and by the exact O(n^3)-per-action sweep where neither can,
+greedy pairwise splitting of posteriors,
 single-dipped / single-peaked classification of outcomes and contact sets,
 three-point re-pairing certificates via a theorem of alternatives, grid
 sufficient conditions for dipped / peaked disclosure, the full-disclosure
@@ -34,12 +35,14 @@ RHO_M = 64  # pooling sweeps: interior rho = k / RHO_M, k = 1 .. RHO_M - 1
 REFINE_M = 512  # full-disclosure refinement: rho = k / REFINE_M
 NEAR_MAX = 256  # full-disclosure near-tie pairs refined, largest coarse gain first
 _EPS = float(np.finfo(float).eps)
-# twist certificate: _TWIST_ROUNDING * _EPS bounds the rounding of one
-# determinant, the sweep's or the certificate's own bound, on rows scaled into
-# [-1, 1]; a lower bound must clear _TWIST_SAFETY times (TWIST_ZERO_TOL *
-# the action's Hadamard bound + both roundings).  A chunk of blocks holds at
-# most _TWIST_CHUNK (state, block) entries.
+# twist tiers: _TWIST_ROUNDING * _EPS bounds the rounding of one
+# determinant, the sweep's or the block certificate's own bound, on rows
+# scaled into [-1, 1], and _CHAIN_ROUNDING * _EPS * nmin^3 that of the chain
+# tier's bound (``_twist_chain``); a lower bound must clear _TWIST_SAFETY
+# times (TWIST_ZERO_TOL * the action's Hadamard bound + both roundings).  A
+# chunk of blocks holds at most _TWIST_CHUNK (state, block) entries.
 _TWIST_ROUNDING = 32.0
+_CHAIN_ROUNDING = 256.0
 _TWIST_SAFETY = 4.0
 _TWIST_CHUNK = 1 << 16
 
@@ -85,86 +88,200 @@ def check_twist(problem: Problem) -> TwistReport:
     its own Hadamard bound in the scaled frame.  So the only state one
     action hands the next is the sign.
 
-    Each action is decided by one of two routes, by construction with the
-    same result.  A certificate first tries to prove, in O(nx) work per
-    (y, x1) block, that every triple of the action clears the zero test
-    with the sign.  It rests on a projection identity: in a frame whose
-    third axis is R_i, with w_x the projection of R_x onto the other two
-    axes, det(R_i, R_j, R_k) = |R_i| |w_j| |w_k| sin(phi_k - phi_j), phi the
-    angle of w.  So a block has one sign when the angles rise with the state
-    within a quarter turn, a prefix-maximum test, and the angle gaps, split
-    at the midpoint between x1 and x3, bound every |det| from below; that
-    bound must clear ``TWIST_ZERO_TOL`` times the action's Hadamard bound
-    plus the rounding of the sweep's formula, with a safety factor
-    (``_certify_action`` has the details).  An action the certificate
-    cannot decide (a degenerate frame, angles out of order, too small a
-    margin, or no sign yet because the first triple is zero) goes to the
-    exact sweep, which lists the action's valid (x2, x3) index pairs once
-    and checks each (y, x1) block against them.  One DEBUG record on logger
-    ``optrans.structure`` counts the actions each route decided, with the
-    certificate's least margin and the first swept action and its reason.
-    Raises ``IllPosed`` when the scan reaches an action whose rows are not
+    Each action is decided by the first of three tiers that can, by
+    construction with the same result.  Every lower bound below must clear
+    ``_TWIST_SAFETY`` times (``TWIST_ZERO_TOL`` times the action's Hadamard
+    bound + the rounding of the sweep's formula + the tier's own rounding).
+    1. The chain tier (``_twist_chain``), O(nx) per action and run for every
+       action at once, proves every triple of the action.  It projects the
+       rows from an axis d inside their hemisphere to points p_x of a plane;
+       det(R_i, R_j, R_k) has the sign of the triangle (p_i, p_j, p_k), so
+       the action is proved when the p_x form a strictly convex polygon in
+       state order, whose smallest triangle has three cyclically
+       consecutive vertices.
+    2. The block certificate (``_certify_action``), O(nx) per (y, x1) block,
+       proves the action's triples from a projection identity in each
+       block's own frame: a block has one sign when the angles of the
+       projected rows rise with the state within a quarter turn.
+    3. The exact sweep (``_twist_sweep``) lists the action's valid (x2, x3)
+       index pairs once and checks each (y, x1) block against them.
+    An action goes to the next tier when the one before cannot decide it
+    (a degenerate frame, no hemisphere or convex chain, angles out of
+    order, too small a margin, or no sign yet because the first triple is
+    zero).  One DEBUG record on logger ``optrans.structure`` counts the
+    actions each tier decided, with the least margin of the first two and
+    the first swept action and its reason.  Raises ``IllPosed`` when the
+    scan reaches an action where ``chi`` raises it or whose rows are not
     finite.
     """
     xs = problem.states.points
     nx = xs.size
-    sign, certified, swept, least, first, witness = 0, 0, 0, np.inf, "", None
-    for y, R, norms, n_low, kh in _twist_actions(problem):
+    ys, R, norms, n_low, kh, fault = _twist_actions(problem)
+    chain, low, need = _twist_chain(R, norms, np.minimum(n_low, nx - 2))
+    sign, witness, first = 0, None, ""
+    decided = {"chain": 0, "certificate": 0, "sweep": 0}
+    least = {"chain": np.inf, "certificate": np.inf}
+    for a, y in enumerate(ys):
+        Ra, na, nl, k = R[a], norms[a], int(n_low[a]), int(kh[a])
         if sign == 0 and nx > 2:  # the scan's first triple (0, 1, max(kh, 2)) sets the sign
-            k = max(kh, 2)
-            d, tol = _det3(*R[[0, 1, k]].T), TWIST_ZERO_TOL * norms[0] * norms[1] * norms[k]
+            k3 = max(k, 2)
+            d, tol = _det3(*Ra[[0, 1, k3]].T), TWIST_ZERO_TOL * na[0] * na[1] * na[k3]
             sign = 1 if d > tol else -1 if d < -tol else 0
         if sign == 0:
             reason = "sign"
-        elif nx - kh < n_low:
+        elif chain[a] == sign and low[a] > need[a]:
+            decided["chain"] += 1
+            least["chain"] = min(least["chain"], low[a] / need[a])
+            continue
+        elif nx - k < nl:
             # fewer blocks counted down from the top state, with the states
             # reversed: det(R_k, R_j, R_i) = -det(R_i, R_j, R_k)
-            reason, margin = _certify_action(R[::-1], norms[::-1], min(nx - kh, nx - 2), nx - n_low, -sign)
+            reason, margin = _certify_action(Ra[::-1], na[::-1], min(nx - k, nx - 2), nx - nl, -sign)
         else:
-            reason, margin = _certify_action(R, norms, min(n_low, nx - 2), kh, sign)
+            reason, margin = _certify_action(Ra, na, min(nl, nx - 2), k, sign)
         if reason is None:
-            certified += 1
-            least = min(least, margin)
+            decided["certificate"] += 1
+            least["certificate"] = min(least["certificate"], margin)
             continue
-        swept += 1
-        first = first or f", first at y={y!r} ({reason})"
-        hit = _twist_sweep(R, norms, n_low, kh, sign)
+        decided["sweep"] += 1
+        first = first or f", first at y={float(y)!r} ({reason})"
+        hit = _twist_sweep(Ra, na, nl, k, sign)
         if hit is not None:
-            witness = (y, *(float(xs[t]) for t in hit))
+            witness = (float(y), *(float(xs[t]) for t in hit))
             break
-    logger.debug("twist: %d actions certified (least margin %.3g), %d swept%s", certified, least, swept, first)
+    logger.debug(
+        "twist: %d actions by the chain (least margin %.3g), %d by the block certificate (least margin %.3g), %d swept%s",
+        decided["chain"],
+        least["chain"],
+        decided["certificate"],
+        least["certificate"],
+        decided["sweep"],
+        first,
+    )
+    if witness is None and fault is not None:
+        raise fault
     if witness is not None or sign == 0:
         return TwistReport("fails", witness)
     return TwistReport("holds_positive" if sign > 0 else "holds_negative")
 
 
-def _twist_actions(problem: Problem):
-    """The actions the twist sweep visits, in scan order, as
-    (y, R, norms, n_low, kh): the rows R = (V_y, u, u_y) at (y, xs) with each
-    column scaled by a power of two so that its largest magnitude lies in
-    [0.5, 1), exactly; their norms; the number of states below chi(y); and
-    the index of the first state above it.  Every pivot comes from one
-    ``chi_array`` call.  Actions without a pivot, or with every state on one
-    side of it, are skipped.  Raises ``IllPosed`` on reaching an action
-    where ``chi`` raises it or whose rows are not finite."""
+def _twist_actions(problem: Problem) -> tuple:
+    """The actions the twist sweep visits, in scan order, up to the first
+    that raises, as (ys, R, norms, n_low, kh, fault): the actions; their
+    rows R = (V_y, u, u_y) at (y, xs), an (actions, states, 3) array, with
+    each column of each action scaled by a power of two so that its largest
+    magnitude lies in [0.5, 1), exactly; the row norms; the number of states
+    below chi(y); the index of the first state above it; and the
+    ``IllPosed`` the scan raises after these actions, or None.  Every pivot
+    comes from one ``chi_array`` call and each of V_y, u and u_y is
+    evaluated once, on (actions, states) arrays, which gives every entry the
+    same bits as a call on one action's row.  Actions without a pivot, or
+    with every state on one side of it, are skipped.  The fault is the first,
+    in scan order, of an action where ``chi`` raises ``IllPosed`` and an
+    action whose rows are not finite."""
     xs = problem.states.points
     nx = xs.size
-    pivots, errors = chi_array(problem, problem.actions.points)
-    for i, (y, pivot) in enumerate(zip(problem.actions.points, pivots)):
-        if i in errors:
-            raise errors[i]
-        n_low = int(np.count_nonzero(xs < pivot))
-        kh = int(np.searchsorted(xs, pivot, side="right"))  # first state above chi(y)
-        if np.isnan(pivot) or n_low == 0 or kh == nx:
-            continue
-        yv = np.full(nx, float(y))
-        R = np.stack([np.asarray(f(yv, xs), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)], axis=1)
-        bad = ~np.isfinite(R).all(axis=1)
-        if bad.any():
-            x = float(xs[int(np.argmax(bad))])
-            raise IllPosed(f"twist rows (V_y, u, u_y) are not finite at (y, x) = ({float(y)!r}, {x!r})")
-        R = np.ldexp(R, -np.frexp(np.max(np.abs(R), axis=0))[1])
-        yield float(y), R, np.sqrt(R[:, 0] ** 2 + R[:, 1] ** 2 + R[:, 2] ** 2), n_low, kh
+    ys = problem.actions.points
+    pivots, errors = chi_array(problem, ys)
+    n_low = np.searchsorted(xs, pivots, side="left")  # states below chi(y); NaN sorts last
+    kh = np.searchsorted(xs, pivots, side="right")  # first state above chi(y)
+    idx = np.flatnonzero((n_low > 0) & (kh < nx))
+    Y, X = np.meshgrid(ys[idx], xs, indexing="ij")
+    R = np.stack([np.asarray(f(Y, X), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)], axis=2)
+    bad = ~np.isfinite(R).all(axis=2)
+    stop, fault = ys.size, None
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        a = int(rows[0])
+        x = float(xs[int(np.argmax(bad[a]))])
+        stop = int(idx[a])
+        fault = IllPosed(f"twist rows (V_y, u, u_y) are not finite at (y, x) = ({float(ys[stop])!r}, {x!r})")
+    if errors and min(errors) < stop:
+        stop = min(errors)
+        fault = errors[stop]
+    keep = idx < stop
+    idx, R = idx[keep], R[keep]
+    R = np.ldexp(R, -np.frexp(np.max(np.abs(R), axis=1))[1][:, None, :])
+    norms = np.sqrt(R[..., 0] ** 2 + R[..., 1] ** 2 + R[..., 2] ** 2)
+    return ys[idx], R, norms, n_low[idx], kh[idx], fault
+
+
+def _twist_chain(R, norms, nb) -> tuple:
+    """The chain tier of ``check_twist``: a lower bound of sign * det(R_i,
+    R_j, R_k) over every triple i < j < k of each action at once, in O(nx)
+    work per action.  ``R`` and ``norms`` are ``_twist_actions``'s rows
+    (actions, states, 3) and norms, ``nb`` the sweep's blocks per action,
+    min(n_low, nx - 2).
+
+    Per action, let d be the normalized sum of the unit rows, e1 the
+    coordinate axis least aligned with d made orthogonal to it, and e2 =
+    d x e1, so that (e1, e2, d) is right-handed.  With q_x = R_x . d and
+    p_x = (R_x . e1, R_x . e2) / q_x, every det(R_i, R_j, R_k) = q_i q_j q_k
+    A(i, j, k), A the determinant of the lifted points (p, 1), twice the
+    signed area of the triangle (p_i, p_j, p_k).  When every c_x = q_x / |R_x|
+    is positive, the nx cyclically consecutive A_t = A(t, t + 1, t + 2) share
+    one sign, and the edges p_{t+1} - p_t wind once around (counted by exact
+    half-plane tests: the steps from the lower half plane into the upper,
+    after reflecting a clockwise chain), the p_x form a strictly convex
+    polygon in state order.  Its smallest triangle has three cyclically
+    consecutive vertices (the distance to a chord is unimodal along a convex
+    chain), and a cyclic rotation keeps A, so every index-ordered triple has
+    sign * A >= min_t sign * A_t and
+
+        low = nmin^3 c_min^3 min_t sign * A_t,
+
+    nmin the least row norm, bounds every sign * det from below.  The
+    action is proved when low > need = ``_TWIST_SAFETY`` (``TWIST_ZERO_TOL``
+    H + E + ``_CHAIN_ROUNDING`` eps nmin^3), H and E as in
+    ``_certify_action``.  The last term is the rounding of p and A carried
+    to det units: each dot product is off by at most 3 eps |R_x|, so, with
+    |p| <= 1 / c, a coordinate of p by 7 eps / c^2 and of an edge by
+    16 eps / c^2, and A_t, a cross product of edges of size <= 2 / c, by
+    144 eps / c^3, which nmin^3 c_min^3 turns into 144 eps nmin^3.  Since
+    |A_t| <= 8 / c_min^2, clearing need forces c_min > 128 eps, so the
+    relative rounding of q, c and the frame, about 3 eps / c_min per factor,
+    stays below a fifth in all, which the safety factor covers.
+
+    Returns (sign, low, need) per action; sign is the chain's orientation,
+    +1 or -1, where the rows form such a convex chain, else 0."""
+    na, nx = norms.shape
+    sign = np.zeros(na, dtype=int)
+    if na == 0 or nx < 3:
+        return sign, np.zeros(na), np.ones(na)
+    act = np.arange(na)
+
+    def dot(v):
+        return R[..., 0] * v[:, None, 0] + R[..., 1] * v[:, None, 1] + R[..., 2] * v[:, None, 2]
+
+    # a zero row gives 0 / 0, a row at right angles to d gives x / 0, and a
+    # near one gives huge p: the sign tests below reject all three
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.sum(R / norms[..., None], axis=1)
+        d /= np.sqrt(np.sum(d * d, axis=1))[:, None]
+        axis = np.argmin(np.abs(d), axis=1)
+        e1 = -d[act, axis][:, None] * d
+        e1[act, axis] += 1.0
+        e1 /= np.sqrt(np.sum(e1 * e1, axis=1))[:, None]
+        e2 = np.cross(d, e1)
+        q = dot(d)
+        p1, p2 = dot(e1) / q, dot(e2) / q
+        c_min = np.min(q / norms, axis=1)
+        ex, ey = np.roll(p1, -1, axis=1) - p1, np.roll(p2, -1, axis=1) - p2  # edge t: p_t -> p_{t+1}
+        A = ex * np.roll(ey, -1, axis=1) - ey * np.roll(ex, -1, axis=1)  # A_t = A(t, t + 1, t + 2)
+        s = np.sign(A[:, 0])
+        a_min = np.min(s[:, None] * A, axis=1)
+        ey = s[:, None] * ey
+        upper = (ey > 0.0) | ((ey == 0.0) & (ex > 0.0))  # the edge's angle lies in [0, pi)
+        turns = np.count_nonzero(upper & ~np.roll(upper, 1, axis=1), axis=1)
+        chain = (c_min > 0.0) & (a_min > 0.0) & (a_min < np.inf) & (turns == 1)
+        sign[chain] = s[chain]
+        nmin3 = np.min(norms, axis=1) ** 3
+        low = nmin3 * c_min**3 * a_min
+    top = np.maximum.accumulate((norms * norms)[:, ::-1], axis=1)[:, ::-1]
+    H = np.max(norms[:, :-1] * top[:, 1:], axis=1, where=np.arange(nx - 1) < nb[:, None], initial=0.0)
+    E = _TWIST_ROUNDING * _EPS * np.prod(np.max(np.abs(R), axis=1), axis=1)
+    need = _TWIST_SAFETY * (TWIST_ZERO_TOL * H + E + _CHAIN_ROUNDING * _EPS * nmin3)
+    return sign, low, need
 
 
 def _twist_sweep(R, norms, n_low: int, kh: int, sign: int) -> Optional[tuple]:
@@ -764,20 +881,24 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     first refined pair that beats tol is reported.  When full disclosure is
     optimal and the receiver is linear, ``decided_by`` names the
     convexity-plus-exchange shortcut if it already decides optimality;
-    every other report, the action rows' too, reads ``sweep``.  V and u are
-    tabulated on the grid once.  One DEBUG record on logger
+    every other report, the action rows' too, reads ``sweep``.  V is
+    tabulated on the grid once, and u at most once: only where the rows can
+    judge the problem or the shortcut runs.  One DEBUG record on logger
     ``optrans.structure`` names the route: the deciding action and gain for
     the rows, the reason the rows did not decide for the sweep.  Raises
     ``IllPosed`` when fewer than two states carry prior mass, and from the
     sweep when V is NaN."""
     Y, X = problem.grids_product()
     V = np.asarray(problem.V(Y, X), dtype=float)
-    U = np.asarray(problem.u(Y, X), dtype=float)
+    U = None
     scale = max(1.0, float(np.max(np.abs(V[np.isfinite(V)]), initial=0.0)))
     tol = 1e-9 * scale
     pooled = _PooledPairs(problem)
     supported = problem.prior > 0
-    report, why = _empty_row(problem, pooled, V[:, supported], U[:, supported], tol)
+    report, why = None, _rows_blocked(problem)
+    if why is None:
+        U = np.asarray(problem.u(Y, X), dtype=float)
+        report, why = _empty_row(problem, pooled, V[:, supported], U[:, supported], tol)
     logger.debug("full disclosure: %s", why)
     if report is not None:
         return report
@@ -802,14 +923,31 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
         normalized = np.where(sep2 > 0, per_pair / sep2, -np.inf)
     strict = bool(np.max(normalized) < -STRICT_TOL * scale)
     label = "optimal_unique" if strict else "optimal"
+    if U is None:
+        U = np.asarray(problem.u(Y, X), dtype=float)
     decided = "convex_supermodular_shortcut" if _linear_receiver_shortcut(problem, V, U) else "sweep"
     return FullDisclosureReport(label=label, witness=None, margin=worst, decided_by=decided)
 
 
+def _rows_blocked(problem: Problem) -> Optional[str]:
+    """Why the action rows of ``check_full_disclosure`` cannot judge the
+    problem, as its DEBUG note, or None when they can: they judge only a
+    ``strict_foc`` problem under equality obedience (every row constrained)
+    with no forbidden cells."""
+    if problem.tie_break != "strict_foc":
+        return "sweep (not strict_foc)"
+    if problem.obedience != "equality":
+        return "sweep (inequality obedience)"
+    if problem.forbidden is not None:
+        return "sweep (forbidden cells)"
+    return None
+
+
 def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, U: np.ndarray, tol: float) -> tuple:
-    """The row route of ``check_full_disclosure``: (report, note), the
-    report None when the rows do not decide.  ``V`` and ``U`` are V and u on
-    the actions x ``pooled``'s states.
+    """The row route of ``check_full_disclosure`` on a problem that
+    ``_rows_blocked`` passes: (report, note), the report None when the rows
+    do not decide.  ``V`` and ``U`` are V and u on the actions x ``pooled``'s
+    states.
 
     Row y admits q with V(y, x) + q u(y, x) <= p(x) = ``pooled.disc`` on
     every state exactly when lo_y <= hi_y (``q_intervals``).  An empty row
@@ -817,15 +955,8 @@ def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, U: np.ndar
     rho = u2 / (u2 - u1), which keeps y obeyed, gains
     |u1| u2 / (u2 - u1) (lo_y - hi_y) over splitting.  The row with the
     largest gain above ``tol`` decides when its pair, re-swept on the grid
-    k / ``REFINE_M``, still gains more than ``tol``.  Only a ``strict_foc``
-    problem under equality obedience (every row constrained) with no
-    forbidden cells and finite V, u and p is judged."""
-    if problem.tie_break != "strict_foc":
-        return None, "sweep (not strict_foc)"
-    if problem.obedience != "equality":
-        return None, "sweep (inequality obedience)"
-    if problem.forbidden is not None:
-        return None, "sweep (forbidden cells)"
+    k / ``REFINE_M``, still gains more than ``tol``.  Only finite V, u and
+    p are judged."""
     if not (np.isfinite(V).all() and np.isfinite(U).all() and np.isfinite(pooled.disc).all()):
         return None, "sweep (non-finite table)"
     below, above = U < 0, U > 0

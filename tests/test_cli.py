@@ -345,7 +345,9 @@ class TestCommands:
             assert main(argv + [str(tmp_path / "debug")]) == code
         twist, full = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
         assert re.fullmatch(
-            r"twist: 29 actions certified \(least margin \S+\), 0 swept", twist
+            r"twist: 29 actions by the chain \(least margin \S+\), "
+            r"0 by the block certificate \(least margin inf\), 0 swept",
+            twist,
         ), twist
         assert full.startswith("full disclosure: rows, empty at y="), full
         quiet = (tmp_path / "quiet" / "verdicts.json").read_bytes()

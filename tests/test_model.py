@@ -260,10 +260,25 @@ class TestA2RowReductions:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(ratio_tables())
     def test_random_tables(self, tables):
+        # a violation whose residual is not finite (an infinite u_y at its
+        # states) raises instead of reporting a NaN or infinite residual
         U, Uy = tables
         pb = table_problem(*U.shape, u=U, u_y=Uy, u_x=np.ones_like(U), V_y=np.ones_like(U))
-        with np.errstate(invalid="ignore"):  # inf - inf in the residual of an infinite u_y
-            assert repr(part2_violations(pb)) == repr(row_loop_a2(pb))
+        with np.errstate(invalid="ignore"):  # the reference's inf - inf
+            want = row_loop_a2(pb)
+        if all(np.isfinite(v[2]) for v in want):
+            assert repr(part2_violations(pb)) == repr(want)
+        else:
+            with pytest.raises(IllPosed, match=r"A2 residual .* is not finite"):
+                check_assumptions(pb)
+
+    def test_infinite_u_y_raises(self):
+        # u = x - 0.5 on three states; u_y = +inf at the negative state
+        U = np.array([[-1.0, 0.5, 1.0], [-1.0, 0.5, 1.0]])
+        Uy = np.array([[np.inf, -1.0, -1.0], [-1.0, -1.0, -1.0]])
+        pb = table_problem(2, 3, u=U, u_y=Uy, u_x=np.ones_like(U), V_y=np.ones_like(U))
+        with pytest.raises(IllPosed, match=r"A2 residual inf at \(y, x_neg, x_pos\) = \(0\.0, 0\.0, 1\.0\)"):
+            check_assumptions(pb)
 
 
 class TestSignalToOutcome:

@@ -4,11 +4,12 @@ import re
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optrans import Posterior, Problem, gamma, uniform
@@ -164,12 +165,32 @@ class TestCheckTwist:
 
     def test_debug_record_certified(self, caplog):
         pb, _ = preset("example_c1", grid_n=41)
-        visited = len(list(structure._twist_actions(pb)))
+        visited = structure._twist_actions(pb)[0].size
         with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
             assert check_twist(pb).label == "holds_positive"
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
-        m = re.fullmatch(r"twist: (\d+) actions certified \(least margin \S+\), 0 swept", line)
+        m = re.fullmatch(
+            r"twist: (\d+) actions by the chain \(least margin \S+\), "
+            r"0 by the block certificate \(least margin inf\), 0 swept",
+            line,
+        )
         assert m and int(m[1]) == visited == 39, line
+
+    def test_debug_record_counts_each_tier(self, caplog):
+        # example_c3's actions split between the chain and the block
+        # certificate: triples on one side of chi(y) are nearly flat there
+        pb, _ = preset("example_c3", grid_n=41)
+        visited = structure._twist_actions(pb)[0].size
+        with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
+            assert check_twist(pb).label == "holds_positive"
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
+        m = re.fullmatch(
+            r"twist: (\d+) actions by the chain \(least margin (\S+)\), "
+            r"(\d+) by the block certificate \(least margin (\S+)\), 0 swept",
+            line,
+        )
+        assert m and int(m[1]) > 0 and int(m[3]) > 0 and int(m[1]) + int(m[3]) == visited, line
+        assert float(m[2]) > 1.0 and float(m[4]) > 1.0, line
 
     def test_debug_record_swept(self, caplog):
         # the scan's first triple on linear is zero, so its first action has
@@ -179,7 +200,10 @@ class TestCheckTwist:
             rep = check_twist(pb)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
         y = rep.witness[0]
-        assert line == f"twist: 0 actions certified (least margin inf), 1 swept, first at y={y!r} (sign)"
+        assert line == (
+            "twist: 0 actions by the chain (least margin inf), 0 by the block certificate (least margin inf), "
+            f"1 swept, first at y={y!r} (sign)"
+        )
 
     @pytest.mark.parametrize("grid_n", [41, 101, 141, 201])
     def test_affiliated_grid_independent(self, grid_n):
@@ -293,8 +317,9 @@ class TestTwistSweepAgainstBruteForce:
         assert check_twist(pb) == brute_force_twist(pb)
 
     def test_random_smooth_problems(self):
-        # both routes must be exercised: the certificate alone, and the exact
-        # sweep on an action the certificate could not decide
+        # every route must be exercised: the chain alone, the block
+        # certificate on an action the chain could not decide, and the exact
+        # sweep on an action neither could decide
         routes = Counter()
 
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -302,13 +327,132 @@ class TestTwistSweepAgainstBruteForce:
         def run(case):
             pb, zero_tol = case
             with mock.patch.object(structure, "TWIST_ZERO_TOL", zero_tol), mock.patch.object(
-                structure, "_twist_sweep", wraps=structure._twist_sweep
-            ) as sweep:
+                structure, "_certify_action", wraps=structure._certify_action
+            ) as certify, mock.patch.object(structure, "_twist_sweep", wraps=structure._twist_sweep) as sweep:
                 assert check_twist(pb) == brute_force_twist(pb, zero_tol)
-            routes["sweep" if sweep.called else "certificate"] += 1
+            routes["sweep" if sweep.called else "certificate" if certify.called else "chain"] += 1
 
         run()
-        assert routes["certificate"] > 0 and routes["sweep"] > 0, routes
+        assert routes["chain"] > 0 and routes["certificate"] > 0 and routes["sweep"] > 0, routes
+
+
+@st.composite
+def twist_rows(draw):
+    """One action's rows (V_y, u, u_y) at nx states, of four kinds, lifted
+    from points p_x of the plane as w_x (p_x, 1) with random weights w_x > 0
+    and turned by a rotation that gives the u column a sign change from the
+    first state to the last.  'convex': points on an ellipse in angle order,
+    either way round, some nearly collinear when the angles crowd;
+    'nonconvex': points anywhere in the square; 'flat': points on a line,
+    off it by at most a drawn bump; 'reversed': convex with one row negated;
+    'star': points on an ellipse that wind around it twice, so every turn
+    has one sign but the polygon is not convex.  Each column is then scaled
+    by a power of two as ``_twist_actions`` does it."""
+    kind = draw(st.sampled_from(["convex", "nonconvex", "flat", "reversed", "star"]))
+    nx = draw(st.integers(5 if kind == "star" else 3, 10))
+    unit = st.floats(0.0, 1.0)
+    t = np.array([draw(unit) for _ in range(nx)])
+    if kind in ("convex", "reversed", "star"):
+        if kind == "star":
+            theta = draw(st.floats(0.0, 6.2)) + (4.0 * np.pi * np.arange(nx) + t) / nx
+        else:
+            theta = draw(st.floats(0.0, 6.2)) + np.sort(t) * draw(st.sampled_from([0.3, 3.0, 6.0]))
+        theta *= draw(st.sampled_from([1.0, -1.0]))
+        P = np.stack([draw(st.floats(0.1, 2.0)) * np.cos(theta), draw(st.floats(0.1, 2.0)) * np.sin(theta)], axis=1)
+    elif kind == "nonconvex":
+        P = np.stack([t, [draw(unit) for _ in range(nx)]], axis=1) * 2.0 - 1.0
+    else:
+        bump = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+        P = np.stack([t, draw(st.floats(-2.0, 2.0)) * t + bump * np.array([draw(unit) for _ in range(nx)])], axis=1)
+    P += np.array([draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))])
+    rows = np.concatenate([P, np.ones((nx, 1))], axis=1) * np.array([draw(st.floats(0.01, 10.0)) for _ in range(nx)])[:, None]
+    if kind == "reversed":
+        rows[draw(st.integers(0, nx - 1))] *= -1.0
+    # a right-handed frame whose second axis w has w . row_0 < 0 < w . row_{nx-1}
+    w = rows[-1] / np.linalg.norm(rows[-1]) - rows[0] / np.linalg.norm(rows[0])
+    assume(np.linalg.norm(w) > 1e-3)  # the end rows are not parallel
+    w /= np.linalg.norm(w)
+    a = np.cross(w, [0.6, 0.0, 0.8] if abs(w[1]) > 0.9 else [0.0, 1.0, 0.0])
+    a /= np.linalg.norm(a)
+    R = rows @ np.stack([a, w, np.cross(a, w)], axis=1)
+    R = np.ldexp(R, -np.frexp(np.max(np.abs(R), axis=0))[1])
+    return kind, R
+
+
+def exact_min_det(R, sign):
+    """The least sign * det(R_i, R_j, R_k) over i < j < k, in exact arithmetic."""
+    F = [[Fraction(float(v)) for v in row] for row in R]
+    n = len(F)
+    return min(
+        sign
+        * (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+        for a, b, c in [(F[i], F[j], F[k])]
+    )
+
+
+def rows_problem(R):
+    """A problem on nx uniform states and two actions whose twist rows at
+    every action are R, read off by linear interpolation in x."""
+    xs = uniform(0.0, 1.0, R.shape[0]).points
+
+    def column(t):
+        return lambda y, x: np.interp(x, xs, R[:, t]) + 0.0 * y
+
+    return Problem(
+        states=uniform(0.0, 1.0, xs.size),
+        actions=uniform(0.4, 0.6, 2, "action"),
+        prior=np.full(xs.size, 1.0 / xs.size),
+        V=lambda y, x: 0.0 * (x + y),
+        V_y=column(0),
+        u=column(1),
+        u_y=column(2),
+    )
+
+
+class TestTwistChain:
+    def test_random_rows(self):
+        # the bound, less its own rounding, never exceeds the exact least
+        # sign * det once it clears that rounding, and an action the chain
+        # proves is one that the brute force and check_twist hold with the
+        # chain's sign
+        seen = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(twist_rows())
+        def run(case):
+            kind, R = case
+            norms = np.sqrt(R[:, 0] ** 2 + R[:, 1] ** 2 + R[:, 2] ** 2)
+            (sign,), (low,), (need,) = structure._twist_chain(R[None], norms[None], np.array([R.shape[0] - 2]))
+            if sign == 0:
+                seen[kind, "declined"] += 1
+                return
+            # below its rounding the bound does not know the sign of the
+            # least A_t (two parallel rows give A_t = 0 up to rounding)
+            rounding = structure._CHAIN_ROUNDING * structure._EPS * float(np.min(norms)) ** 3
+            if not low > rounding:
+                seen[kind, "convex, within rounding"] += 1
+                return
+            assert low - rounding <= exact_min_det(R, int(sign)), (kind, low)
+            if not low > need:
+                seen[kind, "convex, small margin"] += 1
+                return
+            seen[kind, "proved"] += 1
+            pb = rows_problem(R)
+            want = TwistReport("holds_positive" if sign > 0 else "holds_negative")
+            assert brute_force_twist(pb) == check_twist(pb) == want, kind
+
+        run()
+        assert all(seen[kind, "declined"] > 0 for kind in ("convex", "nonconvex", "flat", "reversed", "star")), seen
+        assert not any(seen["star", outcome] for outcome in ("proved", "convex, small margin")), seen
+        assert seen["convex", "proved"] > 0 and seen["reversed", "proved"] > 0, seen
+        assert seen["convex", "convex, small margin"] > 0 and seen["flat", "convex, within rounding"] > 0, seen
 
 
 # the presets whose twist label holds, and contest's holds_negative regime
@@ -325,12 +469,70 @@ TWIST_HOLDS = [
         "translation_sender",
     )
 ] + [("contest", {"xmin": 0.62, "xmax": 0.95})]
+# the holding presets whose every action the chain tier proves at n=101 and 201
+CHAIN_PROVES = (
+    "contest",
+    "example_c1",
+    "gerrymander",
+    "option_pricing",
+    "translation_receiver",
+    "translation_sender",
+)
+
+
+def no_chain(R, norms, nb):
+    """``_twist_chain`` declining every action."""
+    n = norms.shape[0]
+    return np.zeros(n, dtype=int), np.zeros(n), np.ones(n)
 
 
 def exact_twist(problem):
     """check_twist's report with every action decided by the exact sweep."""
-    with mock.patch.object(structure, "_certify_action", return_value=("margin", 0.0)):
+    with mock.patch.object(structure, "_twist_chain", side_effect=no_chain), mock.patch.object(
+        structure, "_certify_action", return_value=("margin", 0.0)
+    ):
         return check_twist(problem)
+
+
+def twist_route(problem, zero_tol):
+    """check_twist's report at ``zero_tol`` and its route: per action, 'K'
+    when the chain proves it, else 'k' followed by 'C' when the block
+    certificate proves it, else by 'uS', the certificate undecided and the
+    sweep run."""
+    chain, certify, sweep = structure._twist_chain, structure._certify_action, structure._twist_sweep
+    tiers, calls = [], []
+
+    def chain_logged(*args):
+        tiers.append(chain(*args))
+        return tiers[-1]
+
+    def certify_logged(*args):
+        reason, margin = certify(*args)
+        calls.append("C" if reason is None else "u")
+        return reason, margin
+
+    def sweep_logged(*args):
+        calls.append("S")
+        return sweep(*args)
+
+    with mock.patch.object(structure, "TWIST_ZERO_TOL", zero_tol), mock.patch.object(
+        structure, "_twist_chain", side_effect=chain_logged
+    ), mock.patch.object(structure, "_certify_action", side_effect=certify_logged), mock.patch.object(
+        structure, "_twist_sweep", side_effect=sweep_logged
+    ):
+        rep = check_twist(problem)
+    sign = {"holds_positive": 1, "holds_negative": -1}[rep.label]
+    (chain_out,) = tiers
+    rest = iter(calls)
+    route = ""
+    for s, low, need in zip(*chain_out):
+        if s == sign and low > need:
+            route += "K"
+        else:
+            step = next(rest)
+            route += "k" + step + (next(rest) if step == "u" else "")
+    assert next(rest, None) is None
+    return rep, route
 
 
 class TestTwistRoutes:
@@ -340,38 +542,56 @@ class TestTwistRoutes:
         pb, _ = preset(pid, grid_n=grid_n)
         assert check_twist(pb) == exact_twist(pb)
 
+    @pytest.mark.parametrize("pid, params", [(pid, {}) for pid in preset_ids()] + VARIANTS)
+    def test_table_rows_match_action_rows(self, pid, params):
+        # the one (actions, states) table holds, bit for bit, the rows a call
+        # on each action's own row gives
+        pb, _ = preset(pid, grid_n=41, **params)
+        ys, R, norms, *_ = structure._twist_actions(pb)
+        xs = pb.states.points
+        for y, Ry, ny in zip(ys, R, norms):
+            yv = np.full(xs.size, float(y))
+            want = np.stack([np.asarray(f(yv, xs), dtype=float) for f in (pb.V_y, pb.u, pb.u_y)], axis=1)
+            want = np.ldexp(want, -np.frexp(np.max(np.abs(want), axis=0))[1])
+            assert Ry.tobytes() == want.tobytes()
+            assert ny.tobytes() == np.sqrt(want[:, 0] ** 2 + want[:, 1] ** 2 + want[:, 2] ** 2).tobytes()
+
     @pytest.mark.parametrize("grid_n", [101, 201])
     @pytest.mark.parametrize("pid, kwargs", TWIST_HOLDS)
     def test_holding_presets_certified(self, pid, kwargs, grid_n):
-        # the fast path must keep deciding these: no action swept
+        # the fast tiers must keep deciding these: no action swept, and on
+        # the presets of CHAIN_PROVES no action left to the block certificate
         pb, _ = preset(pid, grid_n=grid_n, **kwargs)
-        with mock.patch.object(structure, "_twist_sweep", side_effect=AssertionError("sweep ran")):
+        chain_only = not kwargs and pid in CHAIN_PROVES
+        with mock.patch.object(
+            structure, "_twist_sweep", side_effect=AssertionError("sweep ran")
+        ), mock.patch.object(
+            structure,
+            "_certify_action",
+            side_effect=AssertionError("block certificate ran") if chain_only else structure._certify_action,
+        ):
             rep = check_twist(pb)
         assert rep.label == ("holds_negative" if kwargs else "holds_positive")
 
     def test_hand_over_one_action_at_a_time(self):
-        # with TWIST_ZERO_TOL = 1e-5 the certificate proves contest's first 11
-        # actions at n=21 and cannot decide the last 8 ('margin'); the sweep
-        # runs once on each of those and on no other
+        # with TWIST_ZERO_TOL = 1e-5 the chain proves none of contest's
+        # actions at n=21, the certificate proves the first 11 and cannot
+        # decide the last 8 ('margin'); the sweep runs once on each of those
+        # and on no other
         pb, _ = preset("contest", grid_n=21)
-        routes = []
-        certify, sweep = structure._certify_action, structure._twist_sweep
-
-        def certify_logged(*args):
-            reason, margin = certify(*args)
-            routes.append("C" if reason is None else "u")
-            return reason, margin
-
-        def sweep_logged(*args):
-            routes.append("S")
-            return sweep(*args)
-
-        with mock.patch.object(structure, "TWIST_ZERO_TOL", 1e-5), mock.patch.object(
-            structure, "_certify_action", side_effect=certify_logged
-        ), mock.patch.object(structure, "_twist_sweep", side_effect=sweep_logged):
-            rep = check_twist(pb)
-        assert "".join(routes) == "C" * 11 + "uS" * 8
+        rep, route = twist_route(pb, 1e-5)
+        assert route == "kC" * 11 + "kuS" * 8
         assert rep == brute_force_twist(pb, 1e-5) == TwistReport("holds_positive")
+
+    def test_three_tiers_interleave(self):
+        # with TWIST_ZERO_TOL = 1e-7 each of affiliated's actions at n=21
+        # goes to the first tier that proves it: the chain on four of the
+        # first seven, the certificate on the others but the last, which is
+        # swept
+        pb, _ = preset("affiliated", grid_n=21)
+        rep, route = twist_route(pb, 1e-7)
+        assert route == "kCkCKkCKKK" + "kC" * 13 + "kuS"
+        assert rep == brute_force_twist(pb, 1e-7) == TwistReport("holds_negative")
 
 
 class TestPairwiseSplit:
@@ -729,8 +949,12 @@ class TestFullDisclosure:
             return g
 
         pb.V, pb.u = counted("V", pb.V), counted("u", pb.u)
-        check_full_disclosure(pb)
+        rep = check_full_disclosure(pb)
         assert calls["V"] <= 1 and calls["u"] <= 1, calls
+        if pid in ("affiliated", "example_c2", "quantile", "stress_test"):
+            # sender-favorable, so the rows cannot judge them, and not_optimal,
+            # so the shortcut does not run: nothing reads u on the grid
+            assert rep.label == "not_optimal" and calls["u"] == 0, calls
 
     def test_nan_sender_raises(self):
         # the scale of V used to be the max of an empty array (ValueError)
