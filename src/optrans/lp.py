@@ -82,9 +82,6 @@ class ContactSet:
     tol: float
     slack: np.ndarray
 
-    def states_of(self, iy: int) -> np.ndarray:
-        return np.array(sorted(ix for jy, ix in self.pairs if jy == iy), dtype=int)
-
 
 @dataclass
 class SlacknessRow:

@@ -182,21 +182,17 @@ class Problem:
         hy = 1e-5 * self.actions.span
         hx = 1e-5 * self.states.span
         fd_filled = set()
-        if self.V_y is None:
-            self.V_y = _central_y(self.V, hy)
-            fd_filled.add("V_y")
-        if self.u_y is None:
-            self.u_y = _central_y(self.u, hy)
-            fd_filled.add("u_y")
-        if self.u_x is None:
-            self.u_x = _central_x(self.u, hx)
-            fd_filled.add("u_x")
-        if self.V_yx is None:
-            self.V_yx = _central_x(self.V_y, hx)
-            fd_filled.add("V_yx")
-        if self.u_yx is None:
-            self.u_yx = _central_x(self.u_y, hx)
-            fd_filled.add("u_yx")
+        # in this order, so that V_yx and u_yx differentiate the filled V_y and u_y
+        for name, base, diff, h in (
+            ("V_y", "V", _central_y, hy),
+            ("u_y", "u", _central_y, hy),
+            ("u_x", "u", _central_x, hx),
+            ("V_yx", "V_y", _central_x, hx),
+            ("u_yx", "u_y", _central_x, hx),
+        ):
+            if getattr(self, name) is None:
+                setattr(self, name, diff(getattr(self, base), h))
+                fd_filled.add(name)
         self._hy = hy
         self._hx = hx
         self.fd_filled = frozenset(fd_filled)

@@ -498,116 +498,104 @@ class MonotonicityReport:
     snap_discounted: int = 0
 
 
-def _rows_from_source(problem: Problem, source):
-    rows = []
-    grid_based = False
+def _support_matrix(problem: Problem, source) -> tuple:
+    """A source as (g, pts, S, grid_based): the action g[r] of each row r,
+    the increasing points pts and the boolean support matrix S (rows x
+    points).  The points are the state grid for an ``Outcome`` (rows those
+    carrying more than ``MASS_TOL``, cells those carrying more than it), a
+    ``ContactSet`` (rows ``actions``, cells ``pairs``) and a ``Signal`` (rows
+    its atoms); for an explicit list of (action, states) rows they are the
+    sorted union of the given states, so each row is read as a set."""
     if isinstance(source, Outcome):
-        grid_based = True
-        for iy in source.support_rows():
-            sup = np.nonzero(source.mass[iy] > MASS_TOL)[0]
-            rows.append((float(problem.actions.points[iy]), problem.states.points[sup]))
-    elif isinstance(source, ContactSet):
-        grid_based = True
-        for iy in source.actions:
-            sts = source.states_of(int(iy))
-            rows.append((float(problem.actions.points[iy]), problem.states.points[sts]))
-    elif isinstance(source, Signal):
-        for post, _ in source.atoms:
-            rows.append((gamma(problem, post), post.states(problem.states)))
+        rows = source.support_rows()
+        return problem.actions.points[rows], problem.states.points, source.mass[rows] > MASS_TOL, True
+    if isinstance(source, ContactSet):
+        cells = np.zeros((problem.n_actions, problem.n_states), dtype=bool)
+        pairs = np.asarray(source.pairs, dtype=int).reshape(-1, 2)
+        cells[pairs[:, 0], pairs[:, 1]] = True
+        rows = np.asarray(source.actions, dtype=int)
+        return problem.actions.points[rows], problem.states.points, cells[rows], True
+    if isinstance(source, Signal):
+        rows = [(gamma(problem, post), problem.states.points[list(post.support)]) for post, _ in source.atoms]
+        pts = problem.states.points
     else:
-        for g, sup in source:
-            rows.append((float(g), np.asarray(np.atleast_1d(sup), dtype=float)))
-    return rows, grid_based
+        rows = [(float(g), np.asarray(np.atleast_1d(sup), dtype=float)) for g, sup in source]
+        pts = np.unique(np.concatenate([sup for _, sup in rows])) if rows else np.empty(0)
+    S = np.zeros((len(rows), pts.size), dtype=bool)
+    for r, (_, sup) in enumerate(rows):
+        S[r, np.searchsorted(pts, sup)] = True
+    return np.array([g for g, _ in rows], dtype=float), pts, S, False
 
 
 def classify_monotonicity(problem: Problem, source) -> MonotonicityReport:
     """Label a set of induced posteriors single-dipped / single-peaked.
 
-    A violation needs a row whose support straddles a state of another row
-    with the wrong action ordering.  On grid-derived sources (Outcome, whose
-    rows are those carrying more than ``MASS_TOL``, and ContactSet) several
-    exact pairs snap onto one action row and neighboring rows blur, so
-    violations whose action gap or straddle depth is within ``SNAP_CELLS``
-    of the largest action or state spacing are counted in
-    ``snap_discounted`` instead of overturning strictness; exact sources
-    (Signal, explicit row lists) use zero tolerance and follow the set
-    definitions literally.  Ties on exact sources downgrade strict to weak.
-    The strongest surviving label is returned, preferring dipped over
-    peaked, with the lexicographically smallest genuine witness when neither
-    direction survives.
+    The source, an ``Outcome``, ``ContactSet``, ``Signal`` or explicit list
+    of (action, states) rows, becomes one support matrix
+    (``_support_matrix``).  A violation needs a row a whose support, from lo
+    to hi, straddles a state of another row b with the wrong action
+    ordering; each row a is tested against all rows at once, with the
+    deepest straddled state of b (depth min(x - lo, hi - x), the least such
+    state on a tie) as x2.  A row with an empty support, such as an outcome
+    row whose mass exceeds ``MASS_TOL`` while none of its cells does, is
+    skipped.  On grid-derived sources (Outcome and ContactSet) several exact
+    pairs snap onto one action row and neighboring rows blur, so violations
+    whose action gap or straddle depth is within ``SNAP_CELLS`` of the
+    largest action or state spacing are counted in ``snap_discounted``
+    instead of overturning strictness; exact sources (Signal, explicit row
+    lists) use zero tolerance and follow the set definitions literally.
+    Ties on exact sources downgrade strict to weak.  The strongest surviving
+    label is returned, preferring dipped over peaked, with the
+    lexicographically smallest genuine witness when neither direction
+    survives.
     """
-    rows, grid_based = _rows_from_source(problem, source)
-    snap_gamma = SNAP_CELLS * float(np.max(np.diff(problem.actions.points))) if grid_based else 0.0
-    snap_x = SNAP_CELLS * float(np.max(np.diff(problem.states.points))) if grid_based else 0.0
+    g, pts, S, grid_based = _support_matrix(problem, source)
+    snap_gamma = SNAP_CELLS * problem.actions.max_spacing if grid_based else 0.0
+    snap_x = SNAP_CELLS * problem.states.max_spacing if grid_based else 0.0
 
-    dipped, peaked = "strict", "strict"
-    dip_wits, peak_wits = [], []
+    # least witness of each kind: a dipped violation is a single-peaked triple
+    wits = {"single_peaked_triple": None, "single_dipped_triple": None}
     dip_disc = 0  # dipped-ordering violations attributed to snapping
     peak_disc = 0
-
-    spans = [(float(sup[0]), float(sup[-1])) for _, sup in rows]
-    for a, (g1, sup1) in enumerate(rows):
-        lo, hi = spans[a]
-        if not hi > lo:
+    tied = False
+    for a in range(g.size):
+        cols = np.flatnonzero(S[a])
+        if cols.size < 2 or cols[-1] - cols[0] < 2:
             continue
-        for b, (g2, sup2) in enumerate(rows):
-            inner = sup2[(sup2 > lo) & (sup2 < hi)]
-            if inner.size == 0:
-                continue
-            depth = np.minimum(inner - lo, hi - inner)
-            deep = float(np.max(depth))
-            x2 = float(inner[int(np.argmax(depth))])
-            gap = g2 - g1
-            shallow = deep <= snap_x
+        lo, hi = float(pts[cols[0]]), float(pts[cols[-1]])
+        inner = pts[cols[0] + 1 : cols[-1]]
+        mask = S[:, cols[0] + 1 : cols[-1]]
+        depth = np.where(mask, np.minimum(inner - lo, hi - inner), -np.inf)
+        x2, shallow = inner[depth.argmax(axis=1)], depth.max(axis=1) <= snap_x
+        hit = mask.any(axis=1)
+        gap = g - g[a]
+        up, down = hit & (gap > 0), hit & (gap < 0)
+        dip_snap = up & ((gap <= snap_gamma) | shallow)
+        peak_snap = down & ((-gap <= snap_gamma) | shallow)
+        dip_disc += int(dip_snap.sum())
+        peak_disc += int(peak_snap.sum())
+        # an exact tie: same action row.  Snapped grids lump distinct pairs
+        # there; exact sources lose strictness.
+        tied = tied or (not grid_based and bool(np.any(hit & ~(up | down) & ~shallow)))
+        for kind, bad in (("single_peaked_triple", up & ~dip_snap), ("single_dipped_triple", down & ~peak_snap)):
+            b = np.flatnonzero(bad)
+            if b.size:
+                b = b[np.lexsort((g[b], x2[b]))[0]]
+                w = TripleWitness(float(g[a]), float(g[b]), lo, float(x2[b]), hi, kind)
+                if wits[kind] is None or w.key() < wits[kind].key():
+                    wits[kind] = w
 
-            if gap > 0:
-                # a dipped violation unless explained by snapping
-                if gap <= snap_gamma or shallow:
-                    dip_disc += 1
-                else:
-                    dipped = "none"
-                    dip_wits.append(
-                        TripleWitness(g1, g2, lo, x2, hi, "single_peaked_triple")
-                    )
-            elif gap < 0:
-                if -gap <= snap_gamma or shallow:
-                    peak_disc += 1
-                else:
-                    peaked = "none"
-                    peak_wits.append(
-                        TripleWitness(g1, g2, lo, x2, hi, "single_dipped_triple")
-                    )
-            else:
-                # an exact tie: same action row.  Snapped grids lump distinct
-                # pairs there; exact sources lose strictness.
-                if not grid_based and not shallow:
-                    if dipped == "strict":
-                        dipped = "weak"
-                    if peaked == "strict":
-                        peaked = "weak"
-
-    discounted = dip_disc + peak_disc
-    if dipped == "strict" and peaked == "strict" and dip_disc > peak_disc:
-        # both survive only because of snap discounting; the direction with
-        # less discounted evidence against it wins
-        label, witness = "strictly_single_peaked", None
-    elif dipped == "strict":
-        label, witness = "strictly_single_dipped", None
-    elif peaked == "strict":
-        label, witness = "strictly_single_peaked", None
-    elif dipped == "weak" and peaked == "weak" and dip_disc > peak_disc:
-        label, witness = "single_peaked", None
-    elif dipped == "weak":
-        label, witness = "single_dipped", None
-    elif peaked == "weak":
-        label, witness = "single_peaked", None
-    else:
-        wits = dip_wits or peak_wits
-        witness = min(wits, key=TripleWitness.key) if wits else None
-        label = "neither"
-    return MonotonicityReport(
-        label=label, dipped=dipped, peaked=peaked, witness=witness, snap_discounted=discounted
-    )
+    grade = "weak" if tied else "strict"
+    dipped = "none" if wits["single_peaked_triple"] else grade
+    peaked = "none" if wits["single_dipped_triple"] else grade
+    label, witness = "neither", wits["single_peaked_triple"] or wits["single_dipped_triple"]
+    if dipped != "none" or peaked != "none":
+        # when both survive, the direction with less snap-discounted evidence
+        # against it wins, dipped on a tie
+        peak_wins = dipped == "none" or (peaked != "none" and dip_disc > peak_disc)
+        label = ("strictly_" if grade == "strict" else "") + ("single_peaked" if peak_wins else "single_dipped")
+        witness = None
+    return MonotonicityReport(label, dipped, peaked, witness, dip_disc + peak_disc)
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +852,7 @@ class _PooledPairs:
         return best, best_rho
 
 
-def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosureReport:
+def check_full_disclosure(problem: Problem) -> FullDisclosureReport:
     """Decide whether full disclosure is optimal: ``not_optimal`` when some
     pooling of two prior-supported states beats splitting them by more than
     tol = 1e-9 times the largest finite |V|.
@@ -874,9 +862,9 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     prices, so a row that admits no multiplier q with V + q u <= p names a
     pooling pair.  When that pair's gain, re-swept on the grid
     k / ``REFINE_M``, beats tol, it is the witness.  Otherwise, and on every
-    problem the rows cannot judge, sweep all pairs and the rho grid k / m,
-    then run the same sweep on the finer grid k / ``REFINE_M`` over the best
-    pair if it beats tol, else over up to ``NEAR_MAX`` near-tie pairs
+    problem the rows cannot judge, sweep all pairs and the rho grid
+    k / ``RHO_M``, then run the same sweep on the finer grid k / ``REFINE_M``
+    over the best pair if it beats tol, else over up to ``NEAR_MAX`` near-tie pairs
     (largest coarse gain above -64 tol), largest coarse gain first; the
     first refined pair that beats tol is reported.  When full disclosure is
     optimal and the receiver is linear, ``decided_by`` names the
@@ -902,7 +890,7 @@ def check_full_disclosure(problem: Problem, *, m: int = RHO_M) -> FullDisclosure
     logger.debug("full disclosure: %s", why)
     if report is not None:
         return report
-    per_pair, _ = pooled.sweep(m, np.arange(pooled.i1.size))
+    per_pair, _ = pooled.sweep(RHO_M, np.arange(pooled.i1.size))
     worst = float(np.max(per_pair))
     order = np.argsort(-per_pair, kind="stable")  # largest gain first, ties in pair order
     near = order[:1] if worst > tol else order[per_pair[order] > -tol * 64][:NEAR_MAX]
@@ -1091,7 +1079,8 @@ class ChiPair:
 
 
 def extract_chi(problem: Problem, contact: ContactSet, *, snap_x: Optional[float] = None) -> ChiPair:
-    """Per contact action, the smallest and largest contact states, after
+    """Per contact action with a contact state, chi1 and chi2, the first and
+    last state of its row of the support matrix (``_support_matrix``), after
     validating strict single-dippedness and the pair monotonicity rules:
     chi2 nondecreasing and chi1(y') never interior to an earlier pair, both
     up to ``snap_x`` (default ``SNAP_CELLS`` times the largest state
@@ -1102,32 +1091,23 @@ def extract_chi(problem: Problem, contact: ContactSet, *, snap_x: Optional[float
             f"contact set classifies as {report.label}", witness=report.witness
         )
     if snap_x is None:
-        snap_x = SNAP_CELLS * float(np.max(np.diff(problem.states.points)))
-    acts = []
-    c1 = []
-    c2 = []
-    for iy in contact.actions:
-        sts = contact.states_of(int(iy))
-        if sts.size == 0:
-            continue
-        acts.append(float(problem.actions.points[iy]))
-        vals = problem.states.points[sts]
-        c1.append(float(vals.min()))
-        c2.append(float(vals.max()))
-    acts_a = np.asarray(acts)
-    c1_a = np.asarray(c1)
-    c2_a = np.asarray(c2)
+        snap_x = SNAP_CELLS * problem.states.max_spacing
+    g, pts, S, _ = _support_matrix(problem, contact)
+    full = S.any(axis=1)
+    acts_a, S = g[full], S[full]
+    c1_a = pts[S.argmax(axis=1)]
+    c2_a = pts[pts.size - 1 - S[:, ::-1].argmax(axis=1)]
     if np.any(np.diff(c2_a) < -snap_x):
         k = int(np.argmin(np.diff(c2_a)))
         raise NotStrictlyDipped(
             f"upper pair state decreases at action {float(acts_a[k + 1])!r}", witness=None
         )
-    for j in range(1, acts_a.size):
-        earlier_lo = c1_a[:j] + snap_x
-        earlier_hi = c2_a[:j] - snap_x
-        if np.any((c1_a[j] > earlier_lo) & (c1_a[j] < earlier_hi)):
-            raise NotStrictlyDipped(
-                f"lower pair state at action {float(acts_a[j])!r} is interior to an earlier pair",
-                witness=None,
-            )
+    # row j, column i < j: chi1 at action j lies inside the earlier pair i
+    inside = (c1_a[:, None] > c1_a + snap_x) & (c1_a[:, None] < c2_a - snap_x) & np.tri(acts_a.size, k=-1, dtype=bool)
+    late = np.flatnonzero(inside.any(axis=1))
+    if late.size:
+        raise NotStrictlyDipped(
+            f"lower pair state at action {float(acts_a[late[0]])!r} is interior to an earlier pair",
+            witness=None,
+        )
     return ChiPair(actions=acts_a, chi1=c1_a, chi2=c2_a)

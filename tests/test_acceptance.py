@@ -296,7 +296,7 @@ def test_criterion_7_full_disclosure_cross_check(solved_cache):
         bundle = solved_cache(pid, grid_n=101)
         pb = bundle["problem"]
         fd_val = full_disclosure_value(pb)
-        label = check_full_disclosure(pb, m=32).label
+        label = check_full_disclosure(pb).label
         says = label in ("optimal", "optimal_unique")
         agrees_lp = abs(bundle["objective"] - fd_val) <= 5e-4 * (1.0 + abs(fd_val))
         if says != agrees_lp:
@@ -331,7 +331,7 @@ def test_criterion_7_full_disclosure_cross_check(solved_cache):
         lp = build_lp(pb)
         _, obj = solve_primal(lp)
         fd_val = full_disclosure_value(pb)
-        label = check_full_disclosure(pb, m=32).label
+        label = check_full_disclosure(pb).label
         says = label in ("optimal", "optimal_unique")
         agrees_lp = abs(obj - fd_val) <= 5e-4 * (1.0 + abs(fd_val))
         if says != agrees_lp:

@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optrans import Posterior, Problem, gamma, uniform
+from optrans.grids import Grid
 from optrans.errors import IllPosed, NoRoot, NotStrictlyDipped
-from optrans.lp import build_lp, contact_set, solve_dual, solve_primal
-from optrans.model import chi
+from optrans.lp import ContactSet, build_lp, contact_set, solve_dual, solve_primal
+from optrans.model import MASS_TOL, Outcome, Signal, chi
 from optrans.presets import preset, preset_ids
 from optrans import structure
 from optrans.structure import (
@@ -23,8 +24,10 @@ from optrans.structure import (
     RHO_M,
     STRICT_TOL,
     FullDisclosureReport,
+    MonotonicityReport,
     NadConditionReport,
     SdpdReport,
+    TripleWitness,
     TwistReport,
     check_full_disclosure,
     check_nad_condition,
@@ -635,6 +638,130 @@ class TestPairwiseSplit:
                 assert abs(foc) <= 1e-10
 
 
+def reference_classify(problem, source):
+    """The row-list and row-pair loop form of ``classify_monotonicity``,
+    kept as a reference: on supports given sorted and distinct the support
+    matrix form must give the same report, bit for bit."""
+    rows, grid_based = [], isinstance(source, (Outcome, ContactSet))
+    if isinstance(source, Outcome):
+        for iy in source.support_rows():
+            sup = np.nonzero(source.mass[iy] > MASS_TOL)[0]
+            rows.append((float(problem.actions.points[iy]), problem.states.points[sup]))
+    elif isinstance(source, ContactSet):
+        for iy in source.actions:
+            sts = np.array(sorted(ix for jy, ix in source.pairs if jy == iy), dtype=int)
+            rows.append((float(problem.actions.points[iy]), problem.states.points[sts]))
+    elif isinstance(source, Signal):
+        for post, _ in source.atoms:
+            rows.append((gamma(problem, post), post.states(problem.states)))
+    else:
+        for g, sup in source:
+            rows.append((float(g), np.asarray(np.atleast_1d(sup), dtype=float)))
+    snap_gamma = structure.SNAP_CELLS * float(np.max(np.diff(problem.actions.points))) if grid_based else 0.0
+    snap_x = structure.SNAP_CELLS * float(np.max(np.diff(problem.states.points))) if grid_based else 0.0
+
+    dipped, peaked = "strict", "strict"
+    dip_wits, peak_wits = [], []
+    dip_disc = peak_disc = 0
+    for g1, sup1 in rows:
+        lo, hi = float(sup1[0]), float(sup1[-1])
+        if not hi > lo:
+            continue
+        for g2, sup2 in rows:
+            inner = sup2[(sup2 > lo) & (sup2 < hi)]
+            if inner.size == 0:
+                continue
+            depth = np.minimum(inner - lo, hi - inner)
+            x2 = float(inner[int(np.argmax(depth))])
+            gap = g2 - g1
+            shallow = float(np.max(depth)) <= snap_x
+            if gap > 0:
+                if gap <= snap_gamma or shallow:
+                    dip_disc += 1
+                else:
+                    dipped = "none"
+                    dip_wits.append(TripleWitness(g1, g2, lo, x2, hi, "single_peaked_triple"))
+            elif gap < 0:
+                if -gap <= snap_gamma or shallow:
+                    peak_disc += 1
+                else:
+                    peaked = "none"
+                    peak_wits.append(TripleWitness(g1, g2, lo, x2, hi, "single_dipped_triple"))
+            elif not grid_based and not shallow:
+                dipped = "weak" if dipped == "strict" else dipped
+                peaked = "weak" if peaked == "strict" else peaked
+
+    witness = None
+    if dipped == "strict" and peaked == "strict" and dip_disc > peak_disc:
+        label = "strictly_single_peaked"
+    elif dipped == "strict":
+        label = "strictly_single_dipped"
+    elif peaked == "strict":
+        label = "strictly_single_peaked"
+    elif dipped == "weak" and peaked == "weak" and dip_disc > peak_disc:
+        label = "single_peaked"
+    elif dipped == "weak":
+        label = "single_dipped"
+    elif peaked == "weak":
+        label = "single_peaked"
+    else:
+        wits = dip_wits or peak_wits
+        witness = min(wits, key=TripleWitness.key) if wits else None
+        label = "neither"
+    return MonotonicityReport(label, dipped, peaked, witness, dip_disc + peak_disc)
+
+
+def dyadic_grid(draw, kind):
+    # steps of 1/4, 1/2 and 1 add up exactly, so action gaps equal to
+    # SNAP_CELLS times the largest action spacing, and straddle depths equal
+    # to SNAP_CELLS times the largest state spacing, occur exactly
+    steps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=2, max_size=11))
+    return Grid(np.concatenate(([0.0], np.cumsum(steps))), kind)
+
+
+@st.composite
+def grid_sources(draw):
+    """A problem on dyadic grids of at most 12 points, and an outcome whose
+    cells hold 0, 5e-11 (under ``MASS_TOL``, even twelve of them) or 0.3."""
+    states, actions = dyadic_grid(draw, "state"), dyadic_grid(draw, "action")
+    prior = np.full(len(states), 1.0 / len(states))
+    pb = Problem(states=states, actions=actions, prior=prior, V=lambda y, x: y + 0.0 * x, u=lambda y, x: x - y)
+    size = pb.n_actions * pb.n_states
+    cells = draw(st.lists(st.sampled_from([0.0, 0.0, 5e-11, 0.3, 0.3]), min_size=size, max_size=size))
+    return pb, Outcome(np.array(cells).reshape(pb.n_actions, pb.n_states), 0.0, 0.0)
+
+
+def contact_of(outcome):
+    """The contact set whose pairs are the cells of ``outcome`` above ``MASS_TOL``."""
+    iy, ix = np.nonzero(outcome.mass > MASS_TOL)
+    return ContactSet(tuple(zip(iy.tolist(), ix.tolist())), np.unique(iy), {}, 0.0, np.zeros(outcome.mass.shape))
+
+
+@st.composite
+def exact_rows(draw):
+    """Explicit rows with sorted, distinct, nonempty supports and actions drawn
+    from a few values, so that exact ties are common."""
+    states = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
+    pick = st.lists(st.sampled_from(states), min_size=1, max_size=5, unique=True).map(sorted)
+    return draw(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), pick), max_size=6))
+
+
+def snap_edges(pb, rows):
+    """Whether some action gap equals the snap width of actions, and whether
+    some straddle depth equals that of states, on (action, states) rows."""
+    snap_gamma = structure.SNAP_CELLS * pb.actions.max_spacing
+    snap_x = structure.SNAP_CELLS * pb.states.max_spacing
+    gap = any(g2 - g1 == snap_gamma for g1, _ in rows for g2, _ in rows)
+    depth = any(
+        min(x - sup[0], sup[-1] - x) == snap_x
+        for _, sup in rows
+        for _, other in rows
+        for x in other
+        if sup[0] < x < sup[-1]
+    )
+    return gap, depth
+
+
 class TestClassification:
     def test_full_disclosure_trivially_strict(self):
         pb = linear_problem(5)
@@ -664,6 +791,81 @@ class TestClassification:
         rep = classify_monotonicity(pb, rows)
         assert rep.label == "strictly_single_dipped"
         assert rep.peaked == "none"
+
+    @pytest.mark.parametrize("grid_n", [41, 101])
+    @pytest.mark.parametrize("pid, params", [(pid, {}) for pid in preset_ids()] + VARIANTS)
+    def test_equals_reference_on_solved_sources(self, solved_cache, pid, params, grid_n):
+        bundle = solved_cache(pid, grid_n=grid_n, **params)
+        pb = bundle["problem"]
+        cs = contact_set(pb, bundle["prices"], lp=bundle["lp"])
+        for source in (bundle["outcome"], cs):
+            assert repr(classify_monotonicity(pb, source)) == repr(reference_classify(pb, source))
+
+    def test_equals_reference_on_random_sources(self):
+        # grid sources on dyadic grids, where gaps and depths can equal the
+        # snap widths exactly, and exact row lists with exact action ties
+        seen = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(grid_sources(), exact_rows())
+        def run(case, rows):
+            pb, out = case
+            for source in (out, contact_of(out), rows):
+                assert repr(classify_monotonicity(pb, source)) == repr(reference_classify(pb, source))
+            sups = [(pb.actions.points[iy], pb.states.points[out.mass[iy] > MASS_TOL]) for iy in out.support_rows()]
+            gap, depth = snap_edges(pb, sups)
+            seen["gap"] += gap
+            seen["depth"] += depth
+            seen["tie"] += len({g for g, _ in rows}) < len(rows)
+            seen[classify_monotonicity(pb, rows).label] += 1
+
+        run()
+        assert seen["gap"] > 0 and seen["depth"] > 0 and seen["tie"] > 0, seen
+        assert seen["neither"] > 0 and seen["single_dipped"] + seen["single_peaked"] > 0, seen
+
+    def test_states_read_as_a_set(self):
+        # lo and hi are the least and largest state of a row, however the
+        # row writes its states
+        pb = linear_problem(5)
+        rows = [(0.5, [0.25, 0.75]), (0.75, [0.5, 1.0])]
+        want = repr(classify_monotonicity(pb, rows))
+        for rewritten in ([(0.5, [0.75, 0.25]), rows[1]], [rows[0], (0.75, [1.0, 0.5])]):
+            assert repr(classify_monotonicity(pb, rewritten)) == want
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(exact_rows(), st.randoms(use_true_random=False))
+        def run(rows, rnd):
+            shuffled = []
+            for g, sup in rows:
+                states = sup + [rnd.choice(sup) for _ in range(rnd.randrange(3))]
+                rnd.shuffle(states)
+                shuffled.append((g, states))
+            assert repr(classify_monotonicity(pb, shuffled)) == repr(reference_classify(pb, rows))
+
+        run()
+
+    def test_outcome_row_without_a_cell_above_tolerance_skipped(self):
+        # row 7 carries 1.2e-9 > MASS_TOL in two cells of 0.6e-9 each
+        pb, _ = preset("example_c1", grid_n=11)
+        out, _ = solve_primal(build_lp(pb))
+        mass = out.mass.copy()
+        mass[7] = 0.0
+        without = classify_monotonicity(pb, Outcome(mass.copy(), 0.0, 0.0))
+        mass[7, [2, 5]] = 0.6e-9
+        assert 7 in Outcome(mass, 0.0, 0.0).support_rows()
+        assert repr(classify_monotonicity(pb, Outcome(mass, 0.0, 0.0))) == repr(without)
+
+    def test_explicit_row_without_states_skipped(self):
+        pb = linear_problem(5)
+        rows = [(0.5, [0.25, 0.75]), (0.75, [0.5, 1.0])]
+        assert repr(classify_monotonicity(pb, rows + [(0.5, [])])) == repr(classify_monotonicity(pb, rows))
+
+    def test_contact_action_without_pairs_skipped(self):
+        pb = linear_problem(5)
+        pairs = ((1, 0), (1, 2), (3, 1), (3, 4))
+        cs = ContactSet(pairs, np.array([1, 3]), {}, 0.0, np.zeros((5, 5)))
+        idle = ContactSet(pairs, np.array([1, 2, 3]), {}, 0.0, np.zeros((5, 5)))
+        assert repr(classify_monotonicity(pb, idle)) == repr(classify_monotonicity(pb, cs))
 
 
 class TestPairwiseContactRows:
@@ -1431,6 +1633,25 @@ class TestExtractChi:
         )
         pair = extract_chi(pb, cs)
         assert np.max(pair.chi2 - pair.chi1) <= 2 * pb.states.max_spacing
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((3, 2), (3, 8), (4, 3), (4, 9)), "lower pair state at action {} is interior to an earlier pair"),
+            (((3, 2), (3, 9), (4, 3), (4, 8), (5, 1), (5, 10)), "upper pair state decreases at action {}"),
+        ],
+    )
+    def test_pair_rules_up_to_snap_x(self, pairs, message):
+        # the rows cross by one action cell, which classification discounts
+        # as snapping; the pair rules hold within the default snap_x only
+        pb = linear_problem(11)
+        cs = ContactSet(pairs, np.unique([iy for iy, _ in pairs]), {}, 0.0, np.zeros((11, 11)))
+        assert classify_monotonicity(pb, cs).label == "strictly_single_dipped"
+        pair = extract_chi(pb, cs)
+        assert pair.chi1.tolist() == [pb.states.points[ix] for iy, ix in pairs[::2]]
+        assert pair.chi2.tolist() == [pb.states.points[ix] for iy, ix in pairs[1::2]]
+        with pytest.raises(NotStrictlyDipped, match=re.escape(message.format(repr(float(pb.actions.points[4]))))):
+            extract_chi(pb, cs, snap_x=0.0)
 
     def test_median_matching_rejected(self):
         pb = linear_problem(5)
