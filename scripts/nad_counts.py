@@ -10,11 +10,13 @@ on which ``optrans nad`` shoots, that is, with a prior density, no quantile
 shortcut and a NAD condition that does not fail.  --grid-n replaces both
 lists of sizes by its own.  Each line reads
 
-    <preset>[<params>]@<n> stage1=<k> stage2=<k> ended=<how> rhs=<k> floor=<k> y_low=<repr> y_high=<repr>
+    <preset>[<params>]@<n> stage1=<k> bracket=<k> stage2=<k> ended=<how> rhs=<k> floor=<k> y_low=<repr> y_high=<repr>
 
-from the ``optrans.nad`` DEBUG record of the solve: the shots of each stage,
-how the second stage ended (collided, fell_back or skipped), the RHS
-evaluations and the midpoint steps an end at the action floor forced.  A
+from the ``optrans.nad`` DEBUG record of the solve: the shots of each stage
+(stage1 counts every first-stage shot, bracket those of them the bisection
+over the scan grid took), how the second stage ended (collided, fell_back
+or skipped), the RHS evaluations and the midpoint steps an end at the
+action floor forced.  A
 solve that raises prints ``<preset>[<params>]@<n> error=<class>`` instead.
 
 Runs the checkout's own src.  The output depends only on the code, so two
@@ -39,7 +41,7 @@ from optrans.presets import preset, preset_ids  # noqa: E402
 from optrans.structure import check_nad_condition  # noqa: E402
 
 RECORD = re.compile(
-    r"ode: (\d+) shots in stage 1, (\d+) in stage 2 \((collided|fell back|skipped)[^)]*\), "
+    r"ode: (\d+) shots in stage 1 \((\d+) bracketing\), (\d+) in stage 2 \((collided|fell back|skipped)[^)]*\), "
     r"(\d+) RHS evaluations, (\d+) midpoint steps at the action floor"
 )
 
@@ -84,11 +86,11 @@ def main(argv: list) -> int:
             print(f"{name}@{n} error={type(exc).__name__}", flush=True)
             continue
         (m,) = [RECORD.fullmatch(msg) for msg in records.messages]
-        counts = [int(m[k]) for k in (1, 2, 4, 5)]
+        counts = [int(m[k]) for k in (1, 3, 5, 6)]
         total = [a + b for a, b in zip(total, counts)]
         solves += 1
         print(
-            f"{name}@{n} stage1={counts[0]} stage2={counts[1]} ended={m[3].replace(' ', '_')} "
+            f"{name}@{n} stage1={counts[0]} bracket={m[2]} stage2={counts[1]} ended={m[4].replace(' ', '_')} "
             f"rhs={counts[2]} floor={counts[3]} y_low={sol.y_low!r} y_high={sol.y_high!r}",
             flush=True,
         )

@@ -42,7 +42,9 @@ class NotStrictlyDipped(OptransError):
 
 
 class ShootingFailed(OptransError):
-    """No sign change of the terminal residual over the admissible bracket."""
+    """The pairing shots found no change of side over the admissible range of
+    top actions; ``residuals`` holds the probed scan points, as (trial top
+    action, side, miss) each."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -50,7 +52,11 @@ class ShootingFailed(OptransError):
 
 
 class StiffStep(OptransError):
-    """Adaptive step size underflow near the pairing collision point."""
+    """A pairing shot or its narrowing broke down: the pair system was
+    singular, a pair bound sat on the pivot curve or the right-hand side was
+    not finite, or the narrowing of the bracket of top actions ended, one
+    ulp wide or at its shot cap, without a collision.  A shot whose step
+    size underflows ends like one at the action floor and raises nothing."""
 
 
 class UnknownPreset(OptransError):

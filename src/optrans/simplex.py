@@ -92,14 +92,12 @@ def solve_standard_form(
     if np.any(flip):
         A = sp.csc_matrix(sp.diags(np.where(flip, -1.0, 1.0)) @ A)
         b = np.abs(b)
-    tol = FEAS_TOL * max(1.0, float(b.sum()))
-
-    st = _State(A, b, policy)
+    proposals = ()
     if start is not None:
         proposals = np.atleast_2d(np.asarray(start, dtype=int))
         if proposals.ndim != 2 or proposals.shape[1] != m or np.any(proposals >= n) or np.any(proposals < -1):
             raise OptransError(f"start basis must hold {m} column indices in [-1, {n}) per proposal")
-        st.crash(proposals, tol)
+    st = _State(A, b, policy, proposals)
     if work is not None:
         work = np.asarray(work, dtype=bool)
         if work.shape != (n,):
@@ -111,7 +109,7 @@ def solve_standard_form(
     else:
         logger.debug("phase 1: %s, skipped, the start basis is feasible", st.adopted)
     art_sum = -st.objective(c1)
-    if art_sum > tol:
+    if art_sum > st.feas_tol:
         raise Infeasible(f"phase-1 residual {art_sum:.3e}")
     phase1_iterations = st.iterations
     st.purge_artificials()
@@ -136,11 +134,14 @@ def solve_standard_form(
 
 
 class _State:
-    def __init__(self, A, b, policy):
+    def __init__(self, A, b, policy, proposals):
+        """Start from the first of ``proposals`` that ``crash`` adopts, else
+        from the all-artificial basis."""
         m, n = A.shape
         self.A_ext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
         self.AT_ext = sp.csr_matrix(self.A_ext.T)
         self.b0 = b
+        self.feas_tol = FEAS_TOL * max(1.0, float(b.sum()))
         self.n = n
         self.m0 = m
         self.policy = policy
@@ -149,7 +150,8 @@ class _State:
         self.live_mask = np.ones(m, dtype=bool)
         self.basis = np.arange(n, n + m)  # column j >= n is the artificial e_{j-n}
         self.adopted = "no start proposal adopted"  # for the phase-1 DEBUG record
-        self.refactor()
+        if not self.crash(proposals):
+            self.refactor()
 
     @property
     def live_rows(self) -> np.ndarray:
@@ -184,6 +186,7 @@ class _State:
         m = lu.shape[0]
         self.lu = lu
         self.etas = 0  # pivots in the block
+        self.repeats = False  # whether R repeats a row
         self.D = np.empty((m, REFACTOR_EVERY), order="F")
         self.R = np.empty(REFACTOR_EVERY, dtype=np.intp)
         self.Minv = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY))
@@ -204,23 +207,29 @@ class _State:
             R = self.R[:k]
             t = self.Minv[:k, :k] @ w[R]
             w -= self.D[:, :k] @ t
-            np.add.at(w, R, t)  # R may repeat a row
+            if self.repeats:
+                np.add.at(w, R, t)  # a repeated row takes each of its terms
+            else:
+                w[R] += t
         return w
 
     def btran(self, v) -> np.ndarray:
-        """Solve B' y = v."""
+        """Solve B' y = v, leaving v as it is."""
         v = np.array(v, dtype=float)
         k = self.etas
         if k:
             R = self.R[:k]
             tau = (self.D[:, :k].T @ v - v[R]) @ self.Minv[:k, :k]
-            np.subtract.at(v, R, tau)
+            if self.repeats:
+                np.subtract.at(v, R, tau)
+            else:
+                v[R] -= tau
         return self.lu.solve(v, trans="T")
 
-    def crash(self, proposals, tol):
+    def crash(self, proposals) -> bool:
         """Adopt the first proposed starting basis that is nonsingular and
-        primal feasible to within tol; without one, keep the all-artificial
-        basis."""
+        primal feasible to within ``feas_tol``.  Returns whether one was
+        adopted."""
         for k, start in enumerate(proposals):
             basis = np.where(start >= 0, start, self.n + np.arange(self.m0))
             try:
@@ -228,19 +237,20 @@ class _State:
             except RuntimeError:
                 continue
             xB = lu.solve(self.b0)
-            if np.all(xB >= -tol):
+            if np.all(xB >= -self.feas_tol):
                 self.basis = basis
                 self._new_block(lu)
                 self.xB = np.maximum(xB, 0.0)
                 self.adopted = f"start proposal {k} of {len(proposals)} adopted"
-                return
+                return True
+        return False
 
     def objective(self, c_full) -> float:
         return float(c_full[self.basis] @ self.xB)
 
     def duals(self, c_full) -> np.ndarray:
         """Row duals over every row, 0 on dropped rows."""
-        y = self.btran(c_full[self.basis])
+        y = self.btran(c_full.take(self.basis))
         if self.all_live:
             return y
         y_full = np.zeros(self.m0)
@@ -254,7 +264,9 @@ class _State:
         np.maximum(self.xB, 0.0, out=self.xB)
         self.basis[r] = j
         k = self.etas
-        row = self.D[r, :k] - (self.R[:k] == r)  # row k of M, off the diagonal
+        hits = self.R[:k] == r
+        self.repeats |= bool(hits.any())
+        row = self.D[r, :k] - hits  # row k of M, off the diagonal
         self.Minv[k, :k] = -(row @ self.Minv[:k, :k]) / d[r]
         self.Minv[k, k] = 1.0 / d[r]
         self.D[:, k], self.R[k] = d, r
@@ -274,8 +286,11 @@ class _State:
         if work is not None:
             work = work.copy()
             work[self.basis[self.basis < self.n]] = True
-        while True:  # one round per working set, from a fresh factorization
-            self.refactor()
+        while True:  # one round per working set, from a fresh factorization:
+            # refactored unless the eta block is empty, as after a crash start,
+            # a dropped row or a refactor forced by REFACTOR_EVERY
+            if self.etas:
+                self.refactor()
             cols, price = self._pricing(c_full, phase, work)
             stall = 0
             while True:
@@ -286,7 +301,7 @@ class _State:
                 bland_fired |= use_bland and self.policy != "bland"
                 passes += 1
                 rc = price(y_full)
-                k = int(np.argmax(rc > tol)) if use_bland else int(np.argmax(rc))
+                k = int((rc > tol).argmax()) if use_bland else int(rc.argmax())
                 if rc[k] <= tol:
                     break
                 j = int(cols[k])
@@ -333,7 +348,7 @@ class _State:
 
         def price(y):
             rc = c_set - AT_set @ y
-            rc[slot[self.basis]] = -np.inf  # the basic columns are all in the set
+            rc[slot.take(self.basis)] = -np.inf  # the basic columns are all in the set
             return rc
 
         return cols, price
@@ -356,6 +371,8 @@ class _State:
         ratios = self.xB[cand] / d[cand]
         rmin = np.min(ratios)
         ties = cand[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
+        if ties.size == 1:
+            return int(ties[0])
         if use_bland:
             return int(ties[np.argmin(self.basis[ties])])
         return int(ties[np.argmax(d[ties])])

@@ -313,7 +313,7 @@ class TestCommands:
             assert main(argv + [str(tmp_path / "debug")]) == 0
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.nad"]
         assert re.fullmatch(
-            r"ode: \d+ shots in stage 1, \d+ in stage 2 \(collided\), "
+            r"ode: \d+ shots in stage 1 \(\d+ bracketing\), \d+ in stage 2 \(collided\), "
             r"\d+ RHS evaluations, [1-9]\d* midpoint steps at the action floor",
             line,
         )

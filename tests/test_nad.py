@@ -1,15 +1,18 @@
 import logging
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from optrans import nad
-from optrans.errors import IllPosed, StiffStep
+from optrans.errors import IllPosed, OptransError, StiffStep
 from optrans.lp import build_lp, solve_primal
 from optrans.nad import _pair_rhs, _q_pair, _shoot, nad_outcome, solve_nad, verify_against_lp
 from optrans.presets import preset
+from optrans.structure import check_nad_condition
+from test_presets import VARIANTS
 
 E = float(np.e)
 ODE_PRESETS = ["option_pricing", "translation_sender", "translation_receiver", "example_c1", "contest"]
@@ -168,11 +171,11 @@ class TestShooting:
     @pytest.mark.parametrize(
         "pid,cap",
         [
-            ("example_c1", 18),
-            ("contest", 15),
-            ("translation_sender", 13),
-            ("option_pricing", 50),
-            ("translation_receiver", 70),
+            ("example_c1", 15),
+            ("contest", 12),
+            ("translation_sender", 12),
+            ("option_pricing", 34),
+            ("translation_receiver", 53),
         ],
     )
     def test_shots_per_solve(self, pid, cap, monkeypatch):
@@ -210,18 +213,20 @@ class TestShooting:
             solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.nad"]
         m = re.fullmatch(
-            r"ode: (\d+) shots in stage 1, (\d+) in stage 2 "
+            r"ode: (\d+) shots in stage 1 \((\d+) bracketing\), (\d+) in stage 2 "
             r"\((collided|fell back to the stage-1 hit|skipped: both bracket ends veered)\), "
             r"(\d+) RHS evaluations, (\d+) midpoint steps at the action floor",
             line,
         )
         assert m, line
         want = "collided" if pid == "translation_receiver" else "skipped: both bracket ends veered"
-        assert m[3] == want
-        assert (int(m[2]) == 0) == (want != "collided")
-        assert int(m[1]) + int(m[2]) == len(nfev)
-        assert int(m[4]) == sum(nfev)
-        assert int(m[5]) <= int(m[1]) + int(m[2])
+        assert m[4] == want
+        assert (int(m[3]) == 0) == (want != "collided")
+        assert int(m[1]) + int(m[3]) == len(nfev)
+        # the first shot, then a bisection over the other BRACKET_POINTS - 1
+        assert int(m[2]) <= 1 + (nad.BRACKET_POINTS - 1).bit_length() < int(m[1])
+        assert int(m[5]) == sum(nfev)
+        assert int(m[6]) <= int(m[1]) + int(m[3])
 
     @pytest.mark.parametrize("pid", ODE_PRESETS)
     def test_second_stage_only_on_floor_brackets(self, pid, monkeypatch):
@@ -256,6 +261,57 @@ class TestShooting:
                 assert side == sign and miss is not None and np.sign(miss) == sign
                 sizes.append(abs(miss))
             assert sizes == sorted(set(sizes))
+
+
+def linear_scan(a, x, lo=0, hi=None, *, key):
+    """``bisect.bisect_left`` by probing ``a[lo], a[lo + 1], ...`` in order:
+    substituted in ``solve_nad``, it shoots the scan grid point by point up
+    to the first change of side, as the search did before it bisected."""
+    hi = len(a) if hi is None else hi
+    return next((i for i in range(lo, hi) if key(a[i]) >= x), hi)
+
+
+def solve_or_raise(problem, meta):
+    try:
+        return solve_nad(problem, meta.prior_density, prior_cdf=meta.prior_cdf)
+    except OptransError as exc:
+        return exc
+
+
+class TestBracketSearch:
+    """The bisection over the scan grid gives, bit for bit, the solution or
+    the error of the linear scan of every grid point in order."""
+
+    @staticmethod
+    def assert_same_as_linear_scan(problem, meta, monkeypatch):
+        got = solve_or_raise(problem, meta)
+        monkeypatch.setattr(nad, "bisect", SimpleNamespace(bisect_left=linear_scan))
+        want = solve_or_raise(problem, meta)
+        if isinstance(want, OptransError):
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        assert isinstance(got, nad.NadSolution), got
+        assert got.nodes.keys() == want.nodes.keys()
+        for name in want.nodes:
+            assert got.nodes[name].tobytes() == want.nodes[name].tobytes(), name
+        for name in ("y_low", "y_high", "terminal_residual"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
+        assert got.route == want.route
+
+    @pytest.mark.parametrize("n", [41, 101])
+    @pytest.mark.parametrize("pid", ODE_PRESETS)
+    def test_presets(self, pid, n, monkeypatch):
+        problem, meta = preset(pid, grid_n=n)
+        self.assert_same_as_linear_scan(problem, meta, monkeypatch)
+
+    @pytest.mark.parametrize("pid,params", VARIANTS)
+    def test_variants(self, pid, params, monkeypatch):
+        problem, meta = preset(pid, grid_n=41, **params)
+        if meta.prior_density is None or problem.quantile_kappa is not None:
+            pytest.skip("not on the ODE route")
+        if check_nad_condition(problem).label != "holds":
+            pytest.skip("NAD condition fails: optrans nad exits 2 before shooting")
+        self.assert_same_as_linear_scan(problem, meta, monkeypatch)
 
 
 def per_node_mass(problem, sol, prior_cdf):

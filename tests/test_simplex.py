@@ -144,9 +144,31 @@ def bounded_program(rng, m, n, density):
     return sp.csc_matrix(A), A @ rng.random(n), rng.normal(size=n)
 
 
+def eta_ftran(st, v):
+    """ftran through the eta block with np.add.at, whatever R holds."""
+    w = st.lu.solve(v)
+    k = st.etas
+    R = st.R[:k]
+    t = st.Minv[:k, :k] @ w[R]
+    w -= st.D[:, :k] @ t
+    np.add.at(w, R, t)
+    return w
+
+
+def eta_btran(st, v):
+    """btran through the eta block with np.subtract.at, whatever R holds."""
+    v = np.array(v, dtype=float)
+    k = st.etas
+    R = st.R[:k]
+    tau = (st.D[:, :k].T @ v - v[R]) @ st.Minv[:k, :k]
+    np.subtract.at(v, R, tau)
+    return st.lu.solve(v, trans="T")
+
+
 class TestEtaBlock:
     """ftran and btran through the eta block match dense solves with the
-    current basis after each of the pivots between two refactors."""
+    current basis after each of the pivots between two refactors, and, bit
+    for bit, the scatter by np.add.at that any R allows."""
 
     @pytest.mark.parametrize("program", ["random", "example_c1"])
     def test_ftran_btran_match_dense_solves(self, program):
@@ -156,7 +178,7 @@ class TestEtaBlock:
         else:
             lp = build_lp(preset("example_c1", grid_n=41)[0])
             A, b = lp.A, lp.b
-        st = simplex._State(A, b, "dantzig")
+        st = simplex._State(A, b, "dantzig", ())
         m, n = A.shape
         refactors = st.refactors
         for k in range(1, simplex.REFACTOR_EVERY):
@@ -171,10 +193,15 @@ class TestEtaBlock:
             else:
                 pytest.fail("no column pivots well on the chosen row")
             st._pivot(r, int(j), d)
+            assert st.repeats == (k >= 3)  # set by the pivot that repeats R[0], kept after
             B = st.A_ext[:, st.basis].toarray()
             v = rng.normal(size=m)
             for got, want in ((st.ftran(v), np.linalg.solve(B, v)), (st.btran(v), np.linalg.solve(B.T, v))):
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            v_bytes = v.tobytes()
+            assert st.ftran(v).tobytes() == eta_ftran(st, v).tobytes()
+            assert st.btran(v).tobytes() == eta_btran(st, v).tobytes()
+            assert v.tobytes() == v_bytes  # neither solve writes to its argument
         assert st.refactors == refactors and st.etas == simplex.REFACTOR_EVERY - 1
         assert st.R[2] == st.R[0]  # the third pivot repeated a row
 
