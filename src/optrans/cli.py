@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grids import from_points
 from .lp import build_lp, contact_set, solve_dual, solve_primal, verify_complementary_slackness
-from .model import Problem, check_assumptions
+from .model import GridTables, Problem, check_assumptions
 from .presets import preset, preset_ids
 from .structure import (
     check_full_disclosure,
@@ -300,28 +300,22 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_check(cfg: RunConfig, outdir: Path) -> int:
     pb, ps = _build(cfg)
-    verdicts = {}
-    rep = check_assumptions(pb)
-    verdicts["assumptions"] = {
-        "flags": rep.flags(),
-        "violations": [
-            {"assumption": a, "at": list(pt), "residual": r} for a, pt, r in rep.violations
-        ],
-    }
-    verdicts["twist"] = asdict(check_twist(pb))
-    verdicts["sdpd"] = asdict(check_sdpd_sufficient(pb))
-    verdicts["full_disclosure"] = asdict(check_full_disclosure(pb))
-    verdicts["nad_condition"] = asdict(check_nad_condition(pb))
+    tables = GridTables(pb)  # each kernel is tabulated once for every test and the LP
+    rep = check_assumptions(tables)
+    violations = [{"assumption": a, "at": list(pt), "residual": r} for a, pt, r in rep.violations]
+    verdicts = {"assumptions": {"flags": rep.flags(), "violations": violations}}
+    verdicts["twist"] = asdict(check_twist(tables))
+    verdicts["sdpd"] = asdict(check_sdpd_sufficient(tables))
+    verdicts["full_disclosure"] = asdict(check_full_disclosure(tables))
+    verdicts["nad_condition"] = asdict(check_nad_condition(tables))
     del verdicts["nad_condition"]["margin"]
-    lp = build_lp(pb)
+    lp = build_lp(tables)
     outcome, objective = solve_primal(lp)
     verdicts["classification"] = asdict(classify_monotonicity(pb, outcome))
     verdicts["objective"] = objective
     verdicts["config"] = _config_record(cfg)
     _json_dump(outdir / "verdicts.json", verdicts)
-    witnessed = any(
-        v.get("witness") is not None for k, v in verdicts.items() if isinstance(v, dict)
-    )
+    witnessed = any(v.get("witness") is not None for v in verdicts.values() if isinstance(v, dict))
     return 2 if witnessed else 0
 
 
@@ -329,7 +323,8 @@ def cmd_nad(cfg: RunConfig, outdir: Path) -> int:
     pb, ps = _build(cfg)
     if ps is None or ps.prior_density is None:
         raise ParseError("nad needs a preset with a prior density", field="preset")
-    nc = check_nad_condition(pb)
+    tables = GridTables(pb)
+    nc = check_nad_condition(tables)
     if nc.label == "fails":
         # no pooling-everywhere solution to shoot for: report the failed
         # condition as a witness instead of an ODE error
@@ -337,9 +332,9 @@ def cmd_nad(cfg: RunConfig, outdir: Path) -> int:
         return 2
     sol = nad_mod.solve_nad(pb, ps.prior_density, prior_cdf=ps.prior_cdf)
     write_nad_csv(outdir / "nad.csv", sol)
-    lp = build_lp(pb)
+    lp = build_lp(tables)
     outcome, objective = solve_primal(lp)
-    cmp = nad_mod.verify_against_lp(pb, sol, outcome, prior_cdf=ps.prior_cdf)
+    cmp = nad_mod.verify_against_lp(tables, sol, outcome, prior_cdf=ps.prior_cdf)
     summary = {
         "config": _config_record(cfg),
         "y_low": sol.y_low,

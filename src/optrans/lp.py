@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import DegenerateBasis, IllPosed, Infeasible, SizeLimit
 from .grids import Grid
-from .model import MASS_TOL, Outcome, Posterior, Problem, outcome_from_mass
+from .model import MASS_TOL, GridTables, Outcome, Posterior, Problem, outcome_from_mass
 from .simplex import SimplexResult, solve_standard_form
 
 SIZE_LIMIT = 4_000_000  # most action x state cells an outcome LP may have
@@ -99,7 +99,7 @@ class SlacknessReport:
     applicable: bool = True
 
 
-def build_lp(problem: Problem) -> LPInstance:
+def build_lp(problem) -> LPInstance:
     """Assemble the outcome LP for a problem instance.
 
     Variables are the kept (non-forbidden) cells of the action x state grid;
@@ -108,13 +108,12 @@ def build_lp(problem: Problem) -> LPInstance:
     ``SizeLimit`` beyond ``SIZE_LIMIT`` cells and ``IllPosed`` on a kept
     cell where V or u is not finite.
     """
+    tables = GridTables.of(problem)
+    problem = tables.problem
     ny, nx = problem.n_actions, problem.n_states
     if ny * nx > SIZE_LIMIT:
         raise SizeLimit(f"{ny}x{nx} grid exceeds the {SIZE_LIMIT} variable cap")
-    Y, X = problem.grids_product()
-    Vmat = np.asarray(problem.V(Y, X), dtype=float)
-    Umat = np.asarray(problem.u(Y, X), dtype=float)
-    mask = problem.forbidden_mask()
+    (Y, X), Vmat, Umat, mask = tables.grid, tables.V, tables.u, tables.mask
     keep = np.ones((ny, nx), dtype=bool) if mask is None else ~mask
     bad = keep & ~(np.isfinite(Vmat) & np.isfinite(Umat))
     if bad.any():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -251,11 +252,68 @@ class Problem:
             rows[0] = False
         return rows
 
-    def forbidden_mask(self) -> Optional[np.ndarray]:
-        if self.forbidden is None:
-            return None
-        Y, X = self.grids_product()
-        return np.asarray(self.forbidden(Y, X), dtype=bool)
+
+class GridTables:
+    """A problem's ``KERNELS`` on its grid, in the ``Problem.grids_product``
+    layout (``grid``), each evaluated on its first read (``tables.u``), with
+    the forbidden ``mask`` and the prior-supported states.  ``once`` keeps a
+    result computed from them.  ``check_assumptions``, the ``check_*`` tests
+    of the structure module, ``lp.build_lp`` and ``nad.verify_against_lp``
+    take a ``Problem`` or its ``GridTables``, so one object can serve one
+    command; it is never stored on the ``Problem``."""
+
+    KERNELS = ("V", "u", "V_y", "u_y", "u_x", "V_yx", "u_yx")
+
+    def __init__(self, problem: Problem):
+        self.problem, self._once = problem, {}
+
+    @staticmethod
+    def of(source) -> "GridTables":
+        """``source`` if it is a ``GridTables``, else the tables of the ``Problem`` ``source``."""
+        return source if isinstance(source, GridTables) else GridTables(source)
+
+    def __getattr__(self, name: str) -> np.ndarray:  # a kernel's table, stored on its first read
+        if name not in GridTables.KERNELS:
+            raise AttributeError(name)
+        setattr(self, name, np.asarray(getattr(self.problem, name)(*self.grid), dtype=float))
+        return self.__dict__[name]
+
+    @cached_property
+    def grid(self) -> tuple:
+        return self.problem.grids_product()
+
+    @cached_property
+    def mask(self) -> Optional[np.ndarray]:
+        """The forbidden cells, None when the problem forbids none."""
+        forbidden = self.problem.forbidden
+        return None if forbidden is None else np.asarray(forbidden(*self.grid), dtype=bool)
+
+    @cached_property
+    def supported(self) -> np.ndarray:
+        """The states carrying prior mass; ``IllPosed`` if fewer than two, as pooling needs a pair."""
+        vals = self.problem.states.points[self.problem.prior > 0]
+        if vals.size < 2:
+            raise IllPosed(f"{vals.size} state(s) carry prior mass; pooling needs two")
+        return vals
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(i1, i2) into ``supported`` of every state pair, i1 < i2, in ``np.triu_indices`` order."""
+        return np.triu_indices(self.supported.size, k=1)
+
+    @cached_property
+    def disclosed(self) -> np.ndarray:
+        """V(gamma(d_x), x) at each ``supported`` state x; -inf on forbidden cells."""
+        pb, vals = self.problem, self.supported
+        ys = gamma_binary(pb, vals, vals, np.ones_like(vals))
+        out = np.asarray(pb.V(ys, vals), dtype=float)
+        return out if pb.forbidden is None else np.where(pb.forbidden(ys, vals), -np.inf, out)
+
+    def once(self, f):
+        """f(self), computed on the first call with ``f`` only."""
+        if f not in self._once:
+            self._once[f] = f(self)
+        return self._once[f]
 
 
 @dataclass(frozen=True)
@@ -482,7 +540,7 @@ def indirect_utility(problem: Problem, mu: Posterior) -> float:
     return float(mu.weights @ problem.V(np.full(xs.shape, y), xs))
 
 
-def check_assumptions(problem: Problem) -> AssumptionReport:
+def check_assumptions(problem) -> AssumptionReport:
     """Grid validation of the standing assumptions.
 
     smooth_ok is the builder's declaration (discontinuous presets set it
@@ -496,12 +554,9 @@ def check_assumptions(problem: Problem) -> AssumptionReport:
     both states, when the residual of a signed-ratio violation is not finite
     (an infinite u_y at its states).
     """
-    Y, X = problem.grids_product()
-    U = problem.u(Y, X)
-    Uy = problem.u_y(Y, X)
-    Ux = problem.u_x(Y, X)
-    Vy = problem.V_y(Y, X)
-    mask = problem.forbidden_mask()
+    tables = GridTables.of(problem)
+    problem, (Y, X) = tables.problem, tables.grid
+    U, Uy, Ux, Vy, mask = tables.u, tables.u_y, tables.u_x, tables.V_y, tables.mask
     uscale = max(1.0, float(np.max(np.abs(U))))
     violations = []
 
@@ -539,15 +594,9 @@ def check_assumptions(problem: Problem) -> AssumptionReport:
     # A4 ordering, possibly relaxed to single crossing in x.
     vy_check = Vy if mask is None else np.where(mask, np.inf, Vy)
     ordering_ok = bool(np.min(vy_check) > 0 and np.min(Ux) > 0)
-    if not ordering_ok and problem.ordering == "single_crossing":
-        ok = bool(np.min(vy_check) > 0)
-        if ok:
-            for iy in range(problem.n_actions):
-                signs = np.sign(U[iy][np.abs(U[iy]) > ASSUMPTION_ZERO_TOL * uscale])
-                if signs.size and np.count_nonzero(np.diff(signs) != 0) > 1:
-                    ok = False
-                    break
-        ordering_ok = ok
+    if not ordering_ok and problem.ordering == "single_crossing":  # at most one sign change per action
+        flips = (np.count_nonzero(np.diff(np.sign(r[np.abs(r) > ASSUMPTION_ZERO_TOL * uscale]))) for r in U)
+        ordering_ok = bool(np.min(vy_check) > 0) and all(f <= 1 for f in flips)
     if not ordering_ok:
         if np.min(vy_check) <= 0:
             iy, ix = np.unravel_index(np.argmin(vy_check), vy_check.shape)
@@ -557,11 +606,7 @@ def check_assumptions(problem: Problem) -> AssumptionReport:
             violations.append(("A4", (float(Y[iy, ix]), float(X[iy, ix])), float(Ux[iy, ix])))
 
     # A3 interiority: u(y_lo, .) and u(y_hi, .) must have the bracketing signs.
-    top, bot = U[-1], U[0]
-    if np.mean(bot) >= np.mean(top):
-        lo_row, hi_row = bot, top
-    else:
-        lo_row, hi_row = top, bot
+    lo_row, hi_row = (U[0], U[-1]) if np.mean(U[0]) >= np.mean(U[-1]) else (U[-1], U[0])
     interior_ok = bool(np.min(lo_row) >= -INTERIOR_TOL * uscale and np.max(hi_row) <= INTERIOR_TOL * uscale)
     if not interior_ok:
         ix = int(np.argmin(lo_row)) if np.min(lo_row) < -INTERIOR_TOL * uscale else int(np.argmax(hi_row))

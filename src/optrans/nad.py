@@ -18,8 +18,9 @@ miss.  A bisection over a grid of trial top actions brackets the first
 change of side, and the top action is shot by regula falsi on the miss
 inside that bracket.  Only where that shooting brackets the top action
 with a shot that reached the action floor, and so may stop on a grazing
-collision, is it repeated at a smaller collision gap.  The multiplier mismatch at the collision against -V_y / u_y
-evaluated at the disclosed state is reported as the terminal residual.
+collision, is it repeated at a smaller collision gap.  The multiplier
+mismatch at the collision against -V_y / u_y evaluated at the disclosed
+state is reported as the terminal residual.
 
 Quantile-style instances (u = 1{x >= y} - kappa) bypass the ODE: there
 chi2(y) = y and chi1 solves kappa * F(chi1) = (1 - kappa) * (1 - F(y)) with
@@ -38,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllPosed, NoRoot, ShootingFailed, StiffStep
-from .model import Outcome, Posterior, Problem, _root, chi, gamma, outcome_from_mass
+from .model import GridTables, Outcome, Posterior, Problem, _root, chi, gamma, outcome_from_mass
 
 RTOL = 1e-8  # RK45 tolerances of every shot
 ATOL = 1e-10
@@ -472,7 +473,7 @@ def nad_outcome(problem: Problem, nad: NadSolution, prior_cdf: Callable) -> Outc
 
 
 def verify_against_lp(
-    problem: Problem,
+    problem,
     nad: NadSolution,
     lp_outcome: Outcome,
     *,
@@ -486,6 +487,8 @@ def verify_against_lp(
     the objective gap.  Rows whose cumulative deviation exceeds
     ``FLAG_FACTOR`` action cells' worth of the comparison are flagged.
     """
+    tables = GridTables.of(problem)
+    problem = tables.problem
     approx = nad_outcome(problem, nad, prior_cdf)
     diff = approx.mass - lp_outcome.mass
     sup_mass = float(np.max(np.abs(diff)))
@@ -494,22 +497,14 @@ def verify_against_lp(
     act_cdf = np.cumsum(diff.sum(axis=1))
     sup_act = float(np.max(np.abs(act_cdf)))
 
-    Y, X = problem.grids_product()
-    V = np.asarray(problem.V(Y, X), dtype=float)
-    if problem.forbidden is not None:
-        V = np.where(problem.forbidden_mask(), 0.0, V)
+    V = tables.V if tables.mask is None else np.where(tables.mask, 0.0, tables.V)
     obj_nad = float(np.sum(V * approx.mass))
     obj_lp = float(np.sum(V * lp_outcome.mass))
 
     # the action marginal is the uniqueness-backed comparison; the joint can
     # differ across equally optimal pairings
-    h = problem.actions.max_spacing
-    tol = FLAG_FACTOR * h
-    flagged = sup_act > tol
-    flagged_action = None
-    if flagged:
-        row = int(np.argmax(np.abs(act_cdf)))
-        flagged_action = float(problem.actions.points[row])
+    flagged = sup_act > FLAG_FACTOR * problem.actions.max_spacing
+    flagged_action = float(problem.actions.points[int(np.argmax(np.abs(act_cdf)))]) if flagged else None
     return LpComparison(
         sup_mass_diff=sup_mass,
         sup_cdf_diff=sup_cdf,

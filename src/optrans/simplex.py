@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import Infeasible, OptransError, Unbounded
 
-PIVOT_TOL = 1e-10
+PIVOT_TOL = 1e-10  # a pivot must exceed this and 1e-9 times its column's largest |entry|
 FEAS_TOL = 1e-9  # phase-1 residual and start-basis feasibility, per unit of sum |b|
 MAX_ITER = 500_000
 REFACTOR_EVERY = 48
@@ -78,8 +78,8 @@ def solve_standard_form(
     boolean mask over the columns of A, is phase 2's first working set; the
     columns basic after phase 1 join it, and the passes over every column
     widen it (module docstring).  None prices every column on every pass.
-    Pivots need ``PIVOT_TOL``; more than ``MAX_ITER`` iterations raise
-    OptransError.
+    Pivots need ``PIVOT_TOL`` and 1e-9 times their column's largest |entry|;
+    more than ``MAX_ITER`` iterations raise OptransError.
     """
     if policy not in ("dantzig", "bland"):
         raise OptransError(f"unknown pivot policy {policy!r}")
@@ -365,7 +365,7 @@ class _State:
         return rc
 
     def _leaving(self, d, use_bland) -> Optional[int]:
-        cand = np.nonzero(d > PIVOT_TOL)[0]
+        cand = np.nonzero(d > max(PIVOT_TOL, 1e-9 * abs(d).max()))[0]
         if cand.size == 0:
             return None
         ratios = self.xB[cand] / d[cand]

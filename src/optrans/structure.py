@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from .errors import IllPosed, NotStrictlyDipped
 from .lp import ContactSet, q_intervals
-from .model import MASS_TOL, PAIR_BLOCK, Outcome, Posterior, Problem, Signal, chi, chi_array, gamma, gamma_binary
+from .model import MASS_TOL, PAIR_BLOCK, GridTables, Outcome, Posterior, Problem, Signal
+from .model import chi, chi_array, gamma, gamma_binary
 from .simplex import solve_standard_form
 
 STRICT_TOL = 1e-8
@@ -74,7 +75,7 @@ class TwistReport:
     witness: Optional[tuple] = None  # (y, x1, x2, x3)
 
 
-def check_twist(problem: Problem) -> TwistReport:
+def check_twist(problem) -> TwistReport:
     """Sign-constancy sweep of the twist determinant over grid triples
     x1 < x2 < x3 with x1 < chi(y) < x3.
 
@@ -114,9 +115,10 @@ def check_twist(problem: Problem) -> TwistReport:
     scan reaches an action where ``chi`` raises it or whose rows are not
     finite.
     """
-    xs = problem.states.points
+    tables = GridTables.of(problem)
+    xs = tables.problem.states.points
     nx = xs.size
-    ys, R, norms, n_low, kh, fault = _twist_actions(problem)
+    ys, R, norms, n_low, kh, fault = _twist_actions(tables)
     chain, low, need = _twist_chain(R, norms, np.minimum(n_low, nx - 2))
     sign, witness, first = 0, None, ""
     decided = {"chain": 0, "certificate": 0, "sweep": 0}
@@ -165,7 +167,7 @@ def check_twist(problem: Problem) -> TwistReport:
     return TwistReport("holds_positive" if sign > 0 else "holds_negative")
 
 
-def _twist_actions(problem: Problem) -> tuple:
+def _twist_actions(tables: GridTables) -> tuple:
     """The actions the twist sweep visits, in scan order, up to the first
     that raises, as (ys, R, norms, n_low, kh, fault): the actions; their
     rows R = (V_y, u, u_y) at (y, xs), an (actions, states, 3) array, with
@@ -173,21 +175,19 @@ def _twist_actions(problem: Problem) -> tuple:
     magnitude lies in [0.5, 1), exactly; the row norms; the number of states
     below chi(y); the index of the first state above it; and the
     ``IllPosed`` the scan raises after these actions, or None.  Every pivot
-    comes from one ``chi_array`` call and each of V_y, u and u_y is
-    evaluated once, on (actions, states) arrays, which gives every entry the
-    same bits as a call on one action's row.  Actions without a pivot, or
+    comes from one ``chi_array`` call and the rows are those of the grid
+    tables of V_y, u and u_y, which give every entry the same bits as a
+    call on one action's row.  Actions without a pivot, or
     with every state on one side of it, are skipped.  The fault is the first,
     in scan order, of an action where ``chi`` raises ``IllPosed`` and an
     action whose rows are not finite."""
-    xs = problem.states.points
+    xs, ys = tables.problem.states.points, tables.problem.actions.points
     nx = xs.size
-    ys = problem.actions.points
-    pivots, errors = chi_array(problem, ys)
+    pivots, errors = chi_array(tables.problem, ys)
     n_low = np.searchsorted(xs, pivots, side="left")  # states below chi(y); NaN sorts last
     kh = np.searchsorted(xs, pivots, side="right")  # first state above chi(y)
     idx = np.flatnonzero((n_low > 0) & (kh < nx))
-    Y, X = np.meshgrid(ys[idx], xs, indexing="ij")
-    R = np.stack([np.asarray(f(Y, X), dtype=float) for f in (problem.V_y, problem.u, problem.u_y)], axis=2)
+    R = np.stack([tables.V_y[idx], tables.u[idx], tables.u_y[idx]], axis=2)
     bad = ~np.isfinite(R).all(axis=2)
     stop, fault = ys.size, None
     rows = np.flatnonzero(bad.any(axis=1))
@@ -690,7 +690,7 @@ class SdpdReport:
     witness: Optional[tuple] = None
 
 
-def check_sdpd_sufficient(problem: Problem) -> SdpdReport:
+def check_sdpd_sufficient(problem) -> SdpdReport:
     """Grid check of the two ratio monotonicity conditions.
 
     r1(y, x) = u_yx / u_x must be monotone in x for every action, and
@@ -705,12 +705,14 @@ def check_sdpd_sufficient(problem: Problem) -> SdpdReport:
     r2 difference of the first action y1 whose differences fall below the
     tolerance.  Raises ``IllPosed`` on a non-finite u_x, u_yx or V_yx cell.
     """
-    ys = problem.actions.points
-    xs = problem.states.points
-    Y, X = np.meshgrid(ys, xs, indexing="ij")
-    Ux = np.asarray(problem.u_x(Y, X), dtype=float)
-    Uyx = np.asarray(problem.u_yx(Y, X), dtype=float)
-    Vyx = np.asarray(problem.V_yx(Y, X), dtype=float)
+    return GridTables.of(problem).once(_sdpd)
+
+
+def _sdpd(tables: GridTables) -> SdpdReport:
+    """The report of ``check_sdpd_sufficient`` from ``tables``."""
+    problem = tables.problem
+    ys, xs = problem.actions.points, problem.states.points
+    Ux, Uyx, Vyx = tables.u_x, tables.u_yx, tables.V_yx
     for name, table in (("u_x", Ux), ("u_yx", Uyx), ("V_yx", Vyx)):
         if not np.isfinite(table).all():
             iy, ix = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
@@ -766,15 +768,6 @@ class FullDisclosureReport:
     decided_by: str = "sweep"  # 'sweep' | 'convex_supermodular_shortcut'
 
 
-def _disclosed_values(problem: Problem, vals: np.ndarray) -> np.ndarray:
-    """V(gamma(d_x), x) for the given states; -inf on forbidden cells."""
-    ys = gamma_binary(problem, vals, vals, np.ones_like(vals))
-    out = np.asarray(problem.V(ys, vals), dtype=float)
-    if problem.forbidden is not None:
-        out = np.where(problem.forbidden(ys, vals), -np.inf, out)
-    return out
-
-
 def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
     """Pooling payoff minus splitting payoff for two-point posteriors.
 
@@ -793,66 +786,54 @@ def _split_gain(problem: Problem, X1, X2, RHO, v1, v2):
         return pooled - (RHO * v1 + (1.0 - RHO) * v2)
 
 
-def _supported_states(problem: Problem) -> np.ndarray:
-    """The state points that carry prior mass; ``IllPosed`` if fewer than two,
-    since a pooling deviation needs a pair of them."""
-    vals = problem.states.points[problem.prior > 0]
-    if vals.size < 2:
-        raise IllPosed(f"{vals.size} state(s) carry prior mass; pooling needs two")
-    return vals
+def _pair_states(tables: GridTables, p: int) -> tuple:
+    """(x1, x2) of pair p of ``tables.pairs``."""
+    i1, i2 = tables.pairs
+    return float(tables.supported[i1[p]]), float(tables.supported[i2[p]])
 
 
-class _PooledPairs:
-    """The prior-supported state pairs in ``np.triu_indices`` order, with the
-    disclosed values of their states computed once for every sweep."""
-
-    def __init__(self, problem: Problem):
-        self.problem = problem
-        self.vals = _supported_states(problem)
-        self.i1, self.i2 = np.triu_indices(self.vals.size, k=1)  # x1 < x2 per pair
-        self.disc = _disclosed_values(problem, self.vals)
-
-    def states(self, p: int) -> tuple:
-        """(x1, x2) of pair p."""
-        return float(self.vals[self.i1[p]]), float(self.vals[self.i2[p]])
-
-    def sweep(self, m: int, pairs: np.ndarray) -> tuple:
-        """Largest pooling gain over rho = k / m of each of ``pairs`` (indices
-        into the pair list) and the first rho reaching it.  Every entry is the
-        same elementwise expression as on the whole (pair, rho) table, which
-        is never built.  Raises ``IllPosed`` on the first pair with a NaN
-        gain, which forbidden cells give where they block both pooling and
-        disclosure."""
-        rhos = (np.arange(1, m) / m).astype(float)
-        nr = rhos.size
-        block = max(1, PAIR_BLOCK * (RHO_M - 1) // nr)
-        best = np.empty(len(pairs))
-        best_rho = np.empty(len(pairs))
-        for s in range(0, len(pairs), block):
-            j, k = self.i1[pairs[s : s + block]], self.i2[pairs[s : s + block]]
-            gain = _split_gain(
-                self.problem,
-                np.repeat(self.vals[j], nr),
-                np.repeat(self.vals[k], nr),
-                np.tile(rhos, j.size),
-                np.repeat(self.disc[j], nr),
-                np.repeat(self.disc[k], nr),
+def _sweep(tables: GridTables, m: int, pairs: np.ndarray) -> tuple:
+    """Largest pooling gain over rho = k / m of each of ``pairs`` (indices into
+    ``tables.pairs``) and the first rho reaching it.  Every entry is the same
+    elementwise expression as on the whole (pair, rho) table, which is never
+    built.  Raises ``IllPosed`` on the first pair with a NaN gain, which
+    forbidden cells give where they block both pooling and disclosure."""
+    rhos = (np.arange(1, m) / m).astype(float)
+    nr = rhos.size
+    block = max(1, PAIR_BLOCK * (RHO_M - 1) // nr)
+    best = np.empty(len(pairs))
+    best_rho = np.empty(len(pairs))
+    (i1, i2), vals, disc = tables.pairs, tables.supported, tables.disclosed
+    for s in range(0, len(pairs), block):
+        j, k = i1[pairs[s : s + block]], i2[pairs[s : s + block]]
+        gain = _split_gain(
+            tables.problem,
+            np.repeat(vals[j], nr),
+            np.repeat(vals[k], nr),
+            np.tile(rhos, j.size),
+            np.repeat(disc[j], nr),
+            np.repeat(disc[k], nr),
+        )
+        nan = np.nonzero(np.isnan(gain))[0]
+        if nan.size:
+            x1, x2 = _pair_states(tables, pairs[s + nan[0] // nr])
+            raise IllPosed(
+                f"pooling gain of states ({x1!r}, {x2!r}) is NaN: "
+                "forbidden cells block both pooling and disclosure, or V is NaN"
             )
-            nan = np.nonzero(np.isnan(gain))[0]
-            if nan.size:
-                x1, x2 = self.states(pairs[s + nan[0] // nr])
-                raise IllPosed(
-                    f"pooling gain of states ({x1!r}, {x2!r}) is NaN: "
-                    "forbidden cells block both pooling and disclosure, or V is NaN"
-                )
-            gain = gain.reshape(j.size, nr)
-            kk = gain.argmax(axis=1)
-            best[s : s + j.size] = gain[np.arange(j.size), kk]
-            best_rho[s : s + j.size] = rhos[kk]
-        return best, best_rho
+        gain = gain.reshape(j.size, nr)
+        kk = gain.argmax(axis=1)
+        best[s : s + j.size] = gain[np.arange(j.size), kk]
+        best_rho[s : s + j.size] = rhos[kk]
+    return best, best_rho
 
 
-def check_full_disclosure(problem: Problem) -> FullDisclosureReport:
+def _coarse_sweep(tables: GridTables) -> tuple:
+    """``_sweep`` of every pair on the grid k / ``RHO_M``, run ``once`` per tables."""
+    return _sweep(tables, RHO_M, np.arange(tables.pairs[0].size))
+
+
+def check_full_disclosure(problem) -> FullDisclosureReport:
     """Decide whether full disclosure is optimal: ``not_optimal`` when some
     pooling of two prior-supported states beats splitting them by more than
     tol = 1e-9 times the largest finite |V|.
@@ -869,36 +850,31 @@ def check_full_disclosure(problem: Problem) -> FullDisclosureReport:
     first refined pair that beats tol is reported.  When full disclosure is
     optimal and the receiver is linear, ``decided_by`` names the
     convexity-plus-exchange shortcut if it already decides optimality;
-    every other report, the action rows' too, reads ``sweep``.  V is
-    tabulated on the grid once, and u at most once: only where the rows can
-    judge the problem or the shortcut runs.  One DEBUG record on logger
-    ``optrans.structure`` names the route: the deciding action and gain for
-    the rows, the reason the rows did not decide for the sweep.  Raises
-    ``IllPosed`` when fewer than two states carry prior mass, and from the
-    sweep when V is NaN."""
-    Y, X = problem.grids_product()
-    V = np.asarray(problem.V(Y, X), dtype=float)
-    U = None
+    every other report, the action rows' too, reads ``sweep``.  One DEBUG
+    record on logger ``optrans.structure`` names the route: the deciding
+    action and gain for the rows, the reason the rows did not decide for the
+    sweep.  Raises ``IllPosed`` when fewer than two states carry prior mass,
+    and from the sweep when V is NaN."""
+    tables = GridTables.of(problem)
+    problem, V = tables.problem, tables.V
     scale = max(1.0, float(np.max(np.abs(V[np.isfinite(V)]), initial=0.0)))
     tol = 1e-9 * scale
-    pooled = _PooledPairs(problem)
-    supported = problem.prior > 0
     report, why = None, _rows_blocked(problem)
     if why is None:
-        U = np.asarray(problem.u(Y, X), dtype=float)
-        report, why = _empty_row(problem, pooled, V[:, supported], U[:, supported], tol)
+        supported = problem.prior > 0
+        report, why = _empty_row(tables, V[:, supported], tables.u[:, supported], tol)
     logger.debug("full disclosure: %s", why)
     if report is not None:
         return report
-    per_pair, _ = pooled.sweep(RHO_M, np.arange(pooled.i1.size))
+    per_pair, _ = tables.once(_coarse_sweep)
     worst = float(np.max(per_pair))
     order = np.argsort(-per_pair, kind="stable")  # largest gain first, ties in pair order
     near = order[:1] if worst > tol else order[per_pair[order] > -tol * 64][:NEAR_MAX]
-    fine, fine_rho = pooled.sweep(REFINE_M, near)
+    fine, fine_rho = _sweep(tables, REFINE_M, near)
     above = np.nonzero(fine > tol)[0]
     if above.size:
         p = above[0]
-        witness = (*pooled.states(near[p]), float(fine_rho[p]))
+        witness = (*_pair_states(tables, near[p]), float(fine_rho[p]))
         return FullDisclosureReport(label="not_optimal", witness=witness, margin=float(fine[p]))
     # strictness: the pooling deficit of neighboring states shrinks like the
     # squared separation, so the strict margin is judged per unit separation
@@ -906,14 +882,13 @@ def check_full_disclosure(problem: Problem) -> FullDisclosureReport:
     # within a pair and rounded division by it is monotone, so the per-pair
     # maximum gives the largest ratio.
     span = problem.states.hi - problem.states.lo
-    sep2 = ((pooled.vals[pooled.i2] - pooled.vals[pooled.i1]) / max(span, 1e-300)) ** 2
+    (i1, i2), vals = tables.pairs, tables.supported
+    sep2 = ((vals[i2] - vals[i1]) / max(span, 1e-300)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(sep2 > 0, per_pair / sep2, -np.inf)
     strict = bool(np.max(normalized) < -STRICT_TOL * scale)
     label = "optimal_unique" if strict else "optimal"
-    if U is None:
-        U = np.asarray(problem.u(Y, X), dtype=float)
-    decided = "convex_supermodular_shortcut" if _linear_receiver_shortcut(problem, V, U) else "sweep"
+    decided = "convex_supermodular_shortcut" if _linear_receiver_shortcut(tables) else "sweep"
     return FullDisclosureReport(label=label, witness=None, margin=worst, decided_by=decided)
 
 
@@ -931,13 +906,13 @@ def _rows_blocked(problem: Problem) -> Optional[str]:
     return None
 
 
-def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, U: np.ndarray, tol: float) -> tuple:
+def _empty_row(tables: GridTables, V: np.ndarray, U: np.ndarray, tol: float) -> tuple:
     """The row route of ``check_full_disclosure`` on a problem that
     ``_rows_blocked`` passes: (report, note), the report None when the rows
-    do not decide.  ``V`` and ``U`` are V and u on the actions x ``pooled``'s
-    states.
+    do not decide.  ``V`` and ``U`` are V and u on the actions x the
+    ``tables.supported`` states.
 
-    Row y admits q with V(y, x) + q u(y, x) <= p(x) = ``pooled.disc`` on
+    Row y admits q with V(y, x) + q u(y, x) <= p(x) = ``tables.disclosed`` on
     every state exactly when lo_y <= hi_y (``q_intervals``).  An empty row
     names x1 at lo_y (u1 < 0) and x2 at hi_y (u2 > 0): pooling them at
     rho = u2 / (u2 - u1), which keeps y obeyed, gains
@@ -945,10 +920,10 @@ def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, U: np.ndar
     largest gain above ``tol`` decides when its pair, re-swept on the grid
     k / ``REFINE_M``, still gains more than ``tol``.  Only finite V, u and
     p are judged."""
-    if not (np.isfinite(V).all() and np.isfinite(U).all() and np.isfinite(pooled.disc).all()):
+    if not (np.isfinite(V).all() and np.isfinite(U).all() and np.isfinite(tables.disclosed).all()):
         return None, "sweep (non-finite table)"
     below, above = U < 0, U > 0
-    lo, i1, hi, i2 = q_intervals(pooled.disc, V, U, below, above)
+    lo, i1, hi, i2 = q_intervals(tables.disclosed, V, U, below, above)
     rows = np.arange(U.shape[0])
     u1, u2 = U[rows, i1], U[rows, i2]
     with np.errstate(divide="ignore", invalid="ignore"):  # rows without a u < 0 or a u > 0 cell
@@ -957,43 +932,32 @@ def _empty_row(problem: Problem, pooled: _PooledPairs, V: np.ndarray, U: np.ndar
     if not gain[k] > tol:
         return None, f"sweep (no empty row: largest row gain {gain[k]:.3g})"
     a, b = sorted((int(i1[k]), int(i2[k])))
-    pair = a * pooled.vals.size - a * (a + 1) // 2 + b - a - 1  # its index in np.triu_indices order
-    fine, fine_rho = pooled.sweep(REFINE_M, np.array([pair]))
-    y = float(problem.actions.points[k])
+    pair = a * tables.supported.size - a * (a + 1) // 2 + b - a - 1  # its index in np.triu_indices order
+    fine, fine_rho = _sweep(tables, REFINE_M, np.array([pair]))
+    y = float(tables.problem.actions.points[k])
     if not fine[0] > tol:
         return None, f"sweep (refined gain {fine[0]:.3g} <= tol at y={y!r})"
-    witness = (*pooled.states(pair), float(fine_rho[0]))
+    witness = (*_pair_states(tables, pair), float(fine_rho[0]))
     return FullDisclosureReport(label="not_optimal", witness=witness, margin=float(fine[0])), (
         f"rows, empty at y={y!r} with gain {gain[k]:.3g}"
     )
 
 
-def _linear_receiver_shortcut(problem: Problem, V: np.ndarray, U: np.ndarray) -> bool:
+def _linear_receiver_shortcut(tables: GridTables) -> bool:
     """Convex in the action plus the two-state exchange inequality; only
-    meaningful when u(y, x) = x - y on the grid.  ``V`` and ``U`` are V and
-    u on the grid (``Problem.grids_product``)."""
-    ys = problem.actions.points
-    xs = problem.states.points
-    Y, X = problem.grids_product()
-    if np.max(np.abs(U - (X - Y))) > 1e-10 * max(1.0, float(np.max(np.abs(U)))):
+    meaningful when u(y, x) = x - y on the grid."""
+    V, U, (Y, X) = tables.V, tables.u, tables.grid
+    ys, xs = tables.problem.actions.points, tables.problem.states.points
+    if np.max(np.abs(U - (X - Y))) > 1e-10 * max(1.0, float(np.max(np.abs(U)))) or not np.all(np.isfinite(V)):
         return False
-    if not np.all(np.isfinite(V)):
+    if ys.size >= 3 and np.min(np.diff(V, n=2, axis=0)) < -1e-10:
         return False
-    if ys.size >= 3:
-        d2 = np.diff(V, n=2, axis=0)
-        if np.min(d2) < -1e-10:
-            return False
-    inside = (xs >= ys[0]) & (xs <= ys[-1])
-    vals = xs[inside]
+    vals = xs[(xs >= ys[0]) & (xs <= ys[-1])]
     if vals.size < 2:
         return True
-
-    def vv(y, x):
-        return np.asarray(problem.V(np.asarray(y, float), np.asarray(x, float)), dtype=float)
-
     i1, i2 = np.triu_indices(vals.size, k=1)
-    lhs = vv(vals[i1], vals[i2]) + vv(vals[i2], vals[i1])
-    rhs = vv(vals[i1], vals[i1]) + vv(vals[i2], vals[i2])
+    f = tables.problem.V
+    lhs, rhs = f(vals[i1], vals[i2]) + f(vals[i2], vals[i1]), f(vals[i1], vals[i1]) + f(vals[i2], vals[i2])
     return bool(np.max(lhs - rhs) <= 1e-10)
 
 
@@ -1005,7 +969,7 @@ class NadConditionReport:
     margin: float = 0.0
 
 
-def check_nad_condition(problem: Problem) -> NadConditionReport:
+def check_nad_condition(problem) -> NadConditionReport:
     """Pooling-everywhere condition.
 
     On a smooth problem whose ``check_sdpd_sufficient`` label is
@@ -1023,8 +987,10 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
     action where ``chi`` raises it, where u_y or u_x vanishes at
     (y, chi(y)), or where the criterion is not finite.
     """
-    _supported_states(problem)
-    if problem.smooth and check_sdpd_sufficient(problem).label == "dipped_strict":
+    tables = GridTables.of(problem)
+    problem = tables.problem
+    tables.supported  # IllPosed when fewer than two states carry prior mass
+    if problem.smooth and check_sdpd_sufficient(tables).label == "dipped_strict":
         ys = problem.actions.points
         pivots, errors = chi_array(problem, ys)
         at = np.flatnonzero(~np.isnan(pivots))
@@ -1059,11 +1025,10 @@ def check_nad_condition(problem: Problem) -> NadConditionReport:
             return NadConditionReport("fails", witness=worst_y, route="local", margin=worst)
         return NadConditionReport("holds", route="local", margin=worst)
 
-    pooled = _PooledPairs(problem)
-    per_pair, _ = pooled.sweep(RHO_M, np.arange(pooled.i1.size))
+    per_pair, _ = tables.once(_coarse_sweep)
     k = int(np.argmin(per_pair))
     if per_pair[k] <= STRICT_TOL:
-        return NadConditionReport("fails", witness=pooled.states(k), route="sweep", margin=float(per_pair[k]))
+        return NadConditionReport("fails", witness=_pair_states(tables, k), route="sweep", margin=float(per_pair[k]))
     return NadConditionReport("holds", route="sweep", margin=float(per_pair.min()))
 
 

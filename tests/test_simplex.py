@@ -1,4 +1,5 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,21 @@ from optrans.simplex import solve_standard_form
 
 def dense(A):
     return sp.csc_matrix(np.asarray(A, dtype=float))
+
+
+class TestLeaving:
+    def test_relative_pivot_rejected(self):
+        # row 0 has the least ratio, but its pivot 1.09e-10, above PIVOT_TOL,
+        # is 2.3e-16 of the column's largest entry: such a pivot made the
+        # example_c1 LP at n=1601 lose rank at its next refactor
+        state = SimpleNamespace(xB=np.array([1e-20, 1.0, 2.0]), basis=np.array([0, 1, 2]))
+        d = np.array([1.09e-10, 4.7e5, -3.0])
+        assert simplex._State._leaving(state, d, False) == 1
+        assert simplex._State._leaving(state, np.array([1.09e-10, 4.7e-2, -3e-2]), False) == 0
+
+    def test_no_pivot_above_relative_threshold(self):
+        state = SimpleNamespace(xB=np.array([1.0, 1.0]), basis=np.array([0, 1]))
+        assert simplex._State._leaving(state, np.array([1e-6, -1e4]), False) is None
 
 
 class TestSmallPrograms:

@@ -1,9 +1,11 @@
+import json
 import logging
 import math
 import re
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from unittest import mock
 
@@ -12,11 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optrans import Posterior, Problem, gamma, uniform
+from optrans import Posterior, Problem, cli, gamma, uniform
 from optrans.grids import Grid
-from optrans.errors import IllPosed, NoRoot, NotStrictlyDipped
+from optrans.errors import IllPosed, NoRoot, NotStrictlyDipped, OptransError
 from optrans.lp import ContactSet, build_lp, contact_set, solve_dual, solve_primal
-from optrans.model import MASS_TOL, Outcome, Signal, chi
+from optrans.model import MASS_TOL, GridTables, Outcome, Signal, check_assumptions, chi, chi_array, gamma_binary
 from optrans.presets import preset, preset_ids
 from optrans import structure
 from optrans.structure import (
@@ -168,7 +170,7 @@ class TestCheckTwist:
 
     def test_debug_record_certified(self, caplog):
         pb, _ = preset("example_c1", grid_n=41)
-        visited = structure._twist_actions(pb)[0].size
+        visited = structure._twist_actions(GridTables(pb))[0].size
         with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
             assert check_twist(pb).label == "holds_positive"
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
@@ -183,7 +185,7 @@ class TestCheckTwist:
         # example_c3's actions split between the chain and the block
         # certificate: triples on one side of chi(y) are nearly flat there
         pb, _ = preset("example_c3", grid_n=41)
-        visited = structure._twist_actions(pb)[0].size
+        visited = structure._twist_actions(GridTables(pb))[0].size
         with caplog.at_level(logging.DEBUG, logger="optrans.structure"):
             assert check_twist(pb).label == "holds_positive"
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.structure"]
@@ -538,6 +540,18 @@ def twist_route(problem, zero_tol):
     return rep, route
 
 
+def meshgrid_twist_rows(pb):
+    """The actions ``_twist_actions`` visits and their unscaled rows (V_y, u,
+    u_y), each kernel evaluated on meshgrid(ys[idx], xs) of those actions
+    alone, as before the grid tables."""
+    xs, ys = pb.states.points, pb.actions.points
+    pivots, _ = chi_array(pb, ys)
+    n_low, kh = np.searchsorted(xs, pivots, side="left"), np.searchsorted(xs, pivots, side="right")
+    idx = np.flatnonzero((n_low > 0) & (kh < xs.size))
+    Y, X = np.meshgrid(ys[idx], xs, indexing="ij")
+    return ys[idx], np.stack([np.asarray(f(Y, X), dtype=float) for f in (pb.V_y, pb.u, pb.u_y)], axis=2)
+
+
 class TestTwistRoutes:
     @pytest.mark.parametrize("grid_n", [41, 101])
     @pytest.mark.parametrize("pid", preset_ids())
@@ -550,7 +564,7 @@ class TestTwistRoutes:
         # the one (actions, states) table holds, bit for bit, the rows a call
         # on each action's own row gives
         pb, _ = preset(pid, grid_n=41, **params)
-        ys, R, norms, *_ = structure._twist_actions(pb)
+        ys, R, norms, *_ = structure._twist_actions(GridTables(pb))
         xs = pb.states.points
         for y, Ry, ny in zip(ys, R, norms):
             yv = np.full(xs.size, float(y))
@@ -558,6 +572,19 @@ class TestTwistRoutes:
             want = np.ldexp(want, -np.frexp(np.max(np.abs(want), axis=0))[1])
             assert Ry.tobytes() == want.tobytes()
             assert ny.tobytes() == np.sqrt(want[:, 0] ** 2 + want[:, 1] ** 2 + want[:, 2] ** 2).tobytes()
+
+    @pytest.mark.parametrize("grid_n", [41, 101])
+    @pytest.mark.parametrize("pid, params", [(pid, {}) for pid in preset_ids()] + VARIANTS)
+    def test_grid_table_rows_match_meshgrid_rows(self, pid, params, grid_n):
+        # rows sliced from the full grid tables hold the bits of a meshgrid
+        # over the visited actions alone
+        pb, _ = preset(pid, grid_n=grid_n, **params)
+        ys, R, *_ = structure._twist_actions(GridTables(pb))
+        want_ys, want = meshgrid_twist_rows(pb)
+        want = want[: ys.size]  # the actions before a fault
+        want = np.ldexp(want, -np.frexp(np.max(np.abs(want), axis=1))[1][:, None, :])
+        assert ys.tobytes() == want_ys[: ys.size].tobytes()
+        assert R.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("grid_n", [101, 201])
     @pytest.mark.parametrize("pid, kwargs", TWIST_HOLDS)
@@ -1137,31 +1164,83 @@ class TestFullDisclosure:
         with mock.patch.object(structure, "_linear_receiver_shortcut", side_effect=AssertionError("shortcut ran")):
             assert check_full_disclosure(pb).label == "not_optimal"
 
-    @pytest.mark.parametrize("pid", preset_ids())
-    def test_grid_tables_evaluated_once(self, pid):
-        pb, _ = preset(pid, grid_n=21)
-        Y, X = pb.grids_product()
-        calls = Counter()
-
-        def counted(name, f):
-            def g(y, x):
-                calls[name] += np.shape(y) == Y.shape and np.array_equal(y, Y) and np.array_equal(x, X)
-                return f(y, x)
-
-            return g
-
-        pb.V, pb.u = counted("V", pb.V), counted("u", pb.u)
-        rep = check_full_disclosure(pb)
-        assert calls["V"] <= 1 and calls["u"] <= 1, calls
-        if pid in ("affiliated", "example_c2", "quantile", "stress_test"):
-            # sender-favorable, so the rows cannot judge them, and not_optimal,
-            # so the shortcut does not run: nothing reads u on the grid
-            assert rep.label == "not_optimal" and calls["u"] == 0, calls
-
     def test_nan_sender_raises(self):
         # the scale of V used to be the max of an empty array (ValueError)
         with pytest.raises(IllPosed, match="is NaN"):
             check_full_disclosure(nan_sender())
+
+
+def check_argv(pid, params, out):
+    kv = ",".join(f"{k}={v}" for k, v in params.items())
+    return ["check", "--preset", pid, "--grid-n", "21", "--out", str(out)] + (["--params", kv] if kv else [])
+
+
+def separate_verdicts(pid, params):
+    """The verdicts of ``optrans check`` but for its config, each from a public
+    call on a fresh problem."""
+
+    def fresh():
+        return preset(pid, grid_n=21, **params)[0]
+
+    rep = check_assumptions(fresh())
+    violations = [{"assumption": a, "at": list(pt), "residual": r} for a, pt, r in rep.violations]
+    verdicts = {"assumptions": {"flags": rep.flags(), "violations": violations}}
+    for key, check in (
+        ("twist", check_twist),
+        ("sdpd", check_sdpd_sufficient),
+        ("full_disclosure", check_full_disclosure),
+        ("nad_condition", check_nad_condition),
+    ):
+        verdicts[key] = asdict(check(fresh()))
+    del verdicts["nad_condition"]["margin"]
+    pb = fresh()
+    outcome, verdicts["objective"] = solve_primal(build_lp(pb))
+    verdicts["classification"] = asdict(classify_monotonicity(pb, outcome))
+    return verdicts
+
+
+class TestCheckBattery:
+    """``optrans check`` runs every test on one ``GridTables``."""
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_grid_tables_evaluated_once(self, pid, tmp_path):
+        calls = Counter()
+        build = cli._build
+
+        def counted_build(cfg):
+            pb, ps = build(cfg)
+            Y, X = pb.grids_product()
+            for name in GridTables.KERNELS:
+
+                def g(y, x, name=name, f=getattr(pb, name)):
+                    calls[name] += np.shape(y) == Y.shape and np.array_equal(y, Y) and np.array_equal(x, X)
+                    return f(y, x)
+
+                setattr(pb, name, g)
+            return pb, ps
+
+        with mock.patch.object(cli, "_build", counted_build), mock.patch.object(
+            structure, "_sdpd", wraps=structure._sdpd
+        ) as sdpd, mock.patch.object(structure, "_coarse_sweep", wraps=structure._coarse_sweep) as sweep:
+            assert cli.main(check_argv(pid, {}, tmp_path)) in (0, 2)
+        # u's second table is the obedience residual of the LP's outcome
+        assert calls["V"] == 1 and calls["u"] <= 2, calls
+        assert all(calls[name] <= 1 for name in GridTables.KERNELS if name not in ("V", "u")), calls
+        assert sdpd.call_count <= 1 and sweep.call_count <= 1
+
+    @pytest.mark.parametrize("pid, params", [(pid, {}) for pid in preset_ids()] + VARIANTS)
+    def test_verdicts_equal_separate_calls(self, pid, params, tmp_path, capsys):
+        rc = cli.main(check_argv(pid, params, tmp_path))
+        err = capsys.readouterr().err
+        try:
+            want = separate_verdicts(pid, params)
+        except OptransError as exc:
+            assert (rc, err) == (1, f"error [{type(exc).__name__}]: {exc}\n")
+            return
+        got = json.loads((tmp_path / "verdicts.json").read_text())
+        del got["config"]
+        # the dumps compare every float bit for bit, NaN too
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestNadCondition:
@@ -1184,7 +1263,7 @@ class TestNadCondition:
     def test_sdpd_skipped_when_not_smooth(self):
         # the local route needs a smooth problem, so the certificate is not run
         pb, _ = preset("quantile", grid_n=21)
-        with mock.patch.object(structure, "check_sdpd_sufficient", side_effect=AssertionError("sdpd ran")):
+        with mock.patch.object(structure, "_sdpd", side_effect=AssertionError("sdpd ran")):
             assert check_nad_condition(pb).route == "sweep"
 
     def test_vanishing_u_y_at_pivot_raises(self):
@@ -1258,13 +1337,22 @@ class TestNadCondition:
         assert_sweep_matches_full_table(pb)
 
 
+def disclosed_values(problem, vals):
+    """V(gamma(d_x), x) for the given states; -inf on forbidden cells."""
+    ys = gamma_binary(problem, vals, vals, np.ones_like(vals))
+    out = np.asarray(problem.V(ys, vals), dtype=float)
+    if problem.forbidden is not None:
+        out = np.where(problem.forbidden(ys, vals), -np.inf, out)
+    return out
+
+
 def full_table_gain(problem, m=RHO_M):
     """The whole (pair, rho) pooling-gain table, pairs in np.triu_indices
     order and rho = k / m within each pair."""
     vals = problem.states.points[problem.prior > 0]
     i1, i2 = np.triu_indices(vals.size, k=1)
     rhos = (np.arange(1, m) / m).astype(float)
-    disc = structure._disclosed_values(problem, vals)
+    disc = disclosed_values(problem, vals)
     return structure._split_gain(
         problem,
         np.repeat(vals[i1], rhos.size),
@@ -1327,7 +1415,7 @@ def full_table_full_disclosure(problem, m=RHO_M):
     the row route and the block-wise sweep must reproduce bit for bit."""
     _, tol = full_disclosure_tol(problem)
     vals = problem.states.points[problem.prior > 0]
-    disc = structure._disclosed_values(problem, vals)
+    disc = disclosed_values(problem, vals)
     pair = full_table_empty_row(problem, vals, disc, tol)
     if pair is not None:
         a, b = sorted(pair)
@@ -1350,7 +1438,7 @@ def full_table_sweep(problem, m=RHO_M):
     V1 = np.repeat(np.arange(vals.size)[i1], rhos.size)
     V2 = np.repeat(np.arange(vals.size)[i2], rhos.size)
     RHO = np.tile(rhos, i1.size)
-    disc = structure._disclosed_values(problem, vals)
+    disc = disclosed_values(problem, vals)
     gain = structure._split_gain(problem, X1, X2, RHO, disc[V1], disc[V2])
     worst = float(np.max(gain))
 
@@ -1371,8 +1459,7 @@ def full_table_sweep(problem, m=RHO_M):
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(sep2 > 0, gain / sep2, -np.inf)
     label = "optimal_unique" if np.max(normalized) < -STRICT_TOL * scale else "optimal"
-    Y, X = problem.grids_product()
-    shortcut = structure._linear_receiver_shortcut(problem, problem.V(Y, X), problem.u(Y, X))
+    shortcut = structure._linear_receiver_shortcut(GridTables(problem))
     decided = "convex_supermodular_shortcut" if shortcut else "sweep"
     return FullDisclosureReport(label, witness=None, margin=worst, decided_by=decided)
 
@@ -1392,7 +1479,7 @@ def full_table_nad_sweep(problem):
 def sweep_route_nad_condition(problem):
     """check_nad_condition forced onto its sweep route."""
     neither = SdpdReport(label="neither", dipped_weak=False, peaked_weak=False)
-    with mock.patch.object(structure, "check_sdpd_sufficient", lambda pb: neither):
+    with mock.patch.object(structure, "_sdpd", lambda tables: neither):
         return check_nad_condition(problem)
 
 
@@ -1535,7 +1622,7 @@ class TestFullDisclosureRows:
         if route.startswith("rows"):
             x1, x2, rho = rep.witness
             xs = np.array([x1, x2])
-            d1, d2 = structure._disclosed_values(pb, xs)
+            d1, d2 = disclosed_values(pb, xs)
             gain = structure._split_gain(pb, xs[:1], xs[1:], np.array([rho]), d1, d2)
             assert repr(float(gain[0])) == repr(rep.margin)
             assert rep.margin > full_disclosure_tol(pb)[1]
