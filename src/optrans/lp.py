@@ -50,8 +50,8 @@ class LPInstance:
 
     @property
     def rank_estimate(self) -> Optional[int]:
-        """Rank of the constraint matrix: rows the simplex kept (None until
-        the LP is solved)."""
+        """Rank of the constraint matrix: the rows less those whose artificial
+        the simplex pinned as redundant (None until the LP is solved)."""
         if self.solution is None:
             return None
         return self.n_rows - len(self.solution.dropped_rows)
@@ -220,7 +220,7 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
     mass = np.zeros((ny, nx))
     mass[lp.col_y, lp.col_x] = res.x[: lp.n_mass]
     np.maximum(mass, 0.0, out=mass)
-    outcome = outcome_from_mass(lp.problem, mass)
+    outcome = outcome_from_mass(lp.problem, mass, lp.Umat)
     return outcome, float(res.objective)
 
 
@@ -292,12 +292,13 @@ def _mapped_basis(lp: LPInstance, coarse: LPInstance, res: SimplexResult, crash:
     ``coarse``, the LP of ``_coarsen(lp.problem)``.  Each basic cell is the
     same point of this grid, with the same V and u; each slack column is the
     slack of its row here, and the free bottom row's two surplus columns,
-    last in both LPs, stay last.  Rows the coarse solve dropped keep their
-    artificials, and the rows the coarse grid leaves out take their
-    ``crash`` column.  As the coarse prior is this prior on the kept states,
-    renormalized, the kept rows' right-hand side is a multiple of the coarse
-    one, so the proposal is feasible up to what the left-out rows' crash
-    columns put on the kept rows."""
+    last in both LPs, stay last.  A coarse artificial, as of a row the coarse
+    solve pinned, maps to -1, so its position keeps its artificial here, and
+    the rows the coarse grid leaves out take their ``crash`` column.  As the
+    coarse prior is this prior on the kept states, renormalized, the kept
+    rows' right-hand side is a multiple of the coarse one, so the proposal is
+    feasible up to what the left-out rows' crash columns put on the kept
+    rows."""
     pb = lp.problem
     ks, ka = _every_other(pb.n_states), _every_other(pb.n_actions)
     cell = np.full((pb.n_actions, pb.n_states), -1)
@@ -313,11 +314,10 @@ def _mapped_basis(lp: LPInstance, coarse: LPInstance, res: SimplexResult, crash:
             fine_slacks.size + np.arange(coarse.slack_rows.size - coarse_slacks.size),
         ]
     )
-    column = np.concatenate([cell[ka[coarse.col_y], ks[coarse.col_x]], lp.n_mass + extra])
+    column = np.concatenate([cell[ka[coarse.col_y], ks[coarse.col_x]], lp.n_mass + extra, np.full(coarse.n_rows, -1)])
     rows = np.concatenate([ks, pb.n_states + ka])  # this LP's row of each coarse row
     warm = crash.copy()
-    warm[rows] = -1
-    warm[rows[np.setdiff1d(np.arange(rows.size), res.dropped_rows)]] = column[res.basis]
+    warm[rows] = column[res.basis]
     return warm
 
 

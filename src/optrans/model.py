@@ -258,9 +258,9 @@ class GridTables:
     layout (``grid``), each evaluated on its first read (``tables.u``), with
     the forbidden ``mask`` and the prior-supported states.  ``once`` keeps a
     result computed from them.  ``check_assumptions``, the ``check_*`` tests
-    of the structure module, ``lp.build_lp`` and ``nad.verify_against_lp``
-    take a ``Problem`` or its ``GridTables``, so one object can serve one
-    command; it is never stored on the ``Problem``."""
+    of the structure module, ``lp.build_lp``, ``nad.nad_outcome`` and
+    ``nad.verify_against_lp`` take a ``Problem`` or its ``GridTables``, so
+    one object serves one command; it is never stored on the ``Problem``."""
 
     KERNELS = ("V", "u", "V_y", "u_y", "u_x", "V_yx", "u_yx")
 
@@ -633,13 +633,13 @@ def signal_to_outcome(problem: Problem, tau: Signal) -> Outcome:
         y = gamma(problem, post)
         iy = problem.actions.snap(y)
         mass[iy, list(post.support)] += m * post.weights
-    return outcome_from_mass(problem, mass)
+    return outcome_from_mass(problem, mass, GridTables(problem).u)
 
 
-def outcome_from_mass(problem: Problem, mass: np.ndarray) -> Outcome:
+def outcome_from_mass(problem: Problem, mass: np.ndarray, U: np.ndarray) -> Outcome:
+    """The outcome of ``mass``, with its residuals; ``U`` is u on the grid (``GridTables.u``)."""
     marg = float(np.max(np.abs(mass.sum(axis=0) - problem.prior)))
-    Y, X = problem.grids_product()
-    row_dot = np.sum(problem.u(Y, X) * mass, axis=1)
+    row_dot = np.sum(U * mass, axis=1)
     if problem.obedience == "equality":
         obed = float(np.max(np.abs(row_dot)))
     else:

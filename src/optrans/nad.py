@@ -440,11 +440,14 @@ def _solve_quantile(problem: Problem, density: Callable, cdf: Callable) -> NadSo
     )
 
 
-def nad_outcome(problem: Problem, nad: NadSolution, prior_cdf: Callable) -> Outcome:
-    """Project a pairing solution onto the problem grids as an outcome.
+def nad_outcome(problem, nad: NadSolution, prior_cdf: Callable) -> Outcome:
+    """Project a pairing solution onto the grids of ``problem``, a
+    ``Problem`` or its ``GridTables``, as an outcome.
 
     Raises ``IllPosed`` naming the node segment when ``prior_cdf`` gives it
     a non-finite mass."""
+    tables = GridTables.of(problem)
+    problem = tables.problem
     mass = np.zeros((problem.n_actions, problem.n_states))
     ys = nad.nodes["y"]
     c1s = nad.nodes["chi1"]
@@ -469,7 +472,7 @@ def nad_outcome(problem: Problem, nad: NadSolution, prior_cdf: Callable) -> Outc
     total = mass.sum()
     if total > 0:
         mass /= total
-    return outcome_from_mass(problem, mass)
+    return outcome_from_mass(problem, mass, tables.u)
 
 
 def verify_against_lp(
@@ -489,7 +492,7 @@ def verify_against_lp(
     """
     tables = GridTables.of(problem)
     problem = tables.problem
-    approx = nad_outcome(problem, nad, prior_cdf)
+    approx = nad_outcome(tables, nad, prior_cdf)
     diff = approx.mass - lp_outcome.mass
     sup_mass = float(np.max(np.abs(diff)))
     cdf2 = np.cumsum(np.cumsum(diff, axis=0), axis=1)

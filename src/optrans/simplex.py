@@ -14,16 +14,20 @@ for l < i and M[i, i] = D[R[i], i].  An ftran or a btran is then one LU
 solve and two dense products with D, whatever the number of pivots.
 
 Every iteration prices the working set against the current duals and
-enters its column of largest reduced cost (Dantzig).  Phase 1 prices every
-column, so the working set is every column there.  Phase 2 may be given a
-smaller working set (sifting, Bixby et al., Operations Research 1992).  Once
-the set holds no attractive column, a pass over every column adds each
-attractive one to the set, and pricing restarts from the same basis with a
-fresh factorization; a pass over every column that adds nothing ends the
-phase.  Bland's rule, which enters the first attractive column of the set
-instead, is available as a policy and kicks in automatically after a run of
-degenerate pivots, which makes the method anti-cycling.  All tie-breaks are
-deterministic, so identical inputs give identical bases.
+enters its column of largest reduced cost (Dantzig).  Phase 1's working set
+is every column.  Phase 2 may be given a smaller one (sifting, Bixby et al.,
+Operations Research 1992).  Once the set holds no attractive column, a pass
+over every column adds each attractive one to the set, and pricing restarts
+from the same basis with a fresh factorization; a pass over every column
+that adds nothing ends the phase.  Bland's rule, which enters the first
+attractive column of the set instead, is available as a policy and kicks in
+automatically after a run of degenerate pivots, which makes the method
+anti-cycling.  All tie-breaks are deterministic, so identical inputs give
+identical bases.
+
+Every row is kept.  An artificial still basic after phase 1 whose row
+proves redundant stays basic at zero, pinned: no later ratio test picks
+its position, and its row's dual is 0.
 """
 
 from __future__ import annotations
@@ -52,11 +56,11 @@ logger = logging.getLogger("optrans.simplex")
 class SimplexResult:
     x: np.ndarray  # primal solution over the original columns
     objective: float
-    duals: np.ndarray  # row duals for the original rows (0 for dropped rows)
-    basis: np.ndarray
+    duals: np.ndarray  # row duals for the original rows (0 for pinned rows)
+    basis: np.ndarray  # one column per row; column n + i is row i's artificial
     iterations: int  # phase 1 and phase 2
     phase1_iterations: int
-    dropped_rows: tuple
+    dropped_rows: tuple  # the rows whose artificial is pinned: redundant rows
 
 
 def solve_standard_form(
@@ -77,9 +81,11 @@ def solve_standard_form(
     starts artificial.  ``policy`` is 'dantzig' or 'bland'.  ``work``, a
     boolean mask over the columns of A, is phase 2's first working set; the
     columns basic after phase 1 join it, and the passes over every column
-    widen it (module docstring).  None prices every column on every pass.
-    Pivots need ``PIVOT_TOL`` and 1e-9 times their column's largest |entry|;
-    more than ``MAX_ITER`` iterations raise OptransError.
+    widen it (module docstring).  None is every column.  A row that proves
+    redundant keeps its artificial, pinned at zero, and is listed in
+    ``dropped_rows``; its dual is 0.  Pivots need ``PIVOT_TOL`` and 1e-9
+    times their column's largest |entry|; more than ``MAX_ITER`` iterations
+    raise OptransError.
     """
     if policy not in ("dantzig", "bland"):
         raise OptransError(f"unknown pivot policy {policy!r}")
@@ -98,14 +104,14 @@ def solve_standard_form(
         if proposals.ndim != 2 or proposals.shape[1] != m or np.any(proposals >= n) or np.any(proposals < -1):
             raise OptransError(f"start basis must hold {m} column indices in [-1, {n}) per proposal")
     st = _State(A, b, policy, proposals)
-    if work is not None:
-        work = np.asarray(work, dtype=bool)
-        if work.shape != (n,):
-            raise OptransError(f"working set must be a mask over the {n} columns")
+    every = np.ones(n, dtype=bool)
+    work = every if work is None else np.asarray(work, dtype=bool)
+    if work.shape != (n,):
+        raise OptransError(f"working set must be a mask over the {n} columns")
 
     c1 = np.concatenate([np.zeros(n), -np.ones(m)])
     if st.objective(c1) < 0.0:  # some artificial still carries mass
-        st.run(c1, phase=1, work=None)
+        st.run(c1, phase=1, work=every)
     else:
         logger.debug("phase 1: %s, skipped, the start basis is feasible", st.adopted)
     art_sum = -st.objective(c1)
@@ -121,6 +127,8 @@ def solve_standard_form(
     inside = st.basis < n
     x[st.basis[inside]] = st.xB[inside]
     duals = st.duals(c2)
+    pinned_rows = np.sort(st.basis[st.pinned] - n)
+    duals[pinned_rows] = 0.0  # exactly, where the LU solve may leave rounding
     return SimplexResult(
         x=x,
         # correctly rounded, so the bytes do not depend on how BLAS splits a sum
@@ -129,7 +137,7 @@ def solve_standard_form(
         basis=st.basis.copy(),
         iterations=st.iterations,
         phase1_iterations=phase1_iterations,
-        dropped_rows=tuple(int(i) for i in np.nonzero(~st.live_mask)[0]),
+        dropped_rows=tuple(int(i) for i in pinned_rows),
     )
 
 
@@ -143,30 +151,21 @@ class _State:
         self.b0 = b
         self.feas_tol = FEAS_TOL * max(1.0, float(b.sum()))
         self.n = n
-        self.m0 = m
+        self.m = m
         self.policy = policy
         self.iterations = 0
         self.refactors = 0
-        self.live_mask = np.ones(m, dtype=bool)
+        self.pinned = np.zeros(m, dtype=bool)  # per basis position: a pinned artificial
         self.basis = np.arange(n, n + m)  # column j >= n is the artificial e_{j-n}
         self.adopted = "no start proposal adopted"  # for the phase-1 DEBUG record
         if not self.crash(proposals):
             self.refactor()
 
-    @property
-    def live_rows(self) -> np.ndarray:
-        return np.nonzero(self.live_mask)[0]
-
-    @property
-    def all_live(self) -> bool:
-        """No row has been dropped."""
-        return self.basis.size == self.m0
-
     def _column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.m0)
+        col = np.zeros(self.m)
         sl = slice(self.A_ext.indptr[j], self.A_ext.indptr[j + 1])
         col[self.A_ext.indices[sl]] = self.A_ext.data[sl]
-        return col if self.all_live else col[self.live_mask]
+        return col
 
     def _factor(self, basis):
         # the basis columns gathered straight from the CSC arrays: 24 us
@@ -176,9 +175,7 @@ class _State:
         counts = A.indptr[basis + 1] - starts
         indptr = np.concatenate([[0], np.cumsum(counts)])
         take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
-        B = sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(self.m0, basis.size))
-        if not self.all_live:
-            B = B[self.live_rows].tocsc()
+        B = sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(self.m, basis.size))
         return splu(B, permc_spec="NATURAL")
 
     def _new_block(self, lu):
@@ -197,7 +194,7 @@ class _State:
         except RuntimeError as exc:  # SuperLU: exactly singular factor
             raise OptransError(f"simplex basis lost rank: {exc}") from exc
         self.refactors += 1
-        self.xB = np.maximum(self.lu.solve(self.b0 if self.all_live else self.b0[self.live_rows]), 0.0)
+        self.xB = np.maximum(self.lu.solve(self.b0), 0.0)
 
     def ftran(self, v) -> np.ndarray:
         """Solve B w = v with B = B0 E1 ... Ek."""
@@ -231,7 +228,7 @@ class _State:
         primal feasible to within ``feas_tol``.  Returns whether one was
         adopted."""
         for k, start in enumerate(proposals):
-            basis = np.where(start >= 0, start, self.n + np.arange(self.m0))
+            basis = np.where(start >= 0, start, self.n + np.arange(self.m))
             try:
                 lu = self._factor(basis)
             except RuntimeError:
@@ -249,13 +246,7 @@ class _State:
         return float(c_full[self.basis] @ self.xB)
 
     def duals(self, c_full) -> np.ndarray:
-        """Row duals over every row, 0 on dropped rows."""
-        y = self.btran(c_full.take(self.basis))
-        if self.all_live:
-            return y
-        y_full = np.zeros(self.m0)
-        y_full[self.live_rows] = y
-        return y_full
+        return self.btran(c_full.take(self.basis))
 
     def _pivot(self, r, j, d):
         theta = self.xB[r] / d[r]
@@ -277,18 +268,17 @@ class _State:
 
     def run(self, c_full, phase: int, work):
         """Pivot to an optimal basis for c_full, pricing the working set
-        ``work`` (every column when None) and widening it from passes over
-        every column."""
+        ``work``, a mask over the original columns, and widening it from
+        passes over every column."""
         tol = PIVOT_TOL
         iterations0, refactors0 = self.iterations, self.refactors
         passes = wide = added = 0
         bland_fired = False
-        if work is not None:
-            work = work.copy()
-            work[self.basis[self.basis < self.n]] = True
+        work = work.copy()
+        work[self.basis[self.basis < self.n]] = True
         while True:  # one round per working set, from a fresh factorization:
-            # refactored unless the eta block is empty, as after a crash start,
-            # a dropped row or a refactor forced by REFACTOR_EVERY
+            # refactored unless the eta block is empty, as after a crash start
+            # or a refactor forced by REFACTOR_EVERY
             if self.etas:
                 self.refactor()
             cols, price = self._pricing(c_full, phase, work)
@@ -296,11 +286,11 @@ class _State:
             while True:
                 if self.iterations >= MAX_ITER:
                     raise OptransError(f"simplex iteration cap {MAX_ITER} hit")
-                y_full = self.duals(c_full)
+                y = self.duals(c_full)
                 use_bland = self.policy == "bland" or stall > STALL_LIMIT
                 bland_fired |= use_bland and self.policy != "bland"
                 passes += 1
-                rc = price(y_full)
+                rc = price(y)
                 k = int((rc > tol).argmax()) if use_bland else int(rc.argmax())
                 if rc[k] <= tol:
                     break
@@ -312,11 +302,9 @@ class _State:
                 theta = self._pivot(r, j, d)
                 stall = stall + 1 if theta <= 1e-13 else 0
                 self.iterations += 1
-            if work is None:
-                break
             passes += 1
             wide += 1
-            new = (self._price_all(c_full, y_full, phase)[: self.n] > tol) & ~work
+            new = (self._price_all(c_full, y) > tol) & ~work
             if not new.any():
                 break
             work |= new
@@ -328,44 +316,42 @@ class _State:
             f"{self.adopted}, " if phase == 1 else "",
             self.iterations - iterations0,
             passes,
-            passes if work is None else wide,
+            wide,
             added,
             self.refactors - refactors0,
             "fired" if bland_fired else "not fired",
         )
 
     def _pricing(self, c_full, phase: int, work):
-        """The columns a pricing pass covers, and the pass itself: y -> their
-        reduced costs, -inf where a column may not enter.  Every column,
-        artificials included, when ``work`` is None; else the working set,
-        whose costs and rows are gathered here once per round."""
-        if work is None:
-            return np.arange(self.A_ext.shape[1]), lambda y: self._price_all(c_full, y, phase)
-        cols = np.nonzero(work)[0]
+        """The columns a pricing pass covers, in increasing order, and the
+        pass itself: y -> their reduced costs, -inf on the basic columns.
+        They are the working set, the basic columns and, in phase 1, every
+        artificial; their costs and rows are gathered here once per round."""
+        cover = np.concatenate([work, np.full(self.m, phase == 1)])
+        cover[self.basis] = True
+        cols = np.nonzero(cover)[0]
         c_set, AT_set = c_full[cols], self.AT_ext[cols]
-        slot = np.zeros(self.A_ext.shape[1], dtype=np.intp)
+        slot = np.zeros(cover.size, dtype=np.intp)
         slot[cols] = np.arange(cols.size)
 
         def price(y):
             rc = c_set - AT_set @ y
-            rc[slot.take(self.basis)] = -np.inf  # the basic columns are all in the set
+            rc[slot.take(self.basis)] = -np.inf
             return rc
 
         return cols, price
 
-    def _price_all(self, c_full, y_full, phase: int) -> np.ndarray:
-        """Reduced costs of every column, artificials included; -inf on basic
-        columns and on artificials that may not enter (all in phase 2)."""
-        rc = c_full - self.AT_ext @ y_full
-        if phase == 1:
-            rc[self.n :][~self.live_mask] = -np.inf
-        else:
-            rc[self.n :] = -np.inf
+    def _price_all(self, c_full, y) -> np.ndarray:
+        """Reduced costs of the original columns, -inf on the basic ones, for
+        the pass over every column that widens the working set."""
+        rc = c_full - self.AT_ext @ y
         rc[self.basis] = -np.inf
-        return rc
+        return rc[: self.n]
 
     def _leaving(self, d, use_bland) -> Optional[int]:
-        cand = np.nonzero(d > max(PIVOT_TOL, 1e-9 * abs(d).max()))[0]
+        ok = d > max(PIVOT_TOL, 1e-9 * max(d.max(), -d.min()))
+        ok[self.pinned] = False  # a pinned artificial stays basic at zero
+        cand = np.nonzero(ok)[0]
         if cand.size == 0:
             return None
         ratios = self.xB[cand] / d[cand]
@@ -378,29 +364,16 @@ class _State:
         return int(ties[np.argmax(d[ties])])
 
     def purge_artificials(self):
-        """Pivot basic artificials out; drop rows that prove redundant."""
+        """Pivot basic artificials out; pin those whose row proves redundant."""
         n = self.n
-        guard = 0
-        while guard <= self.m0 + 4:
-            guard += 1
-            art_pos = [i for i, j in enumerate(self.basis) if j >= n]
-            if not art_pos:
-                return
-            i = art_pos[0]
-            e = np.zeros(self.live_rows.size)
+        for i in np.nonzero(self.basis >= n)[0]:
+            e = np.zeros(self.m)
             e[i] = 1.0
             row = self.btran(e)  # row i of the basis inverse
-            row_full = np.zeros(self.m0)
-            row_full[self.live_rows] = row
-            coef = (self.AT_ext @ row_full)[:n]  # row i of B^{-1} A over original columns
-            basic_orig = self.basis[self.basis < n]
-            coef[basic_orig] = 0.0
+            coef = (self.AT_ext @ row)[:n]  # row i of B^{-1} A over original columns
+            coef[self.basis[self.basis < n]] = 0.0
             jbest = int(np.argmax(np.abs(coef)))
             if abs(coef[jbest]) > 1e-7:
                 self._pivot(i, jbest, self.ftran(self._column(jbest)))
-            else:
-                # redundant constraint: drop the row with its artificial
-                self.live_mask[self.basis[i] - n] = False
-                self.basis = np.delete(self.basis, i)
-                self.refactor()
-        raise OptransError("artificial purge failed to terminate")
+            else:  # a redundant row: its artificial stays basic at zero
+                self.pinned[i] = True

@@ -40,7 +40,7 @@ _EPS = float(np.finfo(float).eps)
 # determinant, the sweep's or the block certificate's own bound, on rows
 # scaled into [-1, 1], and _CHAIN_ROUNDING * _EPS * nmin^3 that of the chain
 # tier's bound (``_twist_chain``); a lower bound must clear _TWIST_SAFETY
-# times (TWIST_ZERO_TOL * the action's Hadamard bound + both roundings).  A
+# times (TWIST_ZERO_TOL * the tier's scale of a triple + both roundings).  A
 # chunk of blocks holds at most _TWIST_CHUNK (state, block) entries.
 _TWIST_ROUNDING = 32.0
 _CHAIN_ROUNDING = 256.0
@@ -91,8 +91,8 @@ def check_twist(problem) -> TwistReport:
 
     Each action is decided by the first of three tiers that can, by
     construction with the same result.  Every lower bound below must clear
-    ``_TWIST_SAFETY`` times (``TWIST_ZERO_TOL`` times the action's Hadamard
-    bound + the rounding of the sweep's formula + the tier's own rounding).
+    ``_TWIST_SAFETY`` times (``TWIST_ZERO_TOL`` times the tier's scale of a
+    triple + the rounding of the sweep's formula + the tier's own rounding).
     1. The chain tier (``_twist_chain``), O(nx) per action and run for every
        action at once, proves every triple of the action.  It projects the
        rows from an axis d inside their hemisphere to points p_x of a plane;
@@ -119,7 +119,7 @@ def check_twist(problem) -> TwistReport:
     xs = tables.problem.states.points
     nx = xs.size
     ys, R, norms, n_low, kh, fault = _twist_actions(tables)
-    chain, low, need = _twist_chain(R, norms, np.minimum(n_low, nx - 2))
+    chain, low, need = _twist_chain(R, norms)
     sign, witness, first = 0, None, ""
     decided = {"chain": 0, "certificate": 0, "sweep": 0}
     least = {"chain": np.inf, "certificate": np.inf}
@@ -206,12 +206,11 @@ def _twist_actions(tables: GridTables) -> tuple:
     return ys[idx], R, norms, n_low[idx], kh[idx], fault
 
 
-def _twist_chain(R, norms, nb) -> tuple:
+def _twist_chain(R, norms) -> tuple:
     """The chain tier of ``check_twist``: a lower bound of sign * det(R_i,
     R_j, R_k) over every triple i < j < k of each action at once, in O(nx)
     work per action.  ``R`` and ``norms`` are ``_twist_actions``'s rows
-    (actions, states, 3) and norms, ``nb`` the sweep's blocks per action,
-    min(n_low, nx - 2).
+    (actions, states, 3) and norms.
 
     Per action, let d be the normalized sum of the unit rows, e1 the
     coordinate axis least aligned with d made orthogonal to it, and e2 =
@@ -228,13 +227,19 @@ def _twist_chain(R, norms, nb) -> tuple:
     chain), and a cyclic rotation keeps A, so every index-ordered triple has
     sign * A >= min_t sign * A_t and
 
-        low = nmin^3 c_min^3 min_t sign * A_t,
+        low = nmin^3 c_min^3 a_min,  a_min = min_t sign * A_t,
 
     nmin the least row norm, bounds every sign * det from below.  The
     action is proved when low > need = ``_TWIST_SAFETY`` (``TWIST_ZERO_TOL``
-    H + E + ``_CHAIN_ROUNDING`` eps nmin^3), H and E as in
-    ``_certify_action``.  The last term is the rounding of p and A carried
-    to det units: each dot product is off by at most 3 eps |R_x|, so, with
+    nmin^3 + E + ``_CHAIN_ROUNDING`` eps nmin^3), E as in
+    ``_certify_action``.  That settles the sweep's own test of every
+    triple, against its scale P = |R_i| |R_j| |R_k| and with its rounding
+    E: as q_x >= c_min |R_x|, sign * det >= P c_min^3 a_min; clearing need
+    makes c_min^3 a_min > ``TWIST_ZERO_TOL``, so P (c_min^3 a_min -
+    ``TWIST_ZERO_TOL``) grows with P >= nmin^3, and sign * det -
+    ``TWIST_ZERO_TOL`` P >= low - ``TWIST_ZERO_TOL`` nmin^3 > E.  The last
+    term of need is the rounding of p and A carried to det units: each dot
+    product is off by at most 3 eps |R_x|, so, with
     |p| <= 1 / c, a coordinate of p by 7 eps / c^2 and of an edge by
     16 eps / c^2, and A_t, a cross product of edges of size <= 2 / c, by
     144 eps / c^3, which nmin^3 c_min^3 turns into 144 eps nmin^3.  Since
@@ -277,10 +282,8 @@ def _twist_chain(R, norms, nb) -> tuple:
         sign[chain] = s[chain]
         nmin3 = np.min(norms, axis=1) ** 3
         low = nmin3 * c_min**3 * a_min
-    top = np.maximum.accumulate((norms * norms)[:, ::-1], axis=1)[:, ::-1]
-    H = np.max(norms[:, :-1] * top[:, 1:], axis=1, where=np.arange(nx - 1) < nb[:, None], initial=0.0)
     E = _TWIST_ROUNDING * _EPS * np.prod(np.max(np.abs(R), axis=1), axis=1)
-    need = _TWIST_SAFETY * (TWIST_ZERO_TOL * H + E + _CHAIN_ROUNDING * _EPS * nmin3)
+    need = _TWIST_SAFETY * (TWIST_ZERO_TOL * nmin3 + E + _CHAIN_ROUNDING * _EPS * nmin3)
     return sign, low, need
 
 

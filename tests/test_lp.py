@@ -330,13 +330,16 @@ def direct_objective(lp):
 
 class TestSifting:
     """State grids above SIFT_MIN_STATES are solved coarse to fine; the
-    answer must be the direct simplex's, certified by pricing every column."""
+    answer must be the direct simplex's, certified by pricing every column.
+    n=41, below it, is solved directly and held to the same checks."""
 
-    @pytest.mark.parametrize("n", [61, 101])
+    @pytest.mark.parametrize("n", [41, 61, 101])
     @pytest.mark.parametrize("pid", preset_ids())
     def test_matches_direct_path_and_highs(self, solved_cache, pid, n):
         bundle = solved_cache(pid, grid_n=n)
         lp, obj = bundle["lp"], bundle["objective"]
+        # no preset LP has a redundant row, so no artificial is ever pinned
+        assert lp.solution.dropped_rows == () and np.all(lp.solution.basis < lp.c.size)
         direct = direct_objective(lp)
         assert abs(obj - direct) <= 1e-12 * abs(direct)
         ref = linprog(
@@ -506,6 +509,12 @@ class TestStart:
         assert np.array_equal(warm[odd], crash[odd])
         cells = sorted(zip(keep[coarse.col_y[res.basis]], keep[coarse.col_x[res.basis]]))
         assert sorted(zip(lp.col_y[warm[kept_rows]], lp.col_x[warm[kept_rows]])) == cells
+        # a coarse artificial, as of a pinned row, keeps the artificial of its position here
+        basis = res.basis.copy()
+        basis[3] = coarse.c.size + 3
+        pinned = _mapped_basis(lp, coarse, replace(res, basis=basis, dropped_rows=(3,)), crash)
+        assert pinned[kept_rows[3]] == -1
+        assert np.array_equal(np.delete(pinned, kept_rows[3]), np.delete(warm, kept_rows[3]))
 
 
 class TestCoarsen:
@@ -544,10 +553,8 @@ class TestCoarsen:
 
 def warm_start(res, cols, n_rows):
     """Start basis, in LP column indices, from an optimal basis over the
-    columns ``cols``: each row the simplex dropped keeps its artificial."""
-    start = np.full(n_rows, -1)
-    start[np.setdiff1d(np.arange(n_rows), res.dropped_rows)] = cols[res.basis]
-    return start
+    columns ``cols``: each position holding an artificial keeps it."""
+    return np.concatenate([cols, np.full(n_rows, -1)])[res.basis]
 
 
 def sifted_by_rounds(lp, coarse, coarse_res):

@@ -21,14 +21,23 @@ class TestLeaving:
         # row 0 has the least ratio, but its pivot 1.09e-10, above PIVOT_TOL,
         # is 2.3e-16 of the column's largest entry: such a pivot made the
         # example_c1 LP at n=1601 lose rank at its next refactor
-        state = SimpleNamespace(xB=np.array([1e-20, 1.0, 2.0]), basis=np.array([0, 1, 2]))
+        state = SimpleNamespace(xB=np.array([1e-20, 1.0, 2.0]), basis=np.array([0, 1, 2]), pinned=False)
         d = np.array([1.09e-10, 4.7e5, -3.0])
         assert simplex._State._leaving(state, d, False) == 1
         assert simplex._State._leaving(state, np.array([1.09e-10, 4.7e-2, -3e-2]), False) == 0
 
     def test_no_pivot_above_relative_threshold(self):
-        state = SimpleNamespace(xB=np.array([1.0, 1.0]), basis=np.array([0, 1]))
+        state = SimpleNamespace(xB=np.array([1.0, 1.0]), basis=np.array([0, 1]), pinned=False)
         assert simplex._State._leaving(state, np.array([1e-6, -1e4]), False) is None
+
+    def test_pinned_artificial_never_leaves(self):
+        # position 0 holds a pinned artificial at zero: its ratio 0 is the
+        # least, but the next least leaves, or none when it is the only one
+        pinned = np.array([True, False, False])
+        state = SimpleNamespace(xB=np.array([0.0, 1.0, 2.0]), basis=np.array([7, 1, 2]), pinned=pinned)
+        for bland in (False, True):
+            assert simplex._State._leaving(state, np.array([1.0, 2.0, 1.0]), bland) == 1
+            assert simplex._State._leaving(state, np.array([1.0, -2.0, 0.0]), bland) is None
 
 
 class TestSmallPrograms:
@@ -65,6 +74,8 @@ class TestSmallPrograms:
         res = solve_standard_form(A, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         assert res.objective == pytest.approx(2.0)
         assert len(res.dropped_rows) == 1
+        # the row keeps its artificial in the basis, one column per row
+        assert res.basis.size == 2 and 2 + res.dropped_rows[0] in res.basis
 
     def test_policies_agree_on_random_programs(self):
         rng = np.random.default_rng(3)
@@ -91,6 +102,52 @@ class TestSmallPrograms:
         rc = c - A.T @ res.duals
         assert np.max(rc) <= 1e-9
         assert res.duals @ b == pytest.approx(res.objective, abs=1e-9)
+
+
+def rank_deficient_program(rng, m, n, rank):
+    """A bounded, feasible program whose m rows span only ``rank``: the
+    first of ``rank`` independent rows sums x, and every other row is a
+    random combination of them, the rows then shuffled.  Also returns the
+    independent rows, a full-rank program with the same feasible set."""
+    base = np.vstack([np.ones(n), rng.normal(size=(rank - 1, n))])
+    A = np.vstack([base, rng.normal(size=(m - rank, rank)) @ base])[rng.permutation(m)]
+    x0 = rng.random(n)
+    return A, A @ x0, rng.normal(size=n), base, base @ x0
+
+
+class TestPinnedRows:
+    """A redundant row keeps its artificial, basic at zero: the simplex
+    reports it in ``dropped_rows``, prices it at exactly 0 and reaches the
+    optimum of the program without it."""
+
+    @pytest.mark.parametrize("policy", ["dantzig", "bland"])
+    def test_random_rank_deficient_programs(self, policy):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            m = int(rng.integers(3, 9))
+            rank = int(rng.integers(1, m))
+            A, b, c, base, b_base = rank_deficient_program(rng, m, 3 * m, rank)
+            res = solve_standard_form(dense(A), b, c, policy=policy)
+            ref = solve_standard_form(dense(base), b_base, c, policy=policy)
+            assert len(res.dropped_rows) == m - np.linalg.matrix_rank(A)
+            assert np.all(res.duals[list(res.dropped_rows)] == 0.0)
+            assert res.basis.size == m
+            assert np.sort(res.basis[res.basis >= A.shape[1]] - A.shape[1]).tolist() == list(res.dropped_rows)
+            assert res.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+            assert np.max(c - A.T @ res.duals) <= 1e-9
+            assert res.duals @ b == pytest.approx(res.objective, rel=1e-9, abs=1e-12)
+
+    def test_pinned_row_under_a_working_set_and_a_flip(self):
+        # the redundant second row, negated, is flipped, and phase 2 widens
+        # from an empty working set around its pinned artificial
+        A = dense([[1.0, 1.0, 1.0], [-2.0, -2.0, -2.0], [1.0, -1.0, 0.0]])
+        b, c = np.array([1.0, -2.0, 0.0]), np.array([1.0, 1.0, 3.0])
+        res = solve_standard_form(A, b, c, work=np.zeros(3, dtype=bool))
+        (row,) = res.dropped_rows  # row 0 or row 1: either is redundant given the other
+        assert row in (0, 1) and res.duals[row] == 0.0
+        assert res.objective == pytest.approx(3.0)
+        assert np.allclose(res.x, [0.0, 0.0, 1.0])
+        assert np.max(c - A.T @ res.duals) <= 1e-12
 
 
 class TestStartBasis:
