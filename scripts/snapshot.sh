@@ -5,10 +5,10 @@
 #
 #   scripts/snapshot.sh OUT
 #
-# Runs the checkout's own src (not an installed optrans), 200 runs:
+# Runs the checkout's own src (not an installed optrans), 215 runs:
 #   - solve, check, certify and nad on every preset at --grid-n 41 and 101;
 #   - solve, check and certify on every preset at --grid-n 201;
-#   - solve, check and nad at --grid-n 41 on each preset variant of
+#   - solve, check, certify and nad at --grid-n 41 on each preset variant of
 #     tests/test_presets.py::VARIANTS;
 #   - optrans presets.
 # Each run gets a directory OUT/<name> holding its artifacts plus stdout,
@@ -34,7 +34,7 @@ for pid in preset_ids():
         print(f"{cmd}-{pid}-n201 {cmd} --preset {pid} --grid-n 201")
 for pid, params in variants():
     kv = ",".join(f"{k}={v}" for k, v in params.items())
-    for cmd in ("solve", "check", "nad"):
+    for cmd in ("solve", "check", "certify", "nad"):
         print(f"{cmd}-{pid}-{kv.replace(',', '-')}-n41 {cmd} --preset {pid} --params {kv} --grid-n 41")
 print("presets presets")
 PY

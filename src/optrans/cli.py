@@ -354,11 +354,12 @@ def cmd_nad(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_certify(cfg: RunConfig, outdir: Path) -> int:
     pb, ps = _build(cfg)
-    lp = build_lp(pb)
+    tables = GridTables(pb)  # V and u for the LP, V_y, u_y and u for the slackness check
+    lp = build_lp(tables)
     outcome, objective = solve_primal(lp)
     prices = solve_dual(lp, outcome)
     cs = contact_set(pb, prices, lp=lp, tol=cfg.tol_contact)
-    report = verify_complementary_slackness(pb, outcome, prices)
+    report = verify_complementary_slackness(tables, outcome, prices)
     payload = {
         "config": _config_record(cfg),
         "objective": objective,

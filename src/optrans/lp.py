@@ -176,28 +176,29 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
     """Solve the LP; returns the outcome and the optimal objective.
 
     A state grid of more than ``SIFT_MIN_STATES`` points is solved coarse to
-    fine: the problem is ``_coarsen``-ed until its state grid is small
-    enough (or its kept states carry no prior), the coarsest level is solved
-    over every column, and each finer level is sifted from the solution of
-    the level below (``_solve_level``), one simplex call per level.  A
-    coarse level that is infeasible (a coarse grid may admit no exact
-    transport where the finer one does) sends this LP to one call over every
-    column.  ``lp.solution`` is the call on this LP, its iterations summed
-    over every level that finished.  One DEBUG record on ``optrans.lp``
-    describes each level, also when the LP is infeasible.
+    fine: the LP is ``_coarsen``-ed, each level a row and column subset of
+    the level above, so no kernel is evaluated again, until its state grid
+    is small enough (or its kept states carry no prior).  The coarsest level
+    is solved over every column, and each finer level is sifted from the
+    solution of the level below (``_solve_level``), one simplex call per
+    level.  A coarse level that is infeasible (a coarse grid may admit no
+    exact transport where the finer one does) sends this LP to one call over
+    every column.  ``lp.solution`` is the call on this LP, its iterations
+    summed over every level that finished.  One DEBUG record on
+    ``optrans.lp`` describes each level, also when the LP is infeasible.
     """
-    chain = [lp]
-    while chain[-1].problem.n_states > SIFT_MIN_STATES:
-        coarser = _coarsen(chain[-1].problem)
+    chain = [(lp, None, None)]  # each level with its rows and columns in the level above
+    while chain[-1][0].problem.n_states > SIFT_MIN_STATES:
+        coarser = _coarsen(chain[-1][0])
         if coarser is None:
             break
-        chain.append(build_lp(coarser))
+        chain.append(coarser)
     levels = []
-    coarse = None  # the level below, with its solution
+    coarse = None  # the level below, its rows and columns here, and its solution
     try:
-        for level in chain[:0:-1]:
+        for level, rows, cols in chain[:0:-1]:
             try:
-                coarse = level, _solve_level(level, coarse, policy, levels)
+                coarse = level, rows, cols, _solve_level(level, coarse, policy, levels)
             except Infeasible:
                 levels.append((f"n={level.problem.n_states}: infeasible", 0, 0))
                 coarse = None
@@ -224,26 +225,25 @@ def solve_primal(lp: LPInstance, *, policy: str = "dantzig") -> tuple[Outcome, f
     return outcome, float(res.objective)
 
 
-def _solve_level(
-    lp: LPInstance, coarse: Optional[tuple[LPInstance, SimplexResult]], policy: str, levels: list
-) -> SimplexResult:
+def _solve_level(lp: LPInstance, coarse: Optional[tuple], policy: str, levels: list) -> SimplexResult:
     """One simplex call on ``lp`` from ``_crash_basis``, over every column
-    when ``coarse`` is None.  Otherwise started from ``coarse``, the same
-    problem on the coarser grid of ``_coarsen`` and its solution: its
-    optimal basis mapped to this grid (``_mapped_basis``) is proposed ahead
-    of the crash, and the phase 2 is sifted (Bixby et al., Operations
-    Research 1992): the coarse row duals, interpolated to this grid, pick
-    the first working set, namely every slack and surplus column and every
-    cell whose reduced cost lies above -``SIFT_BAND``·max|V|.  The simplex
-    adds the columns basic after phase 1, runs phase 1 over every column,
-    and widens the set by its passes over every column.  Appends the level's
-    DEBUG line, iterations and phase-1 iterations to ``levels``.
+    when ``coarse`` is None.  Otherwise started from ``coarse``: the LP of
+    ``_coarsen(lp)``, its rows and columns in ``lp``, and its solution.  Its
+    optimal basis mapped to this LP (``_mapped_basis``) is proposed ahead of
+    the crash, and the phase 2 is sifted (Bixby et al., Operations Research
+    1992): the coarse row duals, interpolated to this grid, pick the first
+    working set, namely every slack and surplus column and every cell whose
+    reduced cost lies above -``SIFT_BAND``·max|V|.  The simplex adds the
+    columns basic after phase 1, runs phase 1 over every column, and widens
+    the set by its passes over every column.  Appends the level's DEBUG
+    line, iterations and phase-1 iterations to ``levels``.
     """
     start = _crash_basis(lp)
     work = None
     if coarse is not None:
+        clp, rows, cols, cres = coarse
         # the coarse row duals, p on the states and -q on the actions, interpolated
-        cpb, cres = coarse[0].problem, coarse[1]
+        cpb = clp.problem
         y = np.concatenate(
             [
                 np.interp(lp.problem.states.points, cpb.states.points, cres.duals[: cpb.n_states]),
@@ -252,7 +252,7 @@ def _solve_level(
         )
         work = lp.c - lp.A.T @ y > -SIFT_BAND * float(np.max(np.abs(lp.c)))
         work[lp.n_mass :] = True
-        start = np.stack([_mapped_basis(lp, *coarse, start), start])
+        start = np.stack([_mapped_basis(rows, cols, cres.basis, start), start])
     res = solve_standard_form(lp.A, lp.b, lp.c, start=start, policy=policy, work=work)
     line = (
         f"n={lp.problem.n_states}: {lp.c.size if work is None else int(work.sum())} of "
@@ -270,54 +270,60 @@ def _every_other(n: int) -> np.ndarray:
     return keep if keep[-1] == n - 1 else np.append(keep, n - 1)
 
 
-def _coarsen(problem: Problem) -> Optional[Problem]:
-    """The problem on every other state and action (``_every_other``), its
-    prior restricted to the kept states and renormalized; None when the kept
+def _coarsen(lp: LPInstance) -> Optional[tuple]:
+    """The LP of the problem on every other state and action
+    (``_every_other``), its prior restricted to the kept states and
+    renormalized, as a subset of ``lp``: (coarse LP, its rows in ``lp``, its
+    columns in ``lp``).  The columns are the cells on kept states and
+    actions, then the slack and surplus columns of kept action rows, in
+    ``lp``'s order, which is the order ``build_lp`` gives the coarse problem;
+    the coarse V and u tables are slices of ``lp``'s.  None when the kept
     states carry no prior mass."""
-    ks, ka = _every_other(problem.n_states), _every_other(problem.n_actions)
-    prior = problem.prior[ks]
-    total = float(prior.sum())
+    pb = lp.problem
+    ks, ka = _every_other(pb.n_states), _every_other(pb.n_actions)
+    total = float(pb.prior[ks].sum())
     if total <= 0.0:
         return None
-    return replace(
-        problem,
-        states=Grid(problem.states.points[ks], problem.states.kind),
-        actions=Grid(problem.actions.points[ka], problem.actions.kind),
-        prior=prior / total,
+    problem = replace(
+        pb,
+        states=Grid(pb.states.points[ks], pb.states.kind),
+        actions=Grid(pb.actions.points[ka], pb.actions.kind),
+        prior=pb.prior[ks] / total,
     )
+    state, action = np.full(pb.n_states, -1), np.full(pb.n_actions, -1)  # coarse index, -1 if left out
+    state[ks], action[ka] = np.arange(ks.size), np.arange(ka.size)
+    cells = np.nonzero((action[lp.col_y] >= 0) & (state[lp.col_x] >= 0))[0]
+    slacks = np.nonzero(action[lp.slack_rows] >= 0)[0]
+    rows = np.concatenate([ks, pb.n_states + ka])
+    cols = np.concatenate([cells, lp.n_mass + slacks])
+    coarse = LPInstance(
+        problem=problem,
+        A=lp.A[rows][:, cols],
+        b=np.concatenate([problem.prior, np.zeros(ka.size)]),
+        c=lp.c[cols],
+        col_y=action[lp.col_y[cells]],
+        col_x=state[lp.col_x[cells]],
+        n_mass=cells.size,
+        slack_rows=action[lp.slack_rows[slacks]],
+        Vmat=lp.Vmat[np.ix_(ka, ks)],
+        Umat=lp.Umat[np.ix_(ka, ks)],
+        n_rows=rows.size,
+    )
+    return coarse, rows, cols
 
 
-def _mapped_basis(lp: LPInstance, coarse: LPInstance, res: SimplexResult, crash: np.ndarray) -> np.ndarray:
-    """Start proposal for ``lp`` from ``res``, an optimal basis of
-    ``coarse``, the LP of ``_coarsen(lp.problem)``.  Each basic cell is the
-    same point of this grid, with the same V and u; each slack column is the
-    slack of its row here, and the free bottom row's two surplus columns,
-    last in both LPs, stay last.  A coarse artificial, as of a row the coarse
-    solve pinned, maps to -1, so its position keeps its artificial here, and
-    the rows the coarse grid leaves out take their ``crash`` column.  As the
+def _mapped_basis(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray, crash: np.ndarray) -> np.ndarray:
+    """Start proposal for an LP from ``basis``, an optimal basis of its
+    coarse level, whose rows and columns in the LP are ``rows`` and ``cols``
+    (``_coarsen``).  A coarse artificial, as of a row the coarse solve
+    pinned, maps to -1, so its position keeps its artificial here, and the
+    rows the coarse level leaves out take their ``crash`` column.  As the
     coarse prior is this prior on the kept states, renormalized, the kept
     rows' right-hand side is a multiple of the coarse one, so the proposal is
     feasible up to what the left-out rows' crash columns put on the kept
     rows."""
-    pb = lp.problem
-    ks, ka = _every_other(pb.n_states), _every_other(pb.n_actions)
-    cell = np.full((pb.n_actions, pb.n_states), -1)
-    cell[lp.col_y, lp.col_x] = np.arange(lp.n_mass)
-
-    def slacks(x: LPInstance) -> np.ndarray:  # rows of the slack columns; surplus columns follow
-        return x.slack_rows[: int(x.problem.constrained_rows().sum())]
-
-    fine_slacks, coarse_slacks = slacks(lp), slacks(coarse)
-    extra = np.concatenate(
-        [
-            np.searchsorted(fine_slacks, ka[coarse_slacks]),
-            fine_slacks.size + np.arange(coarse.slack_rows.size - coarse_slacks.size),
-        ]
-    )
-    column = np.concatenate([cell[ka[coarse.col_y], ks[coarse.col_x]], lp.n_mass + extra, np.full(coarse.n_rows, -1)])
-    rows = np.concatenate([ks, pb.n_states + ka])  # this LP's row of each coarse row
     warm = crash.copy()
-    warm[rows] = column[res.basis]
+    warm[rows] = np.concatenate([cols, np.full(rows.size, -1)])[basis]
     return warm
 
 
@@ -397,19 +403,6 @@ def q_intervals(p, V, U, below, above) -> tuple:
     return lo[rows, at_lo], at_lo, hi[rows, at_hi], at_hi
 
 
-def _q_from_row(problem: Problem, outcome: Outcome, iy: int) -> float:
-    """Obedience multiplier implied by a mass-carrying row: minus the ratio of
-    the row's expected V_y to its expected u_y."""
-    row = outcome.mass[iy]
-    keep = row > 0
-    w = row[keep] / row[keep].sum()
-    xs = problem.states.points[keep]
-    y = np.full(xs.shape, problem.actions.points[iy])
-    num = w @ problem.V_y(y, xs)
-    den = w @ problem.u_y(y, xs)
-    return float(-num / den)
-
-
 def _no_profit_slack(lp: LPInstance, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """p(x) - V(y, x) - q(y) u(y, x) on every LP column, +inf on the cells
     that are not LP columns."""
@@ -485,16 +478,16 @@ def contact_set(
     return ContactSet(pairs=pairs, actions=actions, posteriors=posteriors, tol=tol, slack=slack)
 
 
-def verify_complementary_slackness(
-    problem: Problem,
-    outcome: Outcome,
-    prices: PriceSystem,
-) -> SlacknessReport:
+def verify_complementary_slackness(problem, outcome: Outcome, prices: PriceSystem) -> SlacknessReport:
     """Residuals, on every action row carrying more than ``MASS_TOL``, of
-    (a) q against the row ratio formula and (b) the per-state stationarity
-    V_y + q u_y + q' u at the row's support states, with q' the local finite
-    difference of q across neighboring support rows.  Not applicable (no
-    rows, NaN maxima) when u_y vanishes (``Problem.u_y_vanishes``)."""
+    (a) q against the row ratio -E[V_y] / E[u_y] over the row's mass and (b)
+    the per-state stationarity V_y + q u_y + q' u at the row's support
+    states, with q' the local finite difference of q across neighboring
+    support rows.  ``problem`` is a ``Problem`` or its ``GridTables``, whose
+    rows give V_y, u_y and u.  Not applicable (no rows, NaN maxima) when u_y
+    vanishes (``Problem.u_y_vanishes``)."""
+    tables = GridTables.of(problem)
+    problem = tables.problem
     ys = problem.actions.points
     rows = outcome.support_rows()
     if problem.u_y_vanishes():
@@ -507,26 +500,19 @@ def verify_complementary_slackness(
     for k, iy in enumerate(rows):
         iy = int(iy)
         q_here = prices.q[iy]
-        q_row = _q_from_row(problem, outcome, iy)
+        row = outcome.mass[iy]
+        keep = row > 0
+        w = row[keep] / row[keep].sum()
+        q_row = float(-(w @ tables.V_y[iy, keep]) / (w @ tables.u_y[iy, keep]))
         rq = abs(q_here - q_row)
         lo = rows[max(0, k - 1)]
         hi = rows[min(rows.size - 1, k + 1)]
-        if hi != lo:
-            qd = (prices.q[hi] - prices.q[lo]) / (ys[hi] - ys[lo])
-        else:
-            qd = 0.0
-        sup = np.nonzero(outcome.mass[iy] > MASS_TOL)[0]
-        xs = problem.states.points[sup]
-        yv = np.full(xs.shape, ys[iy])
-        foc = problem.V_y(yv, xs) + q_here * problem.u_y(yv, xs) + qd * problem.u(yv, xs)
+        qd = (prices.q[hi] - prices.q[lo]) / (ys[hi] - ys[lo]) if hi != lo else 0.0
+        sup = outcome.mass[iy] > MASS_TOL
+        foc = tables.V_y[iy, sup] + q_here * tables.u_y[iy, sup] + qd * tables.u[iy, sup]
         rf = float(np.max(np.abs(foc))) if foc.size else 0.0
         entries.append(
-            SlacknessRow(
-                action=float(ys[iy]),
-                mass=float(row_masses[iy]),
-                q_residual=float(rq),
-                foc_residual=rf,
-            )
+            SlacknessRow(action=float(ys[iy]), mass=float(row_masses[iy]), q_residual=float(rq), foc_residual=rf)
         )
         max_q = max(max_q, rq)
         max_foc = max(max_foc, rf)

@@ -257,10 +257,11 @@ class GridTables:
     """A problem's ``KERNELS`` on its grid, in the ``Problem.grids_product``
     layout (``grid``), each evaluated on its first read (``tables.u``), with
     the forbidden ``mask`` and the prior-supported states.  ``once`` keeps a
-    result computed from them.  ``check_assumptions``, the ``check_*`` tests
-    of the structure module, ``lp.build_lp``, ``nad.nad_outcome`` and
-    ``nad.verify_against_lp`` take a ``Problem`` or its ``GridTables``, so
-    one object serves one command; it is never stored on the ``Problem``."""
+    result computed from them.  ``check_assumptions``, the structure
+    module's ``check_*`` tests, ``lp.build_lp``, ``nad.nad_outcome``,
+    ``nad.verify_against_lp`` and ``lp.verify_complementary_slackness`` take
+    a ``Problem`` or its ``GridTables``, so one object serves one command;
+    it is never stored on the ``Problem``."""
 
     KERNELS = ("V", "u", "V_y", "u_y", "u_x", "V_yx", "u_yx")
 

@@ -1,14 +1,15 @@
 import logging
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from optrans import Posterior, Problem, uniform
+from optrans import Posterior, Problem, cli, uniform
 from optrans.errors import DegenerateBasis, IllPosed, Infeasible, SizeLimit
-from optrans.grids import from_points
+from optrans.grids import Grid, from_points
 from optrans.lp import (
     OBEYED_ULPS,
     SIFT_BAND,
@@ -17,16 +18,17 @@ from optrans.lp import (
     _crash_basis,
     _every_other,
     _mapped_basis,
-    _q_from_row,
     build_lp,
     contact_set,
     solve_dual,
     solve_primal,
     verify_complementary_slackness,
 )
+from optrans.model import MASS_TOL, GridTables
 from optrans.presets import preset, preset_ids
 from optrans.simplex import PIVOT_TOL, SimplexResult, solve_standard_form
 from test_model import nan_sender
+from test_presets import VARIANTS
 
 E = float(np.e)
 
@@ -38,6 +40,64 @@ def shifted_contest(n):
     pb = preset("contest", grid_n=n)[0]
     pts = pb.actions.points
     return replace(pb, actions=from_points((pts[:-1] + pts[1:]) / 2, "action"))
+
+
+def q_from_row(problem, outcome, iy):
+    """Reference for the row ratio of ``verify_complementary_slackness``:
+    minus the ratio of the row's expected V_y to its expected u_y, from
+    V_y and u_y evaluated at the row's mass-carrying states."""
+    row = outcome.mass[iy]
+    keep = row > 0
+    w = row[keep] / row[keep].sum()
+    xs = problem.states.points[keep]
+    y = np.full(xs.shape, problem.actions.points[iy])
+    num = w @ problem.V_y(y, xs)
+    den = w @ problem.u_y(y, xs)
+    return float(-num / den)
+
+
+def coarsened_problem(problem):
+    """Reference for ``_coarsen``: the problem on every other state and
+    action, its prior restricted to the kept states and renormalized, for
+    ``build_lp`` to evaluate V and u on its own grids; None when the kept
+    states carry no prior mass."""
+    ks, ka = _every_other(problem.n_states), _every_other(problem.n_actions)
+    prior = problem.prior[ks]
+    total = float(prior.sum())
+    if total <= 0.0:
+        return None
+    return replace(
+        problem,
+        states=Grid(problem.states.points[ks], problem.states.kind),
+        actions=Grid(problem.actions.points[ka], problem.actions.kind),
+        prior=prior / total,
+    )
+
+
+def reference_mapped_basis(lp, coarse, basis, crash):
+    """Reference for ``_mapped_basis``, with ``coarse`` the LP of
+    ``coarsened_problem(lp.problem)``: each basic cell of ``basis`` found by
+    its grid point, each slack column by its row, and the free bottom row's
+    two surplus columns, last in both LPs, kept last."""
+    pb = lp.problem
+    ks, ka = _every_other(pb.n_states), _every_other(pb.n_actions)
+    cell = np.full((pb.n_actions, pb.n_states), -1)
+    cell[lp.col_y, lp.col_x] = np.arange(lp.n_mass)
+
+    def slacks(x):  # rows of the slack columns; surplus columns follow
+        return x.slack_rows[: int(x.problem.constrained_rows().sum())]
+
+    fine_slacks, coarse_slacks = slacks(lp), slacks(coarse)
+    extra = np.concatenate(
+        [
+            np.searchsorted(fine_slacks, ka[coarse_slacks]),
+            fine_slacks.size + np.arange(coarse.slack_rows.size - coarse_slacks.size),
+        ]
+    )
+    column = np.concatenate([cell[ka[coarse.col_y], ks[coarse.col_x]], lp.n_mass + extra, np.full(coarse.n_rows, -1)])
+    warm = crash.copy()
+    warm[np.concatenate([ks, pb.n_states + ka])] = column[basis]
+    return warm
 
 
 def two_state_problem(V, n_actions=101):
@@ -173,7 +233,7 @@ class TestDuals:
         # disclosed rows pin q through the row ratio; paired rows through the
         # basis dual
         single = np.array([np.count_nonzero(out.mass[iy] > 1e-9) == 1 for iy in rows])
-        q_row = np.array([_q_from_row(pb, out, int(iy)) for iy in rows])
+        q_row = np.array([q_from_row(pb, out, int(iy)) for iy in rows])
         q_est = np.where(single, q_row, pr.q[rows])
         assert np.nanmax(np.abs(q_est - qc)) < 1e-2
 
@@ -249,8 +309,27 @@ class TestComplementarySlackness:
         # one equation, one unknown: the row ratio gives the multiplier
         # exactly, and the basis dual agrees to within a grid cell
         iy = pb.actions.nearest(0.5)
-        assert _q_from_row(pb, out, iy) == pytest.approx(0.0, abs=1e-12)
+        assert q_from_row(pb, out, iy) == pytest.approx(0.0, abs=1e-12)
         assert rep.max_q_residual <= 2.0 * pb.actions.max_spacing
+
+    @pytest.mark.parametrize("n", [41, 101])
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_residuals_match_kernels_at_the_support(self, solved_cache, pid, n):
+        # the grid tables give each residual the bits of V_y, u_y and u
+        # evaluated at the row's own states
+        bundle = solved_cache(pid, grid_n=n)
+        pb, out, q = bundle["problem"], bundle["outcome"], bundle["prices"].q
+        rep = verify_complementary_slackness(GridTables(pb), out, bundle["prices"])
+        rows = out.support_rows() if rep.applicable else ()
+        assert len(rep.rows) == len(rows)
+        for k, (iy, row) in enumerate(zip(rows, rep.rows)):
+            assert row.q_residual == abs(q[iy] - q_from_row(pb, out, int(iy)))
+            lo, hi = rows[max(0, k - 1)], rows[min(len(rows) - 1, k + 1)]
+            qd = (q[hi] - q[lo]) / (pb.actions.points[hi] - pb.actions.points[lo]) if hi != lo else 0.0
+            xs = pb.states.points[out.mass[iy] > MASS_TOL]
+            y = np.full(xs.shape, pb.actions.points[iy])
+            foc = pb.V_y(y, xs) + q[iy] * pb.u_y(y, xs) + qd * pb.u(y, xs)
+            assert row.foc_residual == float(np.max(np.abs(foc)))
 
     def test_generic_three_state_pooling_is_stationarity_infeasible(self):
         # V_y at the pooled action outside the span of (u, u_y) across the
@@ -499,12 +578,13 @@ class TestStart:
 
     def test_mapped_basis_keeps_the_coarse_cells(self):
         lp = build_lp(preset("example_c1", grid_n=81)[0])
-        coarse = build_lp(_coarsen(lp.problem))
+        coarse, rows, cols = _coarsen(lp)
         res = solve_standard_form(coarse.A, coarse.b, coarse.c, start=_crash_basis(coarse))
         crash = _crash_basis(lp)
-        warm = _mapped_basis(lp, coarse, res, crash)
+        warm = _mapped_basis(rows, cols, res.basis, crash)
         keep = _every_other(81)
         kept_rows = np.concatenate([keep, lp.problem.n_states + keep])
+        assert np.array_equal(rows, kept_rows)
         odd = np.setdiff1d(np.arange(lp.n_rows), kept_rows)
         assert np.array_equal(warm[odd], crash[odd])
         cells = sorted(zip(keep[coarse.col_y[res.basis]], keep[coarse.col_x[res.basis]]))
@@ -512,9 +592,24 @@ class TestStart:
         # a coarse artificial, as of a pinned row, keeps the artificial of its position here
         basis = res.basis.copy()
         basis[3] = coarse.c.size + 3
-        pinned = _mapped_basis(lp, coarse, replace(res, basis=basis, dropped_rows=(3,)), crash)
+        pinned = _mapped_basis(rows, cols, basis, crash)
         assert pinned[kept_rows[3]] == -1
         assert np.array_equal(np.delete(pinned, kept_rows[3]), np.delete(warm, kept_rows[3]))
+
+
+def assert_same_lp(got, want):
+    """``got`` and ``want`` hold the same LP, bit for bit, on the same grids."""
+    for name in ("b", "c", "col_y", "col_x", "slack_rows", "Vmat", "Umat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.A.format == want.A.format == "csc" and got.A.shape == want.A.shape
+    assert got.A.data.tobytes() == want.A.data.tobytes()
+    assert np.array_equal(got.A.indices, want.A.indices) and np.array_equal(got.A.indptr, want.A.indptr)
+    assert (got.n_mass, got.n_rows) == (want.n_mass, want.n_rows)
+    for name in ("states", "actions"):
+        a, b = getattr(got.problem, name), getattr(want.problem, name)
+        assert a.kind == b.kind and a.points.tobytes() == b.points.tobytes()
+    assert got.problem.prior.tobytes() == want.problem.prior.tobytes()
 
 
 class TestCoarsen:
@@ -524,11 +619,37 @@ class TestCoarsen:
 
     def test_prior_is_restricted_and_renormalized(self):
         pb = preset("example_c3", grid_n=101)[0]
-        coarse = _coarsen(pb)
+        coarse = _coarsen(build_lp(pb))[0].problem
         keep = _every_other(101)
         assert np.array_equal(coarse.states.points, pb.states.points[keep])
         assert np.array_equal(coarse.actions.points, pb.actions.points[keep])
         assert np.array_equal(coarse.prior, pb.prior[keep] / pb.prior[keep].sum())
+
+    @pytest.mark.parametrize(
+        "pid, params, n",
+        [(pid, {}, n) for n in (41, 101, 201) for pid in preset_ids()] + [(pid, params, 101) for pid, params in VARIANTS],
+    )
+    def test_levels_are_slices_of_the_built_lp(self, pid, params, n):
+        # every level down to two states, each against build_lp on the
+        # coarse problem, which evaluates V and u again: the same LP, and
+        # every coarse column and artificial mapped to the same column
+        lp = build_lp(preset(pid, grid_n=n, **params)[0])
+        levels = 0
+        while lp.problem.n_states > 2:
+            sliced, problem = _coarsen(lp), coarsened_problem(lp.problem)
+            if problem is None:
+                assert sliced is None
+                break
+            (coarse, rows, cols), want = sliced, build_lp(problem)
+            assert_same_lp(coarse, want)
+            crash = _crash_basis(lp)
+            every = np.arange(coarse.c.size + coarse.n_rows)
+            chunks = -(-every.size // coarse.n_rows)
+            for basis in np.resize(every, chunks * coarse.n_rows).reshape(chunks, coarse.n_rows):
+                got = _mapped_basis(rows, cols, basis, crash)
+                assert np.array_equal(got, reference_mapped_basis(lp, want, basis, crash))
+            lp, levels = coarse, levels + 1
+        assert levels > 0 or pid == "stress_test"
 
     def test_massless_kept_states_stop_the_chain(self, monkeypatch, caplog):
         n = 2 * SIFT_MIN_STATES + 1
@@ -541,14 +662,47 @@ class TestCoarsen:
             V=lambda y, x: y * y + 0.0 * x,
             u=lambda y, x: x - y,
         )
-        assert _coarsen(pb) is None
-        calls = TestSifting.simplex_calls(monkeypatch)
         lp = build_lp(pb)
+        assert _coarsen(lp) is None
+        calls = TestSifting.simplex_calls(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="optrans.lp"):
             solve_primal(lp)
         assert calls == [(lp.c.size, None)]
         (line,) = [r.getMessage() for r in caplog.records if r.name == "optrans.lp"]
         assert line.startswith(f"outcome LP: n={n}: ") and ";" not in line
+
+
+class TestKernelCalls:
+    """``optrans solve`` and ``optrans certify`` evaluate each kernel at most
+    once on the grid and on no other grid: the coarse levels are slices of
+    the LP, and the slackness check reads the grid tables."""
+
+    @pytest.mark.parametrize("cmd", ["solve", "certify"])
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_kernels_run_once_on_the_fine_grid(self, pid, cmd, tmp_path, monkeypatch):
+        calls, elsewhere, build = Counter(), [], cli._build
+
+        def counted_build(cfg):
+            pb, ps = build(cfg)
+            Y, X = pb.grids_product()
+            for name in GridTables.KERNELS:
+
+                def g(y, x, name=name, f=getattr(pb, name)):
+                    if np.broadcast(y, x).size > 3:  # the u_y probe takes 3 points
+                        if np.shape(y) == Y.shape and np.array_equal(y, Y) and np.array_equal(x, X):
+                            calls[name] += 1
+                        else:
+                            elsewhere.append((name, np.broadcast(y, x).shape))
+                    return f(y, x)
+
+                setattr(pb, name, g)
+            return pb, ps
+
+        monkeypatch.setattr(cli, "_build", counted_build)
+        n = 2 * SIFT_MIN_STATES + 1  # sifted from n=61, which is sifted from n=31
+        assert cli.main([cmd, "--preset", pid, "--grid-n", str(n), "--out", str(tmp_path)]) == 0
+        assert elsewhere == []
+        assert calls["V"] == calls["u"] == 1 and max(calls.values()) == 1, calls
 
 
 def warm_start(res, cols, n_rows):
@@ -567,7 +721,7 @@ def sifted_by_rounds(lp, coarse, coarse_res):
     A, b, c = lp.A, lp.b, lp.c
     n = c.size
     crash = _crash_basis(lp)
-    proposals = np.stack([_mapped_basis(lp, coarse, coarse_res, crash), crash])
+    proposals = np.stack([reference_mapped_basis(lp, coarse, coarse_res.basis, crash), crash])
     feas = solve_standard_form(A, b, np.zeros(n), start=proposals)
     iterations, phase1 = feas.iterations, feas.phase1_iterations
     start_cols = warm_start(feas, np.arange(n), lp.n_rows)
@@ -615,7 +769,7 @@ class TestSiftingByRounds:
         solve_primal(lp)
         chain = [lp]
         while chain[-1].problem.n_states > SIFT_MIN_STATES:
-            chain.append(build_lp(_coarsen(chain[-1].problem)))
+            chain.append(build_lp(coarsened_problem(chain[-1].problem)))
         ref = solve_standard_form(chain[-1].A, chain[-1].b, chain[-1].c, start=_crash_basis(chain[-1]))
         iterations, phase1 = ref.iterations, ref.phase1_iterations
         for level, coarse in zip(chain[-2::-1], chain[:0:-1]):
